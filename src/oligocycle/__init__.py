@@ -8,6 +8,7 @@ counting, channel capacity, five payload encoders with cycle guarantees,
 and cost curves for choosing an operating point.
 """
 
+from .bits import knuth_balance, knuth_unbalance
 from .capacity import (
     binary_entropy,
     cap_fixed_length,
@@ -29,8 +30,6 @@ from .codec import (
     base_encode,
     decode_payload,
     encode_payload,
-    knuth_balance,
-    knuth_unbalance,
     lookup_encode,
     multisize_encode,
     multisize_rate,

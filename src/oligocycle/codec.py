@@ -14,55 +14,38 @@ embed into the batch's offer program within its stated cycle budget:
 - ``window``     one subset of the alphabet per q-cycle window, one bit shy
                  of a full symbol's worth per cycle.
 
-The batch (de)serializes to a small JSON document, so payloads survive a
-round trip through files and processes.
+Each scheme at fixed parameters is one ``_BlockCode`` record: a bijection
+between fixed-width integers and blocks of symbols, plus the offer program
+of n blocks.  ``SCHEMES`` maps scheme names to record builders; one generic
+encode and decode do the rest for all five: chunking, and on decode the
+program-shape, oligo-length, embedding and block-width checks.  Balanced
+joins its blocks end to end in one oligo, the others put one in each.  A
+payload is one integer inside the codec; '0'/'1' strings appear only in the
+public functions.  Batches round-trip through a small JSON document.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .bits import bits_from_int, int_from_bits, project, validate_bits
+from .bits import (
+    balance_word, balanced_data_bits, flip_layout_complete, unbalance_word, validate_bits
+)
 from .capacity import cap_fixed_length
 from .counting import subsequence_count, subsequence_rank, subsequence_unrank
 from .errors import CorruptDataError, DomainError
-from .sequence import Oligo, SupersequenceSpec, offer_gap
-
-__all__ = [
-    "AlphaProfile",
-    "EncodedBatch",
-    "RateRow",
-    "alpha_profile",
-    "balanced_block_decode",
-    "balanced_block_encode",
-    "balanced_decode",
-    "balanced_encode",
-    "balanced_params",
-    "base_decode",
-    "base_encode",
-    "decode_payload",
-    "encode_payload",
-    "knuth_balance",
-    "knuth_unbalance",
-    "lookup_encode",
-    "multisize_encode",
-    "multisize_rate",
-    "optimal_alpha",
-    "rate_table",
-    "window_encode",
-]
-
-SCHEMES = ("balanced", "base", "lookup", "multisize", "window")
+from .sequence import Oligo, SupersequenceSpec, min_cycles_under
 
 
-# ---------------------------------------------------------------------------
-# batch container
+# --- batch container ---
 
 
 @dataclass(frozen=True)
@@ -99,20 +82,21 @@ class EncodedBatch:
         if missing:
             raise CorruptDataError(f"batch JSON is missing fields: {sorted(missing)}")
         scheme = doc["scheme"]
-        if scheme not in SCHEMES:
+        if type(scheme) is not str or scheme not in SCHEMES:
             raise CorruptDataError(f"unknown scheme {scheme!r}")
         q = doc["q"]
         bits = doc["payload_bits"]
         rho = doc["rho"]
-        if not _is_int(q) or q < 1:
+        if type(q) is not int or q < 1:
             raise CorruptDataError("field 'q' must be a positive integer")
-        if not _is_int(bits) or bits < 0:
+        if type(bits) is not int or bits < 0:
             raise CorruptDataError("field 'payload_bits' must be a non-negative integer")
-        if not isinstance(rho, (int, float)) or isinstance(rho, bool):
-            raise CorruptDataError("field 'rho' must be a number")
+        # json reads NaN and Infinity; this bound also fails on them
+        if type(rho) not in (int, float) or not abs(rho) <= sys.float_info.max:
+            raise CorruptDataError("field 'rho' must be a finite number")
         raw_spec = doc["spec"]
         if not isinstance(raw_spec, list) or not all(
-            isinstance(seg, list) and len(seg) == 2 and all(_is_int(v) for v in seg)
+            isinstance(seg, list) and len(seg) == 2 and all(type(v) is int for v in seg)
             for seg in raw_spec
         ):
             raise CorruptDataError("field 'spec' must be a list of [alphabet, cycles] pairs")
@@ -128,24 +112,80 @@ class EncodedBatch:
         return cls(scheme, q, float(rho), bits, spec, oligos)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# --- the scheme record ---
 
 
-def _chunks(payload: str, width: int) -> list[str]:
-    padded = payload + "0" * (-len(payload) % width)
-    return [padded[i : i + width] for i in range(0, len(padded), width)]
+@dataclass(frozen=True)
+class _BlockCode:
+    """One scheme at fixed parameters: encode_block maps each integer below
+    2**width to a block whose length lies in lengths, decode_block inverts it
+    and raises on a block outside the code, and program(n) is the offer
+    program of n blocks, whose largest alphabet the oligos use.  Reading
+    width calls codewords, which counts for lookup: the decoder reads it
+    only after its shape checks."""
+
+    rho: float
+    lengths: range
+    program: Callable[[int], tuple[tuple[int, int], ...]]
+    codewords: Callable[[], int]
+    encode_block: Callable[[int], tuple[int, ...]]
+    decode_block: Callable[[Sequence[int]], int]
+    joined: bool = False  # every block in one oligo, end to end
+
+    @cached_property
+    def width(self) -> int:
+        """Bits per block: the largest w with 2**w codewords, at least 1."""
+        width = self.codewords().bit_length() - 1
+        if width < 1:
+            raise DomainError("a block holds fewer than two codewords; no bits fit")
+        return width
 
 
-def _join_block_bits(values: Sequence[int], width: int, payload_bits: int) -> str:
-    out = "".join(bits_from_int(v, width) for v in values)
-    if payload_bits > len(out):
-        raise CorruptDataError("payload bit count exceeds the decoded data")
-    return out[:payload_bits]
+def _fields(payload: str, width: int) -> list[int]:
+    """The payload, zero-padded to whole width-bit blocks, as one integer per block."""
+    total = -(-len(payload) // width) * width
+    size = -(-total // 8)
+    data = (int(payload or "0", 2) << (8 * size - len(payload))).to_bytes(size, "big")
+    return [
+        int.from_bytes(data[i >> 3 : (i + width + 7) >> 3], "big") >> (-(i + width) % 8)
+        & ((1 << width) - 1)
+        for i in range(0, total, width)
+    ]
 
 
-# ---------------------------------------------------------------------------
-# base scheme: one steering symbol per oligo
+# --- base scheme: one steering symbol per oligo ---
+
+
+def _steer(q: int, gaps: Sequence[int]) -> tuple[int, ...]:
+    flip = 2 * sum(gaps) > (q + 1) * len(gaps)
+    out = [2 if flip else 1]
+    for g in gaps:
+        out.append((out[-1] - 1 + (q + 1 - g if flip else g)) % q + 1)
+    return tuple(out)
+
+
+def _digits(value: int, base: int, count: int) -> tuple[int, ...]:
+    """*count* base-*base* digits of *value* as symbols 1..base, most significant first."""
+    digits = []
+    for _ in range(count):
+        value, digit = divmod(value, base)
+        digits.append(digit + 1)
+    return tuple(reversed(digits))
+
+
+def _base_value(q: int, symbols: Sequence[int]) -> int:
+    """The integer whose base-q digits, as gaps, were steered into *symbols*."""
+    if not symbols:
+        raise CorruptDataError("encoded oligo must carry a steering symbol")
+    if symbols[0] not in (1, 2):
+        raise CorruptDataError("steering symbol must be 1 or 2")
+    if max(symbols) > q:
+        raise CorruptDataError(f"symbols must lie in 1..{q}")
+    flip = symbols[0] == 2  # each gap g went out as q+1-g
+    value = 0
+    for a, b in zip(symbols, symbols[1:]):
+        value = value * q + (a - b if flip else b - a - 1) % q
+    return value
 
 
 def base_encode(q: int, info: Oligo) -> Oligo:
@@ -160,93 +200,54 @@ def base_encode(q: int, info: Oligo) -> Oligo:
         raise DomainError("base scheme requires alphabet size >= 2")
     if info.q > q:
         raise DomainError("info symbols exceed the alphabet")
-    gaps = info.symbols
-    flip = 2 * sum(gaps) > (q + 1) * len(gaps)
-    if flip:
-        gaps = tuple(q + 1 - g for g in gaps)
-    current = 2 if flip else 1
-    out = [current]
-    for g in gaps:
-        current = (current - 1 + g) % q + 1
-        out.append(current)
-    return Oligo(tuple(out), q)
+    return Oligo(_steer(q, info.symbols), q)
 
 
 def base_decode(q: int, oligo: Oligo) -> Oligo:
     """Invert base_encode; raises CorruptDataError on a malformed oligo."""
     if q < 2:
         raise DomainError("base scheme requires alphabet size >= 2")
-    symbols = oligo.symbols
-    if not symbols:
-        raise CorruptDataError("encoded oligo must carry a steering symbol")
-    if symbols[0] not in (1, 2):
-        raise CorruptDataError("steering symbol must be 1 or 2")
-    flip = symbols[0] == 2
-    gaps = tuple(offer_gap(a, b, q) for a, b in zip(symbols, symbols[1:]))
-    if flip:
-        gaps = tuple(q + 1 - g for g in gaps)
-    return Oligo(gaps, q)
+    return Oligo(_digits(_base_value(q, oligo.symbols), q, len(oligo) - 1), q)
 
 
-def _base_batch_encode(q: int, payload: str, block_symbols: int) -> EncodedBatch:
+def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
     if q < 2:
         raise DomainError("base scheme requires alphabet size >= 2")
-    if block_symbols < 1:
+    size = 32 if block_symbols is None else block_symbols
+    if size < 1:
         raise DomainError("block must carry at least one symbol")
-    width = (q**block_symbols).bit_length() - 1
-    oligos = []
-    for block in _chunks(payload, width):
-        value = int_from_bits(block)
-        digits = []
-        for _ in range(block_symbols):
-            digits.append(value % q)
-            value //= q
-        digits.reverse()
-        info = Oligo(tuple(d + 1 for d in digits), q)
-        oligos.append(base_encode(q, info))
-    budget = (q + 1) * (block_symbols + 1) // 2 if oligos else 0
-    return EncodedBatch(
-        scheme="base",
-        q=q,
+    budget = (q + 1) * (size + 1) // 2
+    return _BlockCode(
         rho=2.0 / (q + 1),
-        payload_bits=len(payload),
-        spec=SupersequenceSpec(((q, budget),)),
-        oligos=tuple(oligos),
+        lengths=range(size + 1, size + 2),
+        program=lambda n: ((q, budget if n else 0),),
+        codewords=lambda: q**size,
+        encode_block=lambda value: _steer(q, _digits(value, q, size)),
+        decode_block=partial(_base_value, q),
     )
 
 
-def _base_batch_decode(batch: EncodedBatch) -> str:
-    q = batch.q
-    if not batch.oligos:
-        if batch.payload_bits:
-            raise CorruptDataError("payload bits declared but no oligos present")
-        return ""
-    block_symbols = len(batch.oligos[0]) - 1
-    if block_symbols < 1:
-        raise CorruptDataError("encoded oligos are too short")
-    budget = (q + 1) * (block_symbols + 1) // 2
-    if batch.spec.segments != ((q, budget),):
-        raise CorruptDataError("program does not match the oligo shape")
-    width = (q**block_symbols).bit_length() - 1
-    values = []
-    for oligo in batch.oligos:
-        if len(oligo) != block_symbols + 1:
-            raise CorruptDataError("oligo lengths disagree within the batch")
-        try:
-            info = base_decode(q, oligo)
-        except DomainError as exc:
-            raise CorruptDataError(str(exc)) from exc
-        value = 0
-        for symbol in info.symbols:
-            value = value * q + (symbol - 1)
-        if value.bit_length() > width:
-            raise CorruptDataError("decoded block exceeds its bit width")
-        values.append(value)
-    return _join_block_bits(values, width, batch.payload_bits)
+# --- lookup scheme: enumerative coding over a fixed window ---
 
 
-# ---------------------------------------------------------------------------
-# lookup scheme: enumerative coding over a fixed window
+def _lookup(q: int, *, rho: float | None, depth: int | None, **_) -> _BlockCode:
+    if rho is None or depth is None:
+        raise DomainError("lookup encoding requires both rho and depth")
+    if q < 1 or depth < 1:
+        raise DomainError("alphabet size and depth must be at least 1")
+    cycles = depth * q
+    length = rho * cycles
+    if not 0 <= length <= cycles or abs(length - round(length)) > 1e-9:
+        raise DomainError("rho does not give an integral oligo length at this depth")
+    length = round(length)
+    return _BlockCode(
+        rho=rho,
+        lengths=range(length, length + 1),
+        program=lambda n: ((q, cycles),),
+        codewords=lambda: subsequence_count(q, cycles, length),
+        encode_block=lambda value: subsequence_unrank(q, cycles, length, value).symbols,
+        decode_block=lambda symbols: subsequence_rank(q, cycles, Oligo(symbols, q)),
+    )
 
 
 def lookup_encode(q: int, depth: int, rho: float, payload: str) -> EncodedBatch:
@@ -255,57 +256,10 @@ def lookup_encode(q: int, depth: int, rho: float, payload: str) -> EncodedBatch:
     rho*C must be integral (to 1e-9) and the window must hold at least two
     oligos, otherwise no bits fit.
     """
-    validate_bits(payload)
-    if q < 1 or depth < 1:
-        raise DomainError("alphabet size and depth must be at least 1")
-    cycles = depth * q
-    length_f = rho * cycles
-    length = round(length_f)
-    if abs(length_f - length) > 1e-9 or not 0 <= length <= cycles:
-        raise DomainError("rho does not give an integral oligo length at this depth")
-    width = subsequence_count(q, cycles, length).bit_length() - 1
-    if width < 1:
-        raise DomainError("window holds fewer than two oligos; no bits fit")
-    oligos = tuple(
-        subsequence_unrank(q, cycles, length, int_from_bits(block))
-        for block in _chunks(payload, width)
-    )
-    return EncodedBatch(
-        scheme="lookup",
-        q=q,
-        rho=rho,
-        payload_bits=len(payload),
-        spec=SupersequenceSpec(((q, cycles),)),
-        oligos=oligos,
-    )
+    return encode_payload("lookup", payload, q=q, rho=rho, depth=depth)
 
 
-def _lookup_decode(batch: EncodedBatch) -> str:
-    if len(batch.spec.segments) != 1:
-        raise CorruptDataError("lookup batches use a single-segment program")
-    q, cycles = batch.spec.segments[0]
-    length = round(batch.rho * cycles)
-    if abs(batch.rho * cycles - length) > 1e-9 or not 0 <= length <= cycles:
-        raise CorruptDataError("rho does not match the program window")
-    width = subsequence_count(q, cycles, length).bit_length() - 1
-    if width < 1:
-        raise CorruptDataError("program window cannot carry data")
-    values = []
-    for oligo in batch.oligos:
-        if len(oligo) != length:
-            raise CorruptDataError("oligo length does not match the window")
-        try:
-            value = subsequence_rank(q, cycles, oligo)
-        except DomainError as exc:
-            raise CorruptDataError(str(exc)) from exc
-        if value.bit_length() > width:
-            raise CorruptDataError("oligo index exceeds the block width")
-        values.append(value)
-    return _join_block_bits(values, width, batch.payload_bits)
-
-
-# ---------------------------------------------------------------------------
-# multisize scheme: two adjacent sub-alphabet sizes
+# --- multisize scheme: two adjacent sub-alphabet sizes ---
 
 
 @dataclass(frozen=True)
@@ -336,11 +290,10 @@ def optimal_alpha(q: int, rho: float) -> tuple[int, float]:
     if q < 2:
         raise DomainError("multisize scheme requires alphabet size >= 2")
     low = 2.0 / (q + 1)
-    if rho < low - 1e-12 or rho > 1.0 + 1e-12:
+    if not low - 1e-12 <= rho <= 1.0 + 1e-12:  # written so that NaN fails too
         raise DomainError(f"rho must lie in [{low:.6g}, 1]")
     rho = min(max(rho, low), 1.0)
-    s = int(2.0 / rho - 1.0 + 1e-9)
-    s = max(1, min(s, q - 1))
+    s = max(1, min(int(2.0 / rho - 1.0 + 1e-9), q - 1))
     fraction = s + 2.0 - 2.0 / rho
     if abs(fraction - round(fraction)) <= 1e-9:
         fraction = float(round(fraction))
@@ -363,13 +316,41 @@ def multisize_rate(q: int, rho: float) -> float:
     return (rho * (s + 2) - 2.0) * math.log2(s) + (2.0 - rho * (s + 1)) * math.log2(s + 1)
 
 
-def _multisize_shape(q: int, rho: float, oligo_length: int) -> tuple[int, int, int, int, int]:
+def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _BlockCode:
+    # A base-coded run over sub-alphabet s holds the low digits and a
+    # base-coded tail over s+1 the high ones.  When s is 1 the run is all 1s.
+    if rho is None:
+        raise DomainError("multisize encoding requires rho")
+    length = 48 if oligo_length is None else oligo_length
+    if length < 1:
+        raise DomainError("oligo length must be at least 1")
     s, fraction = optimal_alpha(q, rho)
-    run = int(fraction * oligo_length + 1e-9)
-    tail = oligo_length - run
-    digits_run = max(run - 1, 0) if s >= 2 else 0
-    digits_tail = max(tail - 1, 0)
-    return s, run, tail, digits_run, digits_tail
+    run = int(fraction * length + 1e-9)
+    tail = length - run
+    coded = run if s >= 2 else 0
+    low_values = s ** max(coded - 1, 0)
+    program = ((s, (s + 1) * run // 2),) * (run > 0) + ((s + 1, (s + 2) * tail // 2),) * (tail > 0)
+
+    def encode_block(value: int) -> tuple[int, ...]:
+        high, low = divmod(value, low_values)
+        head = _steer(s, _digits(low, s, run - 1)) if coded else (1,) * run
+        return head + (_steer(s + 1, _digits(high, s + 1, tail - 1)) if tail else ())
+
+    def decode_block(symbols: Sequence[int]) -> int:
+        head, rest = symbols[:run], symbols[run:]
+        if not coded and head.count(1) != run:
+            raise CorruptDataError("constant run segment must be all 1s")
+        high = _base_value(s + 1, rest) if tail else 0
+        return high * low_values + (_base_value(s, head) if coded else 0)
+
+    return _BlockCode(
+        rho=rho,
+        lengths=range(length, length + 1),
+        program=lambda n: program,
+        codewords=lambda: low_values * (s + 1) ** max(tail - 1, 0),
+        encode_block=encode_block,
+        decode_block=decode_block,
+    )
 
 
 def multisize_encode(q: int, rho: float, payload: str, oligo_length: int = 48) -> EncodedBatch:
@@ -379,140 +360,10 @@ def multisize_encode(q: int, rho: float, payload: str, oligo_length: int = 48) -
     At rho > 2/3 the smaller sub-alphabet degenerates to size 1 and that part
     of each oligo becomes a constant run carrying no information.
     """
-    validate_bits(payload)
-    if oligo_length < 1:
-        raise DomainError("oligo length must be at least 1")
-    s, run, tail, digits_run, digits_tail = _multisize_shape(q, rho, oligo_length)
-    run_values = s**digits_run
-    n_values = run_values * (s + 1) ** digits_tail
-    width = n_values.bit_length() - 1
-    if width < 1:
-        raise DomainError("oligo length is too small to carry bits at this rho")
-    oligos = []
-    for block in _chunks(payload, width):
-        value = int_from_bits(block)
-        value_run, value_tail = value % run_values, value // run_values
-        head: tuple[int, ...]
-        if s == 1:
-            head = (1,) * run
-        elif run:
-            head = base_encode(s, Oligo(_digits(value_run, s, digits_run), s)).symbols
-        else:
-            head = ()
-        if tail:
-            rest = base_encode(s + 1, Oligo(_digits(value_tail, s + 1, digits_tail), s + 1)).symbols
-        else:
-            rest = ()
-        oligos.append(Oligo(head + rest, s + 1 if tail else s))
-    segments = []
-    if run:
-        segments.append((s, (s + 1) * run // 2))
-    if tail:
-        segments.append((s + 1, (s + 2) * tail // 2))
-    return EncodedBatch(
-        scheme="multisize",
-        q=q,
-        rho=rho,
-        payload_bits=len(payload),
-        spec=SupersequenceSpec(tuple(segments)),
-        oligos=tuple(oligos),
-    )
+    return encode_payload("multisize", payload, q=q, rho=rho, oligo_length=oligo_length)
 
 
-def _digits(value: int, base: int, count: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(count):
-        digits.append(value % base + 1)
-        value //= base
-    digits.reverse()
-    return tuple(digits)
-
-
-def _undigits(symbols: Sequence[int], base: int) -> int:
-    value = 0
-    for symbol in symbols:
-        value = value * base + (symbol - 1)
-    return value
-
-
-def _multisize_decode(batch: EncodedBatch) -> str:
-    if not batch.oligos:
-        if batch.payload_bits:
-            raise CorruptDataError("payload bits declared but no oligos present")
-        return ""
-    oligo_length = len(batch.oligos[0])
-    try:
-        s, run, tail, digits_run, digits_tail = _multisize_shape(batch.q, batch.rho, oligo_length)
-    except DomainError as exc:
-        raise CorruptDataError(str(exc)) from exc
-    segments = []
-    if run:
-        segments.append((s, (s + 1) * run // 2))
-    if tail:
-        segments.append((s + 1, (s + 2) * tail // 2))
-    if batch.spec.segments != tuple(segments):
-        raise CorruptDataError("program does not match the oligo shape")
-    run_values = s**digits_run
-    width = (run_values * (s + 1) ** digits_tail).bit_length() - 1
-    if width < 1:
-        raise CorruptDataError("oligo length cannot carry bits at this rho")
-    values = []
-    for oligo in batch.oligos:
-        if len(oligo) != oligo_length:
-            raise CorruptDataError("oligo lengths disagree within the batch")
-        head, rest = oligo.symbols[:run], oligo.symbols[run:]
-        try:
-            if s == 1:
-                if any(symbol != 1 for symbol in head):
-                    raise CorruptDataError("constant run segment must be all 1s")
-                value_run = 0
-            elif run:
-                value_run = _undigits(base_decode(s, Oligo(head, s)).symbols, s)
-            else:
-                value_run = 0
-            value_tail = (
-                _undigits(base_decode(s + 1, Oligo(rest, s + 1)).symbols, s + 1) if tail else 0
-            )
-        except DomainError as exc:
-            raise CorruptDataError(str(exc)) from exc
-        value = value_tail * run_values + value_run
-        if value.bit_length() > width:
-            raise CorruptDataError("decoded block exceeds its bit width")
-        values.append(value)
-    return _join_block_bits(values, width, batch.payload_bits)
-
-
-# ---------------------------------------------------------------------------
-# balanced scheme: weight-balanced blocks over an ascending alphabet
-
-
-@lru_cache(maxsize=None)
-def _flip_layout_complete(f: int) -> bool:
-    # Whether every f-bit word admits a prefix-flip count k whose redundancy
-    # (Gray code of k plus one balance bit) lands the block weight on target.
-    # Flipping one more bit moves the running weight by +-1 and the Gray
-    # weight by +-1, so the balance shortfall moves in steps of {-2, 0, +2}
-    # and each word weight W chases a single parity-matched target V.  A
-    # width-first walk over the flip trajectories, pruned at every k where
-    # the target is hit, reaches the final weight f-2W iff some word of
-    # weight W escapes every valid k.
-    g = (f - 1).bit_length()
-    target_total = (f + g + 1) // 2
-    k_max = min(f, (1 << g) - 1)
-    gray_weight = [(k ^ (k >> 1)).bit_count() for k in range(k_max + 1)]
-    for weight in range(f + 1):
-        v = target_total if (target_total - weight) % 2 == 0 else target_total - 1
-        targets = [v - weight - gray_weight[k] for k in range(k_max + 1)]
-        reachable = {0} - {targets[0]}
-        for k in range(f):
-            reachable = {z + 1 for z in reachable} | {z - 1 for z in reachable}
-            if k + 1 <= k_max:
-                reachable.discard(targets[k + 1])
-            if not reachable:
-                break
-        if f - 2 * weight in reachable:
-            return False
-    return True
+# --- balanced scheme: weight-balanced blocks over an ascending alphabet ---
 
 
 @lru_cache(maxsize=None)
@@ -525,230 +376,114 @@ def balanced_params(q: int) -> tuple[int, int]:
     """
     if q < 4:
         raise DomainError("balanced scheme requires alphabet size >= 4")
-    f = 1
-    while True:
-        n = f + 1
-        if n + (n - 1).bit_length() + 1 > q:
-            break
-        f = n
-    block_alphabet = f + (f - 1).bit_length() + 1
-    if not _flip_layout_complete(f):
+    f = balanced_data_bits(q)
+    if not flip_layout_complete(f):
         raise DomainError(
             f"alphabet size {q} maps to {f} data bits, which the flip layout cannot balance"
         )
-    return f, block_alphabet
+    return f, f + (f - 1).bit_length() + 1
 
 
-def knuth_balance(word: str) -> str:
-    """Balance a word by flipping a prefix: output is the flipped word, the
-    Gray code of the flip count, and one balance bit, at weight exactly half
-    the (even) output length rounded down."""
-    validate_bits(word)
-    f = len(word)
-    if f < 1:
-        raise DomainError("cannot balance an empty word")
-    g = (f - 1).bit_length()
-    target_total = (f + g + 1) // 2
-    k_max = min(f, (1 << g) - 1)
-    weight = word.count("1")
-    for k in range(k_max + 1):
-        balance = target_total - weight - (k ^ (k >> 1)).bit_count()
-        if balance in (0, 1):
-            flipped = "".join("1" if c == "0" else "0" for c in word[:k]) + word[k:]
-            gray_bits = format(k ^ (k >> 1), f"0{g}b") if g else ""
-            return flipped + gray_bits + str(balance)
-        if k < f:
-            weight += 1 if word[k] == "0" else -1
-    raise DomainError(f"no flip count balances this {f}-bit word")
+def _balanced(q: int, **_) -> _BlockCode:
+    # a block is the set bits of the balanced word, as ascending positions
+    f, size = balanced_params(q)
 
+    def encode_block(value: int) -> tuple[int, ...]:
+        word = balance_word(value, f)
+        return tuple(v for v in range(1, size + 1) if word >> (size - v) & 1)
 
-def knuth_unbalance(word: str) -> str:
-    """Invert knuth_balance; raises CorruptDataError on malformed blocks."""
-    validate_bits(word)
-    n = len(word)
-    f = 1
-    while f + (f - 1).bit_length() + 1 < n:
-        f += 1
-    g = (f - 1).bit_length()
-    if f + g + 1 != n:
-        raise DomainError(f"{n} is not a balanced block size")
-    if word.count("1") != (n // 2):
-        raise CorruptDataError("block weight is off balance")
-    k = 0
-    if g:
-        gray = int(word[f : f + g], 2)
-        value = 0
-        while gray:
-            value ^= gray
-            gray >>= 1
-        k = value
-    if k > f:
-        raise CorruptDataError("flip count exceeds the word length")
-    return "".join("1" if c == "0" else "0" for c in word[:k]) + word[k:f]
+    def decode_block(symbols: Sequence[int]) -> int:
+        if len(symbols) != size // 2:
+            raise CorruptDataError("block oligo has the wrong length")
+        if any(b <= a for a, b in zip(symbols, symbols[1:])):
+            raise CorruptDataError("block oligo must be strictly ascending")
+        if symbols and not 1 <= symbols[0] <= symbols[-1] <= size:
+            raise CorruptDataError("block oligo symbol out of range")
+        return unbalance_word(sum(1 << (size - v) for v in symbols), f)
+
+    return _BlockCode(
+        rho=size // 2 / size,
+        lengths=range(size // 2, size // 2 + 1),
+        program=lambda n: ((size, n * size),),
+        codewords=lambda: 1 << f,
+        encode_block=encode_block,
+        decode_block=decode_block,
+        joined=True,
+    )
 
 
 def balanced_block_encode(q: int, block: str) -> Oligo:
     """One block of data bits to one strictly ascending constant-weight oligo."""
-    f, block_alphabet = balanced_params(q)
+    f, size = balanced_params(q)
     validate_bits(block)
     if len(block) != f:
         raise DomainError(f"block must carry exactly {f} bits")
-    word = knuth_balance(block)
-    return Oligo(project(tuple(range(1, block_alphabet + 1)), word), block_alphabet)
+    return Oligo(_balanced(q).encode_block(int(block, 2)), size)
 
 
 def balanced_block_decode(q: int, oligo: Oligo) -> str:
     """Invert balanced_block_encode; raises CorruptDataError on bad blocks."""
-    _, block_alphabet = balanced_params(q)
-    symbols = oligo.symbols
-    if len(symbols) != block_alphabet // 2:
-        raise CorruptDataError("block oligo has the wrong length")
-    if any(b <= a for a, b in zip(symbols, symbols[1:])):
-        raise CorruptDataError("block oligo must be strictly ascending")
-    if symbols and not 1 <= symbols[0] <= symbols[-1] <= block_alphabet:
-        raise CorruptDataError("block oligo symbol out of range")
-    chosen = set(symbols)
-    word = "".join("1" if v in chosen else "0" for v in range(1, block_alphabet + 1))
-    return knuth_unbalance(word)
+    f, _ = balanced_params(q)
+    return format(_balanced(q).decode_block(oligo.symbols), f"0{f}b")
 
 
 def balanced_encode(q: int, payload: str) -> EncodedBatch:
     """Concatenate balanced blocks into a single oligo, one revolution of the
     block alphabet per block."""
-    validate_bits(payload)
-    f, block_alphabet = balanced_params(q)
-    blocks = _chunks(payload, f) if payload else []
-    parts = [balanced_block_encode(q, block).symbols for block in blocks]
-    symbols = tuple(chain.from_iterable(parts))
-    oligos = (Oligo(symbols, block_alphabet),) if parts else ()
-    return EncodedBatch(
-        scheme="balanced",
-        q=q,
-        rho=(block_alphabet // 2) / block_alphabet,
-        payload_bits=len(payload),
-        spec=SupersequenceSpec(((block_alphabet, len(parts) * block_alphabet),)),
-        oligos=oligos,
-    )
+    return encode_payload("balanced", payload, q=q)
 
 
-def _balanced_decode(batch: EncodedBatch) -> str:
-    try:
-        _, block_alphabet = balanced_params(batch.q)
-    except DomainError as exc:
-        raise CorruptDataError(str(exc)) from exc
-    if len(batch.oligos) > 1:
-        raise CorruptDataError("balanced batches carry a single oligo")
-    symbols = batch.oligos[0].symbols if batch.oligos else ()
-    block_length = block_alphabet // 2
-    if len(symbols) % block_length:
-        raise CorruptDataError("oligo length is not a whole number of blocks")
-    blocks = len(symbols) // block_length
-    if batch.spec.segments != ((block_alphabet, blocks * block_alphabet),):
-        raise CorruptDataError("program does not match the block count")
-    try:
-        bits = "".join(
-            balanced_block_decode(batch.q, Oligo(symbols[i : i + block_length], block_alphabet))
-            for i in range(0, len(symbols), block_length)
-        )
-    except DomainError as exc:
-        raise CorruptDataError(str(exc)) from exc
-    if batch.payload_bits > len(bits):
-        raise CorruptDataError("payload bit count exceeds the decoded data")
-    return bits[: batch.payload_bits]
+# --- window scheme: one alphabet subset per revolution ---
+#
+# Subsets rank by size, then lexicographically.  Those of at most ceil(q/2)
+# symbols number at least 2**(q-1) for every q >= 2, so each block has one.
 
 
-# ---------------------------------------------------------------------------
-# window scheme: one alphabet subset per revolution
-
-
-def _combination_rank(q: int, combo: Sequence[int]) -> int:
-    rank = 0
-    previous = 0
-    size = len(combo)
-    for i, c in enumerate(combo):
-        for v in range(previous + 1, c):
-            rank += comb(q - v, size - i - 1)
-        previous = c
-    return rank
-
-
-def _combination_unrank(q: int, size: int, index: int) -> tuple[int, ...]:
+def _subset_unrank(q: int, value: int) -> tuple[int, ...]:
+    size = 1
+    while value >= comb(q, size):
+        value -= comb(q, size)
+        size += 1
     out = []
-    v = 1
-    for slot in range(size, 0, -1):
-        while True:
-            rest = comb(q - v, slot - 1)
-            if index < rest:
-                break
-            index -= rest
+    v = 0
+    for slot in range(size - 1, -1, -1):
+        v += 1
+        while value >= comb(q - v, slot):
+            value -= comb(q - v, slot)
             v += 1
         out.append(v)
-        v += 1
     return tuple(out)
 
 
-def _subset_unrank(q: int, size_cap: int, value: int) -> tuple[int, ...]:
-    for size in range(1, size_cap + 1):
-        count = comb(q, size)
-        if value < count:
-            return _combination_unrank(q, size, value)
-        value -= count
-    raise DomainError("value exceeds the subset family")
-
-
-def _subset_rank(q: int, size_cap: int, symbols: Sequence[int]) -> int:
-    size = len(symbols)
-    if not 1 <= size <= size_cap:
-        raise CorruptDataError("subset size out of range")
+def _subset_rank(q: int, symbols: Sequence[int]) -> int:
     if any(b <= a for a, b in zip(symbols, symbols[1:])):
         raise CorruptDataError("subset must be strictly ascending")
-    offset = sum(comb(q, j) for j in range(1, size))
-    return offset + _combination_rank(q, symbols)
+    # the last rank of this size, less the subsets that come lexicographically after
+    size = len(symbols)
+    last = sum(comb(q, j) for j in range(1, size + 1)) - 1
+    return last - sum(comb(q - c, size - i) for i, c in enumerate(symbols))
+
+
+def _window(q: int, **_) -> _BlockCode:
+    if q < 2:
+        raise DomainError("window scheme requires alphabet size >= 2")
+    return _BlockCode(
+        rho=0.5,
+        lengths=range(1, (q + 1) // 2 + 1),
+        program=lambda n: ((q, n * q),),
+        codewords=lambda: 1 << (q - 1),
+        encode_block=partial(_subset_unrank, q),
+        decode_block=partial(_subset_rank, q),
+    )
 
 
 def window_encode(q: int, payload: str) -> EncodedBatch:
     """One oligo per q-cycle window, each a subset of at most ceil(q/2)
     symbols, carrying q-1 bits per window."""
-    validate_bits(payload)
-    if q < 2:
-        raise DomainError("window scheme requires alphabet size >= 2")
-    size_cap = (q + 1) // 2
-    if sum(comb(q, k) for k in range(1, size_cap + 1)) < 1 << (q - 1):
-        raise DomainError("subset family is too small for the block width")
-    width = q - 1
-    oligos = tuple(
-        Oligo(_subset_unrank(q, size_cap, int_from_bits(block)), q)
-        for block in _chunks(payload, width)
-    )
-    return EncodedBatch(
-        scheme="window",
-        q=q,
-        rho=0.5,
-        payload_bits=len(payload),
-        spec=SupersequenceSpec(((q, len(oligos) * q),)),
-        oligos=oligos,
-    )
+    return encode_payload("window", payload, q=q)
 
 
-def _window_decode(batch: EncodedBatch) -> str:
-    q = batch.q
-    if q < 2:
-        raise CorruptDataError("window scheme requires alphabet size >= 2")
-    if batch.spec.segments != ((q, len(batch.oligos) * q),):
-        raise CorruptDataError("program does not match the window count")
-    size_cap = (q + 1) // 2
-    width = q - 1
-    values = []
-    for oligo in batch.oligos:
-        value = _subset_rank(q, size_cap, oligo.symbols)
-        if value.bit_length() > width:
-            raise CorruptDataError("subset index exceeds the block width")
-        values.append(value)
-    return _join_block_bits(values, width, batch.payload_bits)
-
-
-# ---------------------------------------------------------------------------
-# scheme comparison
+# --- scheme comparison ---
 
 
 @dataclass(frozen=True)
@@ -759,18 +494,6 @@ class RateRow:
     rho: float
     rate: float
     cap: float
-
-
-def _lookup_depth(q: int, rho: float) -> tuple[int, int] | None:
-    for depth in range(1, 65):
-        cycles = depth * q
-        length = round(rho * cycles)
-        if abs(rho * cycles - length) > 1e-9 or not 0 <= length <= cycles:
-            continue
-        width = subsequence_count(q, cycles, length).bit_length() - 1
-        if width >= 1:
-            return depth, width
-    return None
 
 
 def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
@@ -787,28 +510,35 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
     base_rho = 2.0 / (q + 1)
     rows.append(RateRow("base", base_rho, base_rho * math.log2(q), cap_fixed_length(q, base_rho)))
     rows.append(RateRow("window", 0.5, (q - 1) / q, cap_fixed_length(q, 0.5)))
-    try:
-        f, block_alphabet = balanced_params(q)
-    except DomainError:
-        pass
-    else:
-        rho = (block_alphabet // 2) / block_alphabet
-        rows.append(RateRow("balanced", rho, f / block_alphabet, cap_fixed_length(block_alphabet, rho)))
+    with suppress(DomainError):  # not every q has a balanced layout
+        f, size = balanced_params(q)
+        rho = size // 2 / size
+        rows.append(RateRow("balanced", rho, f / size, cap_fixed_length(size, rho)))
     for rho in rhos:
         if not 0.0 <= rho <= 1.0:
             raise DomainError("rho grid entries must lie in [0, 1]")
-        found = _lookup_depth(q, rho)
-        if found is not None:
-            depth, width = found
+        for depth in range(1, 65):
+            try:
+                width = _lookup(q, rho=rho, depth=depth).width
+            except DomainError:
+                continue
             rows.append(RateRow("lookup", rho, width / (depth * q), cap_fixed_length(q, rho)))
+            break
         if rho >= 2.0 / (q + 1) - 1e-12:
             rows.append(RateRow("multisize", rho, multisize_rate(q, rho), cap_fixed_length(q, rho)))
     rows.sort(key=lambda r: (r.rho, r.scheme))
     return rows
 
 
-# ---------------------------------------------------------------------------
-# dispatch
+# --- the generic encode and decode ---
+
+SCHEMES: dict[str, Callable[..., _BlockCode]] = {
+    "balanced": _balanced,
+    "base": _base,
+    "lookup": _lookup,
+    "multisize": _multisize,
+    "window": _window,
+}
 
 
 def encode_payload(
@@ -827,40 +557,57 @@ def encode_payload(
     oligo_length (default 48); base accepts block_symbols (default 32).
     """
     validate_bits(payload)
-    if scheme == "base":
-        return _base_batch_encode(q, payload, 32 if block_symbols is None else block_symbols)
-    if scheme == "lookup":
-        if rho is None or depth is None:
-            raise DomainError("lookup encoding requires both rho and depth")
-        return lookup_encode(q, depth, rho, payload)
-    if scheme == "multisize":
-        if rho is None:
-            raise DomainError("multisize encoding requires rho")
-        return multisize_encode(q, rho, payload, 48 if oligo_length is None else oligo_length)
-    if scheme == "balanced":
-        return balanced_encode(q, payload)
-    if scheme == "window":
-        return window_encode(q, payload)
-    raise DomainError(f"unknown scheme {scheme!r}")
+    if scheme not in SCHEMES:
+        raise DomainError(f"unknown scheme {scheme!r}")
+    code = SCHEMES[scheme](
+        q, rho=rho, depth=depth, oligo_length=oligo_length, block_symbols=block_symbols
+    )
+    blocks = [code.encode_block(value) for value in _fields(payload, code.width)]
+    spec = SupersequenceSpec(code.program(len(blocks)))
+    if code.joined and blocks:
+        blocks = [tuple(chain.from_iterable(blocks))]
+    alphabet = spec.max_alphabet
+    oligos = tuple(Oligo(block, alphabet) for block in blocks)
+    return EncodedBatch(scheme, q, code.rho, len(payload), spec, oligos)
 
 
 def decode_payload(batch: EncodedBatch) -> str:
-    """Recover the bit payload from an EncodedBatch."""
-    if batch.scheme == "base":
-        return _base_batch_decode(batch)
-    if batch.scheme == "lookup":
-        return _lookup_decode(batch)
-    if batch.scheme == "multisize":
-        return _multisize_decode(batch)
-    if batch.scheme == "balanced":
-        return _balanced_decode(batch)
-    if batch.scheme == "window":
-        return _window_decode(batch)
-    raise DomainError(f"unknown scheme {batch.scheme!r}")
-
-
-def balanced_decode(batch: EncodedBatch) -> str:
-    """Alias for decode_payload restricted to balanced batches."""
-    if batch.scheme != "balanced":
-        raise DomainError("batch was not produced by the balanced scheme")
-    return _balanced_decode(batch)
+    """Recover the bit payload from an EncodedBatch; shape checks run before any counting."""
+    if batch.scheme not in SCHEMES:
+        raise DomainError(f"unknown scheme {batch.scheme!r}")
+    oligos = batch.oligos
+    if not oligos:
+        if batch.payload_bits:
+            raise CorruptDataError("payload bits declared but no oligos present")
+        return ""
+    length = len(oligos[0])
+    try:
+        # the batch's own geometry gives back the encoder's size parameters
+        code = SCHEMES[batch.scheme](
+            batch.q,
+            rho=batch.rho,
+            depth=batch.spec.total_cycles // max(batch.q, 1),
+            oligo_length=length,
+            block_symbols=length - 1,
+        )
+        blocks = [o.symbols for o in oligos]
+        if code.joined:
+            size = code.lengths[0]
+            if len(oligos) > 1 or length % size:
+                raise CorruptDataError(f"{batch.scheme} batches carry one oligo of whole blocks")
+            blocks = [blocks[0][i : i + size] for i in range(0, length, size)]
+        if batch.spec.segments != code.program(len(blocks)):
+            raise CorruptDataError("program does not match the oligo shape and count")
+        if any(len(block) not in code.lengths for block in blocks):
+            raise CorruptDataError("oligo length does not match the program")
+        if any(min_cycles_under(batch.spec, o) is None for o in oligos):
+            raise CorruptDataError("oligo does not embed in the program")
+        width = code.width
+        values = [code.decode_block(block) for block in blocks]
+    except DomainError as exc:
+        raise CorruptDataError(str(exc)) from exc
+    if any(v >> width for v in values):
+        raise CorruptDataError("decoded block exceeds its bit width")
+    if batch.payload_bits > width * len(values):
+        raise CorruptDataError("payload bit count exceeds the decoded data")
+    return "".join(format(v, f"0{width}b") for v in values)[: batch.payload_bits]

@@ -27,16 +27,16 @@ class Oligo:
     def __post_init__(self) -> None:
         if self.q < 1:
             raise DomainError("alphabet size must be at least 1")
-        for s in self.symbols:
-            if not 1 <= s <= self.q:
-                raise DomainError(f"symbol {s} outside alphabet 1..{self.q}")
+        if self.symbols and not 1 <= min(self.symbols) <= max(self.symbols) <= self.q:
+            bad = next(s for s in self.symbols if not 1 <= s <= self.q)
+            raise DomainError(f"symbol {bad} outside alphabet 1..{self.q}")
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def to_text(self) -> str:
         """Comma-separated symbol list, e.g. '4,3,2,1'."""
-        return ",".join(str(s) for s in self.symbols)
+        return ",".join(map(str, self.symbols))
 
     @classmethod
     def from_text(cls, text: str, q: int) -> "Oligo":
@@ -45,7 +45,7 @@ class Oligo:
         if not text:
             return cls((), q)
         try:
-            symbols = tuple(int(part) for part in text.split(","))
+            symbols = tuple(map(int, text.split(",")))
         except ValueError as exc:
             raise DomainError(f"malformed oligo text {text!r}") from exc
         return cls(symbols, q)
@@ -121,20 +121,16 @@ def min_cycles_under(spec: SupersequenceSpec, oligo: Oligo) -> int | None:
     Greedy leftmost matching is optimal for subsequence embedding, so each
     symbol jumps straight to its next offer without materializing the stream.
     """
-    remaining = iter(oligo.symbols)
-    sym = next(remaining, None)
-    if sym is None:
-        return 0
-    consumed = 0
-    matched = 0
-    for q, cycles in spec.segments:
-        pos = 0
-        while sym is not None and sym <= q:
-            nxt = pos + (sym - 1 - pos) % q
-            if nxt >= cycles:
-                break
-            pos = nxt + 1
-            matched = consumed + pos
-            sym = next(remaining, None)
-        consumed += cycles
-    return matched if sym is None else None
+    segments = iter(spec.segments)
+    consumed = pos = q = cycles = 0  # before the first segment
+    for sym in oligo.symbols:
+        # move on to later segments while this one offers sym no more
+        while sym > q or (nxt := pos + (sym - 1 - pos) % q) >= cycles:
+            segment = next(segments, None)
+            if segment is None:
+                return None
+            consumed += cycles
+            q, cycles = segment
+            pos = 0
+        pos = nxt + 1
+    return consumed + pos

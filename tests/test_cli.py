@@ -1,11 +1,15 @@
 """CLI surface: subcommands, file round trips, CSV determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import oligocycle
 from oligocycle import cap_fixed_length, rho_star, subsequence_count
 from oligocycle.cli import main
 
@@ -134,6 +138,55 @@ def test_decode_corrupt_batch_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
+def test_encode_non_finite_rho_exits_2(capsys, tmp_path, rho):
+    source = tmp_path / "payload.bin"
+    source.write_bytes(b"\x5a")
+    for scheme_args in (("--scheme", "lookup", "--depth", "2"), ("--scheme", "multisize")):
+        code, _, err = run_cli(
+            capsys,
+            "encode", *scheme_args, "--q", "4", f"--rho={rho}",
+            "--in", str(source), "--out", str(tmp_path / "b.json"),
+        )
+        assert code == 2
+        assert "error:" in err
+
+
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), float("-inf")])
+def test_decode_non_finite_rho_exits_3(capsys, tmp_path, rho):
+    for encode_args in (
+        ("--scheme", "multisize", "--q", "5", "--rho", "0.45"),
+        ("--scheme", "lookup", "--q", "4", "--rho", "0.5", "--depth", "2"),
+    ):
+        batch_path = roundtrip(capsys, tmp_path, b"hello", *encode_args)
+        doc = json.loads(batch_path.read_text())
+        doc["rho"] = rho  # json writes NaN, Infinity, -Infinity and reads them back
+        batch_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+        )
+        assert code == 3
+        assert "rho" in err
+
+
+def test_decode_lookup_program_far_longer_than_its_oligos_exits_3_fast(capsys, tmp_path):
+    # rho .5 over 200000 cycles asks for oligos of length 100000; the length-4
+    # oligos must be turned away before anything counts that window
+    batch_path = roundtrip(
+        capsys, tmp_path, b"hello", "--scheme", "lookup", "--q", "4", "--rho", "0.5", "--depth", "2"
+    )
+    doc = json.loads(batch_path.read_text())
+    doc["spec"] = [[4, 200000]]
+    batch_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "error:" in err
+
+
 def test_missing_input_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
@@ -251,20 +304,24 @@ def test_sweep_rejects_bad_grid(capsys):
 
 
 def test_module_entry_point_subprocess(tmp_path):
+    # the child imports the same oligocycle as this process, installed or not
+    package_root = str(Path(oligocycle.__file__).resolve().parent.parent)
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     source = tmp_path / "payload.bin"
     source.write_bytes(b"process boundary")
     batch_path = tmp_path / "batch.json"
     encode = subprocess.run(
         [sys.executable, "-m", "oligocycle", "encode", "--scheme", "balanced", "--q", "16",
          "--in", str(source), "--out", str(batch_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert encode.returncode == 0
     restored = tmp_path / "restored.bin"
     decode = subprocess.run(
         [sys.executable, "-m", "oligocycle", "decode", "--in", str(batch_path),
          "--out", str(restored)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert decode.returncode == 0
     assert restored.read_bytes() == b"process boundary"

@@ -11,6 +11,7 @@ from oligocycle import (
     DomainError,
     EncodedBatch,
     Oligo,
+    SupersequenceSpec,
     base_decode,
     base_encode,
     decode_payload,
@@ -120,6 +121,40 @@ def test_base_batch_round_trip():
                 assert len(oligo) == block + 1
                 need = min_cycles_under(batch.spec, oligo)
                 assert need is not None and need <= batch.spec.total_cycles
+
+
+def test_base_decode_rejects_oligo_outside_its_program():
+    # 33 ones read as 32 gaps of 4 (all-ones data), but they need 1 + 32*4 = 129
+    # cycles and the program offers 82
+    batch = encode_payload("base", "01" * 31, q=4, block_symbols=32)
+    assert batch.spec.segments == ((4, 82),)
+    forged = EncodedBatch(
+        batch.scheme, batch.q, batch.rho, batch.payload_bits, batch.spec, (Oligo((1,) * 33, 4),)
+    )
+    with pytest.raises(CorruptDataError):
+        decode_payload(forged)
+    with pytest.raises(CorruptDataError):
+        decode_payload(EncodedBatch.from_json(forged.to_json()))
+
+
+@pytest.mark.parametrize(
+    "scheme, kwargs",
+    [
+        ("base", dict(q=4)),
+        ("lookup", dict(q=4, rho=0.5, depth=2)),
+        ("multisize", dict(q=5, rho=0.45)),
+        ("balanced", dict(q=8)),
+        ("window", dict(q=6)),
+    ],
+)
+def test_decode_rejects_a_program_one_cycle_longer(scheme, kwargs):
+    batch = encode_payload(scheme, "1100101011110000", **kwargs)
+    *head, (alphabet, cycles) = batch.spec.segments
+    longer = SupersequenceSpec((*head, (alphabet, cycles + 1)))
+    with pytest.raises(CorruptDataError):
+        decode_payload(
+            EncodedBatch(batch.scheme, batch.q, batch.rho, batch.payload_bits, longer, batch.oligos)
+        )
 
 
 # --- lookup scheme ---
@@ -236,9 +271,10 @@ def test_batch_json_rejects_malformed_documents():
     with pytest.raises(CorruptDataError):
         EncodedBatch.from_json(json.dumps(doc))
     doc = json.loads(text)
-    doc["scheme"] = "mystery"
-    with pytest.raises(CorruptDataError):
-        EncodedBatch.from_json(json.dumps(doc))
+    for scheme in ("mystery", ["base"]):
+        doc["scheme"] = scheme
+        with pytest.raises(CorruptDataError):
+            EncodedBatch.from_json(json.dumps(doc))
     doc = json.loads(text)
     doc["oligos"] = ["1,2,banana"]
     with pytest.raises(CorruptDataError):
