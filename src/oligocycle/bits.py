@@ -78,11 +78,14 @@ def project(values: Sequence[T], mask: str) -> tuple[T, ...]:
 
 
 def balanced_data_bits(size: int) -> int:
-    """The largest f whose balanced word, f + ceil(log2 f) + 1 bits, fits in size."""
-    f = 1
-    while f + 1 + f.bit_length() + 1 <= size:
-        f += 1
-    return f
+    """The largest f whose balanced word, f + ceil(log2 f) + 1 bits, fits in size.
+
+    At least 1.  Every f that fits is below size, so ceil(log2 f) is at most
+    b, the bit length of size - 2; hence f = size - 1 - b fits, and of the
+    larger f at most the next one does.
+    """
+    f = max(size - 1 - (size - 2).bit_length(), 1)
+    return f + 1 if f + 1 + f.bit_length() + 1 <= size else f
 
 
 @lru_cache(maxsize=None)

@@ -40,7 +40,7 @@ from .bits import (
     balance_word, balanced_data_bits, flip_layout_complete, unbalance_word, validate_bits
 )
 from .capacity import cap_fixed_length
-from .counting import subsequence_count, subsequence_rank, subsequence_unrank
+from .counting import rank_symbols, subsequence_count, suffix_table, unrank_symbols
 from .errors import CorruptDataError, DomainError
 from .sequence import Oligo, SupersequenceSpec, min_cycles_under
 
@@ -244,9 +244,10 @@ def _lookup(q: int, *, rho: float | None, depth: int | None, **_) -> _BlockCode:
         rho=rho,
         lengths=range(length, length + 1),
         program=lambda n: ((q, cycles),),
-        codewords=lambda: subsequence_count(q, cycles, length),
-        encode_block=lambda value: subsequence_unrank(q, cycles, length, value).symbols,
-        decode_block=lambda symbols: subsequence_rank(q, cycles, Oligo(symbols, q)),
+        # the table's total refuses an oversized window before anything counts it
+        codewords=lambda: suffix_table(q, cycles, length)[length][-1],
+        encode_block=partial(unrank_symbols, q, cycles, length),
+        decode_block=partial(rank_symbols, q, cycles),
     )
 
 
@@ -519,11 +520,14 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
             raise DomainError("rho grid entries must lie in [0, 1]")
         for depth in range(1, 65):
             try:
-                width = _lookup(q, rho=rho, depth=depth).width
+                length = _lookup(q, rho=rho, depth=depth).lengths[0]
             except DomainError:
                 continue
-            rows.append(RateRow("lookup", rho, width / (depth * q), cap_fixed_length(q, rho)))
-            break
+            # the closed form alone: a rated geometry needs no rank table
+            width = subsequence_count(q, depth * q, length).bit_length() - 1
+            if width >= 1:
+                rows.append(RateRow("lookup", rho, width / (depth * q), cap_fixed_length(q, rho)))
+                break
         if rho >= 2.0 / (q + 1) - 1e-12:
             rows.append(RateRow("multisize", rho, multisize_rate(q, rho), cap_fixed_length(q, rho)))
     rows.sort(key=lambda r: (r.rho, r.scheme))
@@ -581,6 +585,11 @@ def decode_payload(batch: EncodedBatch) -> str:
             raise CorruptDataError("payload bits declared but no oligos present")
         return ""
     length = len(oligos[0])
+    # a balanced block alphabet is q or q - 1 and one block fills half of it,
+    # so a larger q cannot fit; bound q before balanced_params checks the
+    # flip layout, whose cost grows with q
+    if batch.scheme == "balanced" and batch.q > 2 * length + 2:
+        raise CorruptDataError("alphabet size exceeds what the balanced oligo can carry")
     try:
         # the batch's own geometry gives back the encoder's size parameters
         code = SCHEMES[batch.scheme](
@@ -603,11 +612,11 @@ def decode_payload(batch: EncodedBatch) -> str:
         if any(min_cycles_under(batch.spec, o) is None for o in oligos):
             raise CorruptDataError("oligo does not embed in the program")
         width = code.width
+        if len(blocks) != -(-batch.payload_bits // width):
+            raise CorruptDataError("block count does not match the payload bit count")
         values = [code.decode_block(block) for block in blocks]
     except DomainError as exc:
         raise CorruptDataError(str(exc)) from exc
     if any(v >> width for v in values):
         raise CorruptDataError("decoded block exceeds its bit width")
-    if batch.payload_bits > width * len(values):
-        raise CorruptDataError("payload bit count exceeds the decoded data")
     return "".join(format(v, f"0{width}b") for v in values)[: batch.payload_bits]

@@ -1,74 +1,89 @@
 """Exact counting and enumerative indexing of synthesizable oligos.
 
-The number of distinct oligos of length L reachable in C cycles over the
-alternating stream equals the size of the deletion sphere at radius C - L,
-which satisfies a two-variable recursion solvable with arbitrary-precision
-integers.  The same position walk that proves the count also yields a
-bijection between {0, ..., count-1} and the oligos in lexicographic order,
-which is what the enumerative (lookup) codec builds on.
+Everything here follows from one bijection.  Greedy leftmost embedding maps
+an oligo s_1..s_L over 1..q to its gap sequence g in [1, q]^L: g_1 = s_1,
+and each later g_i is the number of cycles from the offer of s_{i-1} to the
+next offer of s_i.  Every gap sequence comes from exactly one oligo, and the
+oligo embeds in C cycles iff its gaps sum to at most C.
+
+Counting is then counting bounded compositions, which inclusion-exclusion
+over the gaps that exceed q gives in closed form:
+
+    count(q, C, L) = sum_j (-1)^j * binom(L, j) * binom(C - j*q, L),
+
+summed while C - j*q >= L.
+
+Ranking an oligo among its peers in lexicographic order adds, at each
+position, the completions of every smaller symbol: with w cycles left after
+that symbol's gap and l symbols still to place, that is N(w, l), the number
+of gap sequences of length l with sum at most w.  One suffix table of N per
+(q, C, L), built by the running-sum recurrence
+N(w, l) = sum_{a=1..q} N(w - a, l - 1), serves every rank and unrank of that
+geometry (Cover, "Enumerative source coding", IEEE T-IT 1973).
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain, repeat
 from math import comb
+from operator import sub
+from typing import Sequence
 
 from .errors import DomainError
 from .sequence import Oligo
 
+# Largest suffix table built, in stored integers: depth-512 windows over four
+# symbols fit, and a hostile batch cannot make one take gigabytes.
+_MAX_TABLE_ENTRIES = 1 << 20
+
+Table = list[list[int]]
+
 
 class CountCache:
-    """Memo table for deletion-sphere sizes keyed by (q, cycles, deletions).
+    """Suffix tables keyed by (q, cycles, length); len() counts the tables.
 
     Entries are pure functions of their key and are only ever inserted, so
-    concurrent readers racing a writer at worst recompute the same value.
+    concurrent readers racing a writer at worst build the same table twice.
     """
 
-    __slots__ = ("_memo",)
+    __slots__ = ("_tables",)
 
     def __init__(self) -> None:
-        self._memo: dict[tuple[int, int, int], int] = {}
+        self._tables: dict[tuple[int, int, int], Table] = {}
 
     def __len__(self) -> int:
-        return len(self._memo)
+        return len(self._tables)
 
 
 _shared_cache = CountCache()
+
+
+def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None = None) -> int:
+    """Number of distinct length-*length* oligos reachable in *cycles* cycles.
+
+    The closed form memoizes nothing; *cache* is accepted for symmetry with
+    rank and unrank.
+    """
+    if q < 1:
+        raise DomainError("alphabet size must be at least 1")
+    if not 0 <= length <= cycles:
+        raise DomainError("length must lie in 0..cycles")
+    total = 0
+    for j in range(min(length, (cycles - length) // q) + 1):
+        term = comb(length, j) * comb(cycles - j * q, length)
+        total += -term if j & 1 else term
+    return total
 
 
 def deletion_ball_size(q: int, cycles: int, deletions: int, cache: CountCache | None = None) -> int:
     """Number of distinct subsequences left after deleting exactly
     *deletions* symbols from the length-*cycles* alternating prefix over 1..q.
     """
-    if q < 1:
-        raise DomainError("alphabet size must be at least 1")
     if cycles < 0:
         raise DomainError("cycle count must be non-negative")
     if not 0 <= deletions <= cycles:
         raise DomainError("deletions must lie in 0..cycles")
-    memo = (cache if cache is not None else _shared_cache)._memo
-
-    def rec(q: int, c: int, t: int) -> int:
-        if t == 0 or t == c or q == 1:
-            return 1
-        key = (q, c, t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        keep = c - t
-        # deleting i of the keep slots from the head symbol's run leaves a
-        # (q-1)-letter problem on the remaining t positions
-        val = sum(comb(keep, i) * rec(q - 1, t, t - i) for i in range(min(t, keep) + 1))
-        memo[key] = val
-        return val
-
-    return rec(q, cycles, deletions)
-
-
-def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None = None) -> int:
-    """Number of distinct length-*length* oligos reachable in *cycles* cycles."""
-    if not 0 <= length <= cycles:
-        raise DomainError("length must lie in 0..cycles")
-    return deletion_ball_size(q, cycles, cycles - length, cache)
+    return subsequence_count(q, cycles, cycles - deletions)
 
 
 def brute_force_count(q: int, cycles: int, length: int) -> int:
@@ -86,17 +101,87 @@ def brute_force_count(q: int, cycles: int, length: int) -> int:
     return len(seen)
 
 
-def _next_offer(pos: int, symbol: int, q: int) -> int:
-    """First stream position >= pos (0-based) whose offer equals *symbol*."""
-    return pos + (symbol - 1 - pos) % q
+def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = None) -> Table:
+    """The suffix table of the (q, cycles, length) geometry, built once per cache.
+
+    Row l holds N(l + k, l) for k = 0, 1, ...: gap sequences of length l
+    with at most k cycles to spare.  Rank and unrank never spare more than
+    cycles - length, and from l*(q - 1) on every sequence fits, so each row
+    stops at the smaller of the two; its last entry stands for every larger
+    k.  Hence rows[length][-1] is subsequence_count(q, cycles, length).
+    Raises DomainError rather than build a table of over 2**20 integers.
+    """
+    if q < 1:
+        raise DomainError("alphabet size must be at least 1")
+    if not 0 <= length <= cycles:
+        raise DomainError("length must lie in 0..cycles")
+    tables = (cache if cache is not None else _shared_cache)._tables
+    key = (q, cycles, length)
+    rows = tables.get(key)
+    if rows is None:
+        spare = cycles - length
+        if sum(min(spare, l * (q - 1)) + 1 for l in range(length + 1)) > _MAX_TABLE_ENTRIES:
+            raise DomainError(f"a {cycles}-cycle window is too large to index")
+        row = [1]
+        rows = [row]
+        for l in range(1, length + 1):
+            prev = row + [row[-1]] * (min(spare, l * (q - 1)) + 1 - len(row))
+            # N(w, l) - N(w - 1, l) = N(w - 1, l - 1) - N(w - 1 - q, l - 1)
+            row = list(accumulate(map(sub, prev, chain(repeat(0, q), prev))))
+            rows.append(row)
+        rows = tables.setdefault(key, rows)
+    return rows
 
 
-def _suffix_count(q: int, window: int, length: int, cache: CountCache | None) -> int:
-    # the stream after any position is the full stream under a relabeling of
-    # the alphabet, so suffix counts depend only on the window length
-    if length > window:
-        return 0
-    return subsequence_count(q, window, length, cache)
+def rank_symbols(
+    q: int, cycles: int, symbols: Sequence[int], cache: CountCache | None = None
+) -> int:
+    """subsequence_rank on a bare symbol sequence."""
+    if symbols and not 1 <= min(symbols) <= max(symbols) <= q:
+        raise DomainError(f"symbols must lie in 1..{q}")
+    length = len(symbols)
+    rows = suffix_table(q, cycles, length, cache)
+    spare = cycles - length  # cycles left beyond one per symbol still to place
+    prev = index = 0  # prev: the symbol last placed, 0 before the first
+    for row, sym in zip(reversed(rows[:length]), symbols):
+        top = len(row) - 1
+        for smaller in range(1, sym):
+            k = spare - (smaller - prev - 1) % q
+            if k >= 0:
+                index += row[k if k < top else top]
+        spare -= (sym - prev - 1) % q
+        if spare < 0:
+            raise DomainError("oligo is not a subsequence of the offer prefix")
+        prev = sym
+    return index
+
+
+def unrank_symbols(
+    q: int, cycles: int, length: int, index: int, cache: CountCache | None = None
+) -> tuple[int, ...]:
+    """subsequence_unrank as a bare symbol tuple."""
+    rows = suffix_table(q, cycles, length, cache)
+    if not 0 <= index < rows[length][-1]:
+        raise DomainError(f"index must lie in 0..{rows[length][-1] - 1}")
+    spare = cycles - length
+    prev = 0
+    out: list[int] = []
+    for row in reversed(rows[:length]):
+        top = len(row) - 1
+        for sym in range(1, q + 1):
+            k = spare - (sym - prev - 1) % q
+            if k < 0:
+                continue
+            below = row[k if k < top else top]
+            if index < below:
+                break
+            index -= below
+        else:
+            raise RuntimeError("rank bookkeeping exhausted the alphabet")
+        out.append(sym)
+        spare = k
+        prev = sym
+    return tuple(out)
 
 
 def subsequence_rank(q: int, cycles: int, oligo: Oligo, cache: CountCache | None = None) -> int:
@@ -107,42 +192,11 @@ def subsequence_rank(q: int, cycles: int, oligo: Oligo, cache: CountCache | None
     """
     if oligo.q > q:
         raise DomainError("oligo alphabet exceeds the stream alphabet")
-    pos = 0
-    index = 0
-    remaining = len(oligo.symbols)
-    for sym in oligo.symbols:
-        for smaller in range(1, sym):
-            branch = _next_offer(pos, smaller, q)
-            if branch < cycles:
-                index += _suffix_count(q, cycles - branch - 1, remaining - 1, cache)
-        here = _next_offer(pos, sym, q)
-        if here >= cycles:
-            raise DomainError("oligo is not a subsequence of the offer prefix")
-        pos = here + 1
-        remaining -= 1
-    return index
+    return rank_symbols(q, cycles, oligo.symbols, cache)
 
 
 def subsequence_unrank(
     q: int, cycles: int, length: int, index: int, cache: CountCache | None = None
 ) -> Oligo:
     """Inverse of subsequence_rank: the oligo at *index* in lexicographic order."""
-    total = subsequence_count(q, cycles, length, cache)
-    if not 0 <= index < total:
-        raise DomainError(f"index must lie in 0..{total - 1}")
-    pos = 0
-    out: list[int] = []
-    for remaining in range(length, 0, -1):
-        for sym in range(1, q + 1):
-            here = _next_offer(pos, sym, q)
-            if here >= cycles:
-                continue
-            below = _suffix_count(q, cycles - here - 1, remaining - 1, cache)
-            if index < below:
-                out.append(sym)
-                pos = here + 1
-                break
-            index -= below
-        else:
-            raise RuntimeError("rank bookkeeping exhausted the alphabet")
-    return Oligo(tuple(out), q)
+    return Oligo(unrank_symbols(q, cycles, length, index, cache), q)

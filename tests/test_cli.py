@@ -187,6 +187,55 @@ def test_decode_lookup_program_far_longer_than_its_oligos_exits_3_fast(capsys, t
     assert "error:" in err
 
 
+def test_decode_lookup_window_too_large_to_index_exits_3_fast(capsys, tmp_path):
+    # 10000 symbols in a 10**9-cycle window: the closed-form count alone
+    # would run for minutes, and the rank table would not fit in memory
+    doc = {
+        "scheme": "lookup", "q": 4, "rho": 1e-5, "payload_bits": 8,
+        "spec": [[4, 1_000_000_000]], "oligos": [",".join(["1"] * 10_000)],
+    }
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "too large" in err
+
+
+def test_decode_trailing_oligos_exits_3(capsys, tmp_path):
+    batch_path = roundtrip(capsys, tmp_path, b"hi", "--scheme", "base", "--q", "4")
+    doc = json.loads(batch_path.read_text())
+    assert len(doc["oligos"]) == 1
+    doc["oligos"] *= 3
+    batch_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert code == 3
+    assert "error:" in err
+
+
+def test_decode_balanced_huge_alphabet_exits_3_fast(capsys, tmp_path):
+    # one symbol cannot hold a block of a 10**8-symbol alphabet; the bound
+    # must come before the balanced parameters are searched
+    doc = {
+        "scheme": "balanced", "q": 100_000_000, "rho": 0.5, "payload_bits": 8,
+        "spec": [[100_000_000, 0]], "oligos": ["1"],
+    }
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "error:" in err
+
+
 def test_missing_input_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

@@ -137,16 +137,16 @@ def test_base_decode_rejects_oligo_outside_its_program():
         decode_payload(EncodedBatch.from_json(forged.to_json()))
 
 
-@pytest.mark.parametrize(
-    "scheme, kwargs",
-    [
-        ("base", dict(q=4)),
-        ("lookup", dict(q=4, rho=0.5, depth=2)),
-        ("multisize", dict(q=5, rho=0.45)),
-        ("balanced", dict(q=8)),
-        ("window", dict(q=6)),
-    ],
-)
+EVERY_SCHEME = [
+    ("base", dict(q=4)),
+    ("lookup", dict(q=4, rho=0.5, depth=2)),
+    ("multisize", dict(q=5, rho=0.45)),
+    ("balanced", dict(q=8)),
+    ("window", dict(q=6)),
+]
+
+
+@pytest.mark.parametrize("scheme, kwargs", EVERY_SCHEME)
 def test_decode_rejects_a_program_one_cycle_longer(scheme, kwargs):
     batch = encode_payload(scheme, "1100101011110000", **kwargs)
     *head, (alphabet, cycles) = batch.spec.segments
@@ -155,6 +155,29 @@ def test_decode_rejects_a_program_one_cycle_longer(scheme, kwargs):
         decode_payload(
             EncodedBatch(batch.scheme, batch.q, batch.rho, batch.payload_bits, longer, batch.oligos)
         )
+
+
+def test_decode_rejects_trailing_oligos():
+    # two bytes fill one 64-bit base q4 block; two more copies of that oligo
+    # fit the same program but no payload bit reads them
+    batch = encode_payload("base", bits_from_bytes(b"hi"), q=4)
+    assert len(batch.oligos) == 1
+    tripled = EncodedBatch(
+        batch.scheme, batch.q, batch.rho, batch.payload_bits, batch.spec, batch.oligos * 3
+    )
+    with pytest.raises(CorruptDataError):
+        decode_payload(tripled)
+    with pytest.raises(CorruptDataError):
+        decode_payload(EncodedBatch.from_json(tripled.to_json()))
+
+
+@pytest.mark.parametrize("scheme, kwargs", EVERY_SCHEME)
+def test_decode_rejects_more_blocks_than_the_payload_needs(scheme, kwargs):
+    batch = encode_payload(scheme, "10" * 100, **kwargs)
+    assert decode_payload(batch) == "10" * 100
+    short = EncodedBatch(batch.scheme, batch.q, batch.rho, 1, batch.spec, batch.oligos)
+    with pytest.raises(CorruptDataError):
+        decode_payload(short)
 
 
 # --- lookup scheme ---

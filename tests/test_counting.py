@@ -1,11 +1,15 @@
-"""Counting recursion and enumerative indexing against brute-force oracles.
+"""Closed-form counting and enumerative indexing against independent oracles.
 
 The brute-force oracle enumerates actual subsequences of the offer stream,
-so any agreement is evidence about the recursion, not about itself.
+and the deletion-ball recursion derives the same counts another way, so any
+agreement is evidence about the closed form, not about itself.
 """
 
 import itertools
+import random
+import sys
 import threading
+import time
 from math import comb
 
 import pytest
@@ -16,11 +20,14 @@ from oligocycle import (
     Oligo,
     alternating_prefix,
     brute_force_count,
+    decode_payload,
     deletion_ball_size,
+    lookup_encode,
     subsequence_count,
     subsequence_rank,
     subsequence_unrank,
 )
+from oligocycle.counting import suffix_table
 
 
 def enumerate_oligos(q, cycles, length):
@@ -159,23 +166,84 @@ def test_unrank_bounds():
 def test_private_cache_is_isolated():
     cache = CountCache()
     before = len(cache)
-    subsequence_count(4, 30, 12, cache)
+    oligo = subsequence_unrank(4, 30, 12, 12345, cache)
     assert len(cache) > before
+    assert subsequence_rank(4, 30, oligo, cache) == 12345
     other = CountCache()
     assert len(other) == 0
 
 
 def test_cache_survives_concurrent_use():
     cache = CountCache()
+    total = subsequence_count(5, 60, 24)
+    indices = [total * k // 9 for k in range(1, 9)]
     results = []
 
-    def work():
-        results.append(subsequence_count(5, 60, 24, cache))
+    def work(index):
+        oligo = subsequence_unrank(5, 60, 24, index, cache)
+        results.append((index, oligo.symbols, subsequence_rank(5, 60, oligo, cache)))
 
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
-    assert results[0] == subsequence_count(5, 60, 24)
+    threads = [threading.Thread(target=work, args=(i,)) for i in indices]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # make the threads race for the one table
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    for index, symbols, rank in results:
+        assert rank == index
+        assert symbols == subsequence_unrank(5, 60, 24, index).symbols
+    assert len(cache) == 1
+
+
+def deletion_ball_recursion(q, cycles, deletions, memo):
+    """Oracle: the deletion-sphere recursion, derived without gap sequences.
+    Deleting i of the kept slots from the head symbol's run leaves a
+    (q-1)-letter problem on the deleted positions."""
+    if deletions == 0 or deletions == cycles or q == 1:
+        return 1
+    key = (q, cycles, deletions)
+    if key not in memo:
+        keep = cycles - deletions
+        memo[key] = sum(
+            comb(keep, i) * deletion_ball_recursion(q - 1, deletions, deletions - i, memo)
+            for i in range(min(deletions, keep) + 1)
+        )
+    return memo[key]
+
+
+def test_closed_form_matches_the_deletion_ball_recursion():
+    memo = {}
+    for q in range(1, 7):
+        for cycles in range(30):
+            for length in range(cycles + 1):
+                expected = deletion_ball_recursion(q, cycles, cycles - length, memo)
+                assert subsequence_count(q, cycles, length) == expected, (q, cycles, length)
+                assert deletion_ball_size(q, cycles, cycles - length) == expected
+
+
+def test_suffix_table_total_matches_the_closed_form():
+    for q in range(1, 9):
+        for cycles in range(61):
+            for length in range(cycles + 1):
+                rows = suffix_table(q, cycles, length, CountCache())
+                assert rows[length][-1] == subsequence_count(q, cycles, length), (q, cycles, length)
+
+
+def test_cold_count_at_two_thousand_cycles_is_fast():
+    start = time.perf_counter()
+    subsequence_count(4, 2000, 1000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_depth_256_lookup_round_trip_is_fast():
+    payload = "".join(format(b, "08b") for b in random.Random(256).randbytes(1024))
+    start = time.perf_counter()
+    batch = lookup_encode(4, 256, 0.5, payload)
+    assert decode_payload(batch) == payload
+    assert time.perf_counter() - start < 5.0
