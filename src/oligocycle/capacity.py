@@ -10,13 +10,14 @@ root in (0, 1) of
 
 Dropping the length constraint gives the flexible capacity -log2(x) with x
 solving sum_{i=1}^{q} x^i = 1.  Both roots come from plain bisection: the
-polynomials are monotone or single-crossing on (0, 1), and 200 halvings pin
-the root to full double precision.
+polynomials are monotone or single-crossing on (0, 1), and halving until
+the midpoint no longer moves pins the root to full double precision.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .counting import CountCache, subsequence_count
 from .errors import DomainError
@@ -31,6 +32,23 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The point where *below* turns false on [lo, hi], by bisection.
+
+    Stops once the midpoint equals a bracket end: no later halving could
+    move it, so the result is that of all 200 halvings, in about 60.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _poly_fixed(q: int, rho: float, x: float) -> float:
@@ -51,14 +69,7 @@ def capacity_root_fixed(q: int, rho: float) -> float:
         raise DomainError("fixed-length root requires alphabet size >= 2")
     if not 2.0 / (q + 1) < rho < 1.0:
         raise DomainError("rho must lie strictly between 2/(q+1) and 1")
-    lo, hi = _BRACKET
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _poly_fixed(q, rho, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x = _bisect(lambda x: _poly_fixed(q, rho, x) > 0.0, *_BRACKET)
     # one Newton step to polish the last bit
     slope = 0.0
     for i in range(q, 0, -1):
@@ -94,21 +105,14 @@ def capacity_root_flexible(q: int) -> float:
         raise DomainError("alphabet size must be at least 1")
     if q == 1:
         return 1.0
-    lo, hi = _BRACKET
 
-    def excess(x: float) -> float:
+    def short(x: float) -> bool:
         acc = 0.0
         for _ in range(q):
             acc = (acc + 1.0) * x
-        return acc - 1.0
+        return acc < 1.0
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(short, *_BRACKET)
 
 
 def cap_flexible(q: int) -> float:

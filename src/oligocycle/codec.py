@@ -366,17 +366,22 @@ def multisize_encode(q: int, rho: float, payload: str, oligo_length: int = 48) -
 
 # --- balanced scheme: weight-balanced blocks over an ascending alphabet ---
 
+# Largest balanced alphabet: the flip-layout check is cubic in the data bits,
+# and up to q = 256 (247 bits) its slowest case takes about a second.
+_MAX_BALANCED_Q = 256
+
 
 @lru_cache(maxsize=None)
 def balanced_params(q: int) -> tuple[int, int]:
     """(data bits, block alphabet) for the balanced scheme at alphabet q.
 
     The block alphabet is the largest f + ceil(log2 f) + 1 <= q.  Raises
-    DomainError when q < 4 or when the flip layout cannot balance every
-    f-bit word (some alphabet sizes land on such f).
+    DomainError when q lies outside 4.._MAX_BALANCED_Q or when the flip
+    layout cannot balance every f-bit word (some alphabet sizes land on
+    such f).
     """
-    if q < 4:
-        raise DomainError("balanced scheme requires alphabet size >= 4")
+    if not 4 <= q <= _MAX_BALANCED_Q:
+        raise DomainError(f"balanced scheme requires alphabet size in 4..{_MAX_BALANCED_Q}")
     f = balanced_data_bits(q)
     if not flip_layout_complete(f):
         raise DomainError(

@@ -6,9 +6,12 @@ capacity therefore costs
 
     cost(q, rho) = alpha*C + beta*N * rho / cap(q, rho)
 
-and the interesting regime for rho is the interval from the trivial-coding
-threshold 2/(q+1) up to rho_star(q), past which even the entropy bound says
-a denser oligo wastes bases.
+over the interval from the trivial-coding threshold 2/(q+1) up to
+rho_star(q), past which even the entropy bound says a denser oligo wastes
+bases.  cap(q, .) is concave with cap(q, 0) = 0, so the bases-per-bit ratio
+rho/cap never falls as rho grows; it is flat at 1/log2(q) up to the
+threshold.  The optimum is therefore the plateau edge rho = 2/(q+1), at a
+cost of alpha*C + beta*N/log2(q).
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .capacity import binary_entropy, cap_fixed_length
+from .capacity import _bisect, binary_entropy, cap_fixed_length
 from .errors import DomainError
 
 
@@ -58,78 +59,20 @@ def rho_star(q: int) -> float:
     if q < 2:
         raise DomainError("alphabet size must be at least 2")
     target = 1.0 / math.log2(q)
-    lo, hi = 1e-15, 1.0 - 1e-15
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid / binary_entropy(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda rho: rho / binary_entropy(rho) < target, 1e-15, 1.0 - 1e-15)
 
 
-def _cycle_ratio_grid(q: int, rhos: np.ndarray) -> np.ndarray:
-    """rho/cap(q, rho) on an array, via 1/log2 of the gap-generating sum."""
-    rhos = np.asarray(rhos, dtype=float)
-    out = np.empty_like(rhos)
-    below = rhos <= 2.0 / (q + 1)
-    out[below] = 1.0 / math.log2(q)
-    sel = ~below
-    if sel.any():
-        r = rhos[sel]
-        lo = np.full(r.shape, 1e-12)
-        hi = np.full(r.shape, 1.0 - 1e-12)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            acc = np.zeros_like(mid)
-            for i in range(q, 0, -1):
-                acc = acc * mid + (1.0 - i * r)
-            positive = acc * mid > 0.0
-            lo = np.where(positive, mid, lo)
-            hi = np.where(positive, hi, mid)
-        x = 0.5 * (lo + hi)
-        total = np.zeros_like(x)
-        inv = 1.0 / r
-        for i in range(1, q + 1):
-            total += x ** (i - inv)
-        out[sel] = 1.0 / np.log2(total)
-    return out
-
-
-def minimize_over_rho(
-    params: CostParams, q: int, grid_points: int = 10001
-) -> tuple[float, float]:
+def minimize_over_rho(params: CostParams, q: int) -> tuple[float, float]:
     """Minimize cost_at_capacity over rho in [2/(q+1), rho_star(q)].
 
-    A dense vectorized grid brackets the minimizer, a ternary pass refines
-    it, and ties resolve toward the smaller rho.  Returns (rho, cost).
+    cap(q, rho)/rho is the slope of the chord from the origin to the
+    concave cap(q, .), which never rises with rho, so the smallest rho of
+    the interval is optimal: returns (2/(q+1), its cost).
     """
     if q < 2:
         raise DomainError("alphabet size must be at least 2")
-    if grid_points < 2:
-        raise DomainError("grid needs at least two points")
-    lo = 2.0 / (q + 1)
-    hi = rho_star(q)
-    rhos = np.linspace(lo, hi, grid_points)
-    costs = params.alpha * params.cycles + params.beta * params.payload_bits * _cycle_ratio_grid(
-        q, rhos
-    )
-    i = int(np.argmin(costs))
-    a = float(rhos[max(i - 1, 0)])
-    b = float(rhos[min(i + 1, grid_points - 1)])
-    for _ in range(100):
-        third = (b - a) / 3.0
-        if cost_at_capacity(params, q, a + third) <= cost_at_capacity(params, q, b - third):
-            b = b - third
-        else:
-            a = a + third
-    refined = 0.5 * (a + b)
-    candidates = [
-        (float(costs[i]), float(rhos[i])),
-        (cost_at_capacity(params, q, refined), refined),
-    ]
-    best_cost, best_rho = min(candidates)
-    return best_rho, best_cost
+    rho = 2.0 / (q + 1)
+    return rho, cost_at_capacity(params, q, rho)
 
 
 def minimize_over_alphabet(params: CostParams, max_q: int) -> tuple[int, float, float]:

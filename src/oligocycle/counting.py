@@ -27,6 +27,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, repeat
 from math import comb
 from operator import sub
+from threading import Lock
 from typing import Sequence
 
 from .errors import DomainError
@@ -35,6 +36,8 @@ from .sequence import Oligo
 # Largest suffix table built, in stored integers: depth-512 windows over four
 # symbols fit, and a hostile batch cannot make one take gigabytes.
 _MAX_TABLE_ENTRIES = 1 << 20
+# Most integers one cache holds: past it the oldest tables go first.
+_MAX_CACHED_ENTRIES = 1 << 22
 
 Table = list[list[int]]
 
@@ -42,17 +45,32 @@ Table = list[list[int]]
 class CountCache:
     """Suffix tables keyed by (q, cycles, length); len() counts the tables.
 
-    Entries are pure functions of their key and are only ever inserted, so
-    concurrent readers racing a writer at worst build the same table twice.
+    Entries are pure functions of their key, so a reader racing a writer at
+    worst builds the same table twice.  Once the tables hold more than
+    _MAX_CACHED_ENTRIES integers, the oldest are dropped; a caller keeps
+    the table it was handed.
     """
 
-    __slots__ = ("_tables",)
+    __slots__ = ("_tables", "_entries", "_lock")
 
     def __init__(self) -> None:
         self._tables: dict[tuple[int, int, int], Table] = {}
+        self._entries = 0
+        self._lock = Lock()
 
     def __len__(self) -> int:
         return len(self._tables)
+
+    def _insert(self, key: tuple[int, int, int], rows: Table) -> Table:
+        with self._lock:
+            if key in self._tables:
+                return self._tables[key]
+            self._tables[key] = rows
+            self._entries += sum(map(len, rows))
+            while self._entries > _MAX_CACHED_ENTRIES:
+                oldest = next(iter(self._tables))
+                self._entries -= sum(map(len, self._tables.pop(oldest)))
+        return rows
 
 
 _shared_cache = CountCache()
@@ -115,9 +133,9 @@ def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = No
         raise DomainError("alphabet size must be at least 1")
     if not 0 <= length <= cycles:
         raise DomainError("length must lie in 0..cycles")
-    tables = (cache if cache is not None else _shared_cache)._tables
+    cache = cache if cache is not None else _shared_cache
     key = (q, cycles, length)
-    rows = tables.get(key)
+    rows = cache._tables.get(key)
     if rows is None:
         spare = cycles - length
         if sum(min(spare, l * (q - 1)) + 1 for l in range(length + 1)) > _MAX_TABLE_ENTRIES:
@@ -129,7 +147,7 @@ def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = No
             # N(w, l) - N(w - 1, l) = N(w - 1, l - 1) - N(w - 1 - q, l - 1)
             row = list(accumulate(map(sub, prev, chain(repeat(0, q), prev))))
             rows.append(row)
-        rows = tables.setdefault(key, rows)
+        rows = cache._insert(key, rows)
     return rows
 
 

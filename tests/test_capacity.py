@@ -1,6 +1,7 @@
 """Capacity formulas: frozen roots, branch continuity, and entropy bounds."""
 
 import math
+import random
 
 import pytest
 
@@ -12,7 +13,9 @@ from oligocycle import (
     capacity_root_fixed,
     capacity_root_flexible,
     empirical_cap,
+    rho_star,
 )
+from oligocycle.capacity import _BRACKET, _bisect, _poly_fixed
 
 
 def poly_residual(q, rho, x):
@@ -52,6 +55,36 @@ def test_fixed_root_domain():
         capacity_root_fixed(2, 1.0)
     with pytest.raises(DomainError):
         capacity_root_fixed(1, 0.9)
+
+
+def two_hundred_halvings(below, lo, hi):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_matches_two_hundred_halvings():
+    for q in range(2, 65):
+        target = 1.0 / math.log2(q)
+
+        def below(rho):
+            return rho / binary_entropy(rho) < target
+
+        bracket = (1e-15, 1.0 - 1e-15)
+        assert _bisect(below, *bracket) == two_hundred_halvings(below, *bracket) == rho_star(q)
+    rng = random.Random(5)
+    for q in (2, 4, 8, 16):
+        for _ in range(50):
+            rho = rng.uniform(2.0 / (q + 1), 1.0)
+
+            def below(x):
+                return _poly_fixed(q, rho, x) > 0.0
+
+            assert _bisect(below, *_BRACKET) == two_hundred_halvings(below, *_BRACKET)
 
 
 def test_cap_known_values():

@@ -236,6 +236,37 @@ def test_decode_balanced_huge_alphabet_exits_3_fast(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_decode_balanced_long_oligo_large_alphabet_exits_3_fast(capsys, tmp_path):
+    # 600 symbols admit q = 1202, past the balanced limit; the flip-layout
+    # check at that size would run for minutes
+    doc = {
+        "scheme": "balanced", "q": 1202, "rho": 0.5, "payload_bits": 8,
+        "spec": [[1202, 1202]], "oligos": [",".join(map(str, range(1, 1201, 2)))],
+    }
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "4..256" in err
+
+
+def test_encode_balanced_large_alphabet_exits_2_fast(capsys, tmp_path):
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"x")
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "encode", "--scheme", "balanced", "--q", "1202",
+        "--in", str(source), "--out", str(tmp_path / "b.json"),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "4..256" in err
+
+
 def test_missing_input_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
@@ -374,3 +405,19 @@ def test_module_entry_point_subprocess(tmp_path):
     )
     assert decode.returncode == 0
     assert restored.read_bytes() == b"process boundary"
+
+
+def test_cli_import_loads_no_numpy():
+    # same child PYTHONPATH as test_module_entry_point_subprocess
+    package_root = str(Path(oligocycle.__file__).resolve().parent.parent)
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import oligocycle.cli, sys; print('numpy' in sys.modules, oligocycle.__file__)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert probe.returncode == 0
+    loaded, path = probe.stdout.split()
+    assert Path(path).resolve() == Path(oligocycle.__file__).resolve()
+    assert loaded == "False"

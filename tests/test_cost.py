@@ -1,19 +1,16 @@
 """Cost model: the search interval, the optimum, and its scaling in q."""
 
-import numpy as np
 import pytest
 
 from oligocycle import (
     CostParams,
     DomainError,
     binary_entropy,
-    cap_fixed_length,
     cost_at_capacity,
     minimize_over_alphabet,
     minimize_over_rho,
     rho_star,
 )
-from oligocycle.cost import _cycle_ratio_grid
 
 PARAMS = CostParams(alpha=1.0, beta=0.01, payload_bits=1e6, cycles=200)
 
@@ -69,15 +66,6 @@ def test_rho_star_strictly_decreasing_and_above_threshold():
         previous = value
 
 
-def test_ratio_grid_matches_scalar():
-    for q in (2, 4, 7, 16):
-        rhos = np.linspace(2.0 / (q + 1), rho_star(q), 17)
-        ratios = _cycle_ratio_grid(q, rhos)
-        for rho, ratio in zip(rhos, ratios):
-            expected = rho / cap_fixed_length(q, float(rho))
-            assert ratio == pytest.approx(expected, abs=1e-12)
-
-
 def test_minimizer_sits_at_the_left_endpoint():
     # past the threshold the bases-per-bit ratio only grows, so the plateau
     # edge is optimal; the refinement must not drift off it
@@ -87,9 +75,30 @@ def test_minimizer_sits_at_the_left_endpoint():
         assert cost_opt == pytest.approx(cost_at_capacity(PARAMS, q, rho_opt), rel=1e-12)
 
 
+def test_minimizer_is_the_plateau_edge():
+    # the closed form, exactly, against a plain scan of the interval; every
+    # cost is alpha*C + beta*N*ratio with ratio the cost at unit prices
+    unit = CostParams(alpha=0.0, beta=1.0, payload_bits=1.0, cycles=1)
+    sheets = (
+        PARAMS,
+        CostParams(alpha=0.0, beta=1.0, payload_bits=1e9, cycles=1),
+        CostParams(alpha=3.0, beta=0.0, payload_bits=1e9, cycles=77),
+        CostParams(alpha=2.0, beta=5.0, payload_bits=0.0, cycles=1000),
+        CostParams(alpha=1e-3, beta=1e3, payload_bits=8.0, cycles=50),
+    )
+    for q in range(2, 65):
+        edge, high = 2.0 / (q + 1), rho_star(q)
+        ratios = [cost_at_capacity(unit, q, edge + (high - edge) * i / 199) for i in range(200)]
+        for params in sheets:
+            rho_opt, cost_opt = minimize_over_rho(params, q)
+            assert (rho_opt, cost_opt) == (edge, cost_at_capacity(params, q, edge))
+            fixed, per_ratio = params.alpha * params.cycles, params.beta * params.payload_bits
+            assert min(fixed + per_ratio * r for r in ratios) >= cost_opt * (1.0 - 1e-12)
+
+
 def test_minimum_within_interval_and_below_endpoints():
     for q in (2, 3, 5, 12):
-        rho_opt, cost_opt = minimize_over_rho(PARAMS, q, grid_points=2001)
+        rho_opt, cost_opt = minimize_over_rho(PARAMS, q)
         low, high = 2.0 / (q + 1), rho_star(q)
         assert low - 1e-12 <= rho_opt <= high + 1e-12
         assert cost_opt <= cost_at_capacity(PARAMS, q, low) + 1e-9

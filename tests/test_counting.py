@@ -201,6 +201,20 @@ def test_cache_survives_concurrent_use():
     assert len(cache) == 1
 
 
+def test_cache_drops_its_oldest_tables_past_its_bound():
+    # one 1-byte lookup block at every depth 1..256 would keep 18.8M integers
+    cache = CountCache()
+    for depth in range(1, 257):
+        cycles, length = 4 * depth, 2 * depth
+        index = (0xA5 + depth) % subsequence_count(4, cycles, length)
+        oligo = subsequence_unrank(4, cycles, length, index, cache)
+        assert subsequence_rank(4, cycles, oligo, cache) == index
+    held = sum(len(row) for rows in cache._tables.values() for row in rows)
+    assert held <= 1 << 22
+    assert (4, 4 * 256, 2 * 256) in cache._tables
+    assert (4, 4, 2) not in cache._tables
+
+
 def deletion_ball_recursion(q, cycles, deletions, memo):
     """Oracle: the deletion-sphere recursion, derived without gap sequences.
     Deleting i of the kept slots from the head symbol's run leaves a
