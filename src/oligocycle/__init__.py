@@ -18,24 +18,18 @@ from .capacity import (
     empirical_cap,
 )
 from .codec import (
-    AlphaProfile,
     EncodedBatch,
     RateRow,
-    alpha_profile,
     balanced_block_decode,
     balanced_block_encode,
-    balanced_encode,
     balanced_params,
     base_decode,
     base_encode,
     decode_payload,
     encode_payload,
-    lookup_encode,
-    multisize_encode,
     multisize_rate,
     optimal_alpha,
     rate_table,
-    window_encode,
 )
 from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
 from .counting import (
@@ -60,7 +54,6 @@ from .sequence import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaProfile",
     "CorruptDataError",
     "CostParams",
     "CountCache",
@@ -69,11 +62,9 @@ __all__ = [
     "Oligo",
     "RateRow",
     "SupersequenceSpec",
-    "alpha_profile",
     "alternating_prefix",
     "balanced_block_decode",
     "balanced_block_encode",
-    "balanced_encode",
     "balanced_params",
     "base_decode",
     "base_encode",
@@ -90,12 +81,10 @@ __all__ = [
     "encode_payload",
     "knuth_balance",
     "knuth_unbalance",
-    "lookup_encode",
     "materialize",
     "min_cycles_under",
     "minimize_over_alphabet",
     "minimize_over_rho",
-    "multisize_encode",
     "multisize_rate",
     "offer_gap",
     "optimal_alpha",
@@ -105,5 +94,4 @@ __all__ = [
     "subsequence_rank",
     "subsequence_unrank",
     "synthesis_cycles",
-    "window_encode",
 ]

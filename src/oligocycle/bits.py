@@ -9,11 +9,8 @@ follows "Efficient balanced codes" (IEEE T-IT 1986).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, TypeVar
 
 from .errors import CorruptDataError, DomainError
-
-T = TypeVar("T")
 
 
 def validate_bits(bits: str) -> str:
@@ -25,7 +22,7 @@ def validate_bits(bits: str) -> str:
 
 def bits_from_bytes(data: bytes) -> str:
     """Expand bytes into a bit string, MSB first within each byte."""
-    return "".join(format(b, "08b") for b in data)
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
 
 
 def bytes_from_bits(bits: str) -> bytes:
@@ -33,22 +30,7 @@ def bytes_from_bits(bits: str) -> bytes:
     validate_bits(bits)
     if len(bits) % 8:
         raise DomainError("bit count is not a multiple of 8")
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-
-
-def int_from_bits(bits: str) -> int:
-    """Interpret a bit string as an unsigned integer; empty means zero."""
-    validate_bits(bits)
-    return int(bits, 2) if bits else 0
-
-
-def bits_from_int(value: int, width: int) -> str:
-    """Render *value* as exactly *width* bits, MSB first."""
-    if value < 0 or width < 0:
-        raise DomainError("value and width must be non-negative")
-    if value.bit_length() > width:
-        raise DomainError(f"{value} does not fit in {width} bits")
-    return format(value, f"0{width}b") if width else ""
+    return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
 
 def gray_encode(value: int) -> int:
@@ -67,14 +49,6 @@ def gray_decode(code: int) -> int:
         value ^= code
         code >>= 1
     return value
-
-
-def project(values: Sequence[T], mask: str) -> tuple[T, ...]:
-    """Keep the entries of *values* whose mask bit is '1', preserving order."""
-    validate_bits(mask)
-    if len(mask) != len(values):
-        raise DomainError("mask length must match the sequence length")
-    return tuple(v for v, m in zip(values, mask) if m == "1")
 
 
 def balanced_data_bits(size: int) -> int:

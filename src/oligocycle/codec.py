@@ -45,6 +45,18 @@ from .errors import CorruptDataError, DomainError
 from .sequence import Oligo, SupersequenceSpec, min_cycles_under
 
 
+# --- limits ---
+
+# Largest balanced and window alphabet.  Balanced's flip-layout check is cubic
+# in the data bits, and up to q = 256 (247 bits) its slowest case takes about
+# a second; a window rank sums up to q/2 binomials of q, at a cost that grows
+# about as q**3.
+_MAX_ALPHABET = 256
+# Most symbols in one base block or multisize oligo: a block's value is one
+# integer of that many digits, and converting it is quadratic in its length.
+_MAX_BLOCK_SYMBOLS = 2048
+
+
 # --- batch container ---
 
 
@@ -143,14 +155,7 @@ class _BlockCode:
 
 def _fields(payload: str, width: int) -> list[int]:
     """The payload, zero-padded to whole width-bit blocks, as one integer per block."""
-    total = -(-len(payload) // width) * width
-    size = -(-total // 8)
-    data = (int(payload or "0", 2) << (8 * size - len(payload))).to_bytes(size, "big")
-    return [
-        int.from_bytes(data[i >> 3 : (i + width + 7) >> 3], "big") >> (-(i + width) % 8)
-        & ((1 << width) - 1)
-        for i in range(0, total, width)
-    ]
+    return [int(payload[i : i + width].ljust(width, "0"), 2) for i in range(0, len(payload), width)]
 
 
 # --- base scheme: one steering symbol per oligo ---
@@ -214,8 +219,8 @@ def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
     if q < 2:
         raise DomainError("base scheme requires alphabet size >= 2")
     size = 32 if block_symbols is None else block_symbols
-    if size < 1:
-        raise DomainError("block must carry at least one symbol")
+    if not 1 <= size <= _MAX_BLOCK_SYMBOLS:
+        raise DomainError(f"block must carry 1..{_MAX_BLOCK_SYMBOLS} symbols")
     budget = (q + 1) * (size + 1) // 2
     return _BlockCode(
         rho=2.0 / (q + 1),
@@ -251,32 +256,7 @@ def _lookup(q: int, *, rho: float | None, depth: int | None, **_) -> _BlockCode:
     )
 
 
-def lookup_encode(q: int, depth: int, rho: float, payload: str) -> EncodedBatch:
-    """Index oligos of length rho*C inside a C = depth*q cycle window.
-
-    rho*C must be integral (to 1e-9) and the window must hold at least two
-    oligos, otherwise no bits fit.
-    """
-    return encode_payload("lookup", payload, q=q, rho=rho, depth=depth)
-
-
 # --- multisize scheme: two adjacent sub-alphabet sizes ---
-
-
-@dataclass(frozen=True)
-class AlphaProfile:
-    """Fractions of an oligo drawn from each sub-alphabet 1..q."""
-
-    q: int
-    fractions: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.fractions) != self.q:
-            raise DomainError("profile must cover every sub-alphabet size")
-        if any(f < 0 for f in self.fractions):
-            raise DomainError("fractions must be non-negative")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise DomainError("fractions must sum to 1")
 
 
 def optimal_alpha(q: int, rho: float) -> tuple[int, float]:
@@ -301,15 +281,6 @@ def optimal_alpha(q: int, rho: float) -> tuple[int, float]:
     return s, min(max(fraction, 0.0), 1.0)
 
 
-def alpha_profile(q: int, rho: float) -> AlphaProfile:
-    """optimal_alpha spread over all q sub-alphabet sizes."""
-    s, fraction = optimal_alpha(q, rho)
-    fractions = [0.0] * q
-    fractions[s - 1] = fraction
-    fractions[s] += 1.0 - fraction
-    return AlphaProfile(q, tuple(fractions))
-
-
 def multisize_rate(q: int, rho: float) -> float:
     """Asymptotic bits per cycle of the multisize scheme at ratio rho."""
     s, _ = optimal_alpha(q, rho)
@@ -323,8 +294,8 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
     if rho is None:
         raise DomainError("multisize encoding requires rho")
     length = 48 if oligo_length is None else oligo_length
-    if length < 1:
-        raise DomainError("oligo length must be at least 1")
+    if not 1 <= length <= _MAX_BLOCK_SYMBOLS:
+        raise DomainError(f"oligo length must lie in 1..{_MAX_BLOCK_SYMBOLS}")
     s, fraction = optimal_alpha(q, rho)
     run = int(fraction * length + 1e-9)
     tail = length - run
@@ -354,34 +325,19 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
     )
 
 
-def multisize_encode(q: int, rho: float, payload: str, oligo_length: int = 48) -> EncodedBatch:
-    """Encode into oligos of a fixed length, split between sub-alphabets s
-    and s+1 in the proportion optimal_alpha prescribes.
-
-    At rho > 2/3 the smaller sub-alphabet degenerates to size 1 and that part
-    of each oligo becomes a constant run carrying no information.
-    """
-    return encode_payload("multisize", payload, q=q, rho=rho, oligo_length=oligo_length)
-
-
 # --- balanced scheme: weight-balanced blocks over an ascending alphabet ---
-
-# Largest balanced alphabet: the flip-layout check is cubic in the data bits,
-# and up to q = 256 (247 bits) its slowest case takes about a second.
-_MAX_BALANCED_Q = 256
-
 
 @lru_cache(maxsize=None)
 def balanced_params(q: int) -> tuple[int, int]:
     """(data bits, block alphabet) for the balanced scheme at alphabet q.
 
     The block alphabet is the largest f + ceil(log2 f) + 1 <= q.  Raises
-    DomainError when q lies outside 4.._MAX_BALANCED_Q or when the flip
+    DomainError when q lies outside 4.._MAX_ALPHABET or when the flip
     layout cannot balance every f-bit word (some alphabet sizes land on
     such f).
     """
-    if not 4 <= q <= _MAX_BALANCED_Q:
-        raise DomainError(f"balanced scheme requires alphabet size in 4..{_MAX_BALANCED_Q}")
+    if not 4 <= q <= _MAX_ALPHABET:
+        raise DomainError(f"balanced scheme requires alphabet size in 4..{_MAX_ALPHABET}")
     f = balanced_data_bits(q)
     if not flip_layout_complete(f):
         raise DomainError(
@@ -433,12 +389,6 @@ def balanced_block_decode(q: int, oligo: Oligo) -> str:
     return format(_balanced(q).decode_block(oligo.symbols), f"0{f}b")
 
 
-def balanced_encode(q: int, payload: str) -> EncodedBatch:
-    """Concatenate balanced blocks into a single oligo, one revolution of the
-    block alphabet per block."""
-    return encode_payload("balanced", payload, q=q)
-
-
 # --- window scheme: one alphabet subset per revolution ---
 #
 # Subsets rank by size, then lexicographically.  Those of at most ceil(q/2)
@@ -471,8 +421,8 @@ def _subset_rank(q: int, symbols: Sequence[int]) -> int:
 
 
 def _window(q: int, **_) -> _BlockCode:
-    if q < 2:
-        raise DomainError("window scheme requires alphabet size >= 2")
+    if not 2 <= q <= _MAX_ALPHABET:
+        raise DomainError(f"window scheme requires alphabet size in 2..{_MAX_ALPHABET}")
     return _BlockCode(
         rho=0.5,
         lengths=range(1, (q + 1) // 2 + 1),
@@ -481,12 +431,6 @@ def _window(q: int, **_) -> _BlockCode:
         encode_block=partial(_subset_unrank, q),
         decode_block=partial(_subset_rank, q),
     )
-
-
-def window_encode(q: int, payload: str) -> EncodedBatch:
-    """One oligo per q-cycle window, each a subset of at most ceil(q/2)
-    symbols, carrying q-1 bits per window."""
-    return encode_payload("window", payload, q=q)
 
 
 # --- scheme comparison ---

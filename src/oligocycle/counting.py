@@ -24,6 +24,7 @@ geometry (Cover, "Enumerative source coding", IEEE T-IT 1973).
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, chain, repeat
 from math import comb
 from operator import sub
@@ -36,26 +37,38 @@ from .sequence import Oligo
 # Largest suffix table built, in stored integers: depth-512 windows over four
 # symbols fit, and a hostile batch cannot make one take gigabytes.
 _MAX_TABLE_ENTRIES = 1 << 20
-# Most integers one cache holds: past it the oldest tables go first.
-_MAX_CACHED_ENTRIES = 1 << 22
+# Most bytes one cache holds: past it the oldest tables go first.  Deep
+# tables hold integers of hundreds of bits, so integers alone say little of
+# their size.  The depth-256 q4 table takes about 19 MiB.
+_MAX_CACHED_BYTES = 1 << 26
 
 Table = list[list[int]]
+
+
+def _table_bytes(rows: Table) -> int:
+    """At least the bytes the table takes.  Each row ascends, so none of its
+    integers is larger than its last, and an integer of d 30-bit digits takes
+    at most 28 + 4d bytes; the row's list adds its slots."""
+    return sum(
+        sys.getsizeof(row) + len(row) * (28 + 4 * ((row[-1].bit_length() + 29) // 30))
+        for row in rows
+    )
 
 
 class CountCache:
     """Suffix tables keyed by (q, cycles, length); len() counts the tables.
 
     Entries are pure functions of their key, so a reader racing a writer at
-    worst builds the same table twice.  Once the tables hold more than
-    _MAX_CACHED_ENTRIES integers, the oldest are dropped; a caller keeps
-    the table it was handed.
+    worst builds the same table twice.  Once the tables take more than
+    _MAX_CACHED_BYTES, the oldest are dropped, though never the newest; a
+    caller keeps the table it was handed.
     """
 
-    __slots__ = ("_tables", "_entries", "_lock")
+    __slots__ = ("_tables", "_bytes", "_lock")
 
     def __init__(self) -> None:
         self._tables: dict[tuple[int, int, int], Table] = {}
-        self._entries = 0
+        self._bytes = 0
         self._lock = Lock()
 
     def __len__(self) -> int:
@@ -66,10 +79,10 @@ class CountCache:
             if key in self._tables:
                 return self._tables[key]
             self._tables[key] = rows
-            self._entries += sum(map(len, rows))
-            while self._entries > _MAX_CACHED_ENTRIES:
+            self._bytes += _table_bytes(rows)
+            while self._bytes > _MAX_CACHED_BYTES and len(self._tables) > 1:
                 oldest = next(iter(self._tables))
-                self._entries -= sum(map(len, self._tables.pop(oldest)))
+                self._bytes -= _table_bytes(self._tables.pop(oldest))
         return rows
 
 
@@ -93,7 +106,7 @@ def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None
     return total
 
 
-def deletion_ball_size(q: int, cycles: int, deletions: int, cache: CountCache | None = None) -> int:
+def deletion_ball_size(q: int, cycles: int, deletions: int) -> int:
     """Number of distinct subsequences left after deleting exactly
     *deletions* symbols from the length-*cycles* alternating prefix over 1..q.
     """

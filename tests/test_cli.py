@@ -267,6 +267,69 @@ def test_encode_balanced_large_alphabet_exits_2_fast(capsys, tmp_path):
     assert "4..256" in err
 
 
+def test_decode_base_oversized_block_exits_3_fast(capsys, tmp_path):
+    # a well-formed block of 319,999 base-4 digits behind its steering symbol,
+    # with gaps 1, 4, 2, 3 over and over: its value alone would take seconds
+    # of quadratic digit work
+    size = 319_999
+    symbols = [1]
+    for i in range(size):
+        symbols.append((symbols[-1] - 1 + (1, 4, 2, 3)[i % 4]) % 4 + 1)
+    doc = {
+        "scheme": "base", "q": 4, "rho": 0.4, "payload_bits": 2 * size // 8 * 8,
+        "spec": [[4, 5 * (size + 1) // 2]], "oligos": [",".join(map(str, symbols))],
+    }
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "1..2048" in err
+
+
+def test_encode_base_oversized_block_exits_2(capsys, tmp_path):
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"x")
+    code, _, err = run_cli(
+        capsys, "encode", "--scheme", "base", "--q", "4", "--block-symbols", "100000",
+        "--in", str(source), "--out", str(tmp_path / "b.json"),
+    )
+    assert code == 2
+    assert "1..2048" in err
+
+
+def test_decode_window_large_alphabet_exits_3_fast(capsys, tmp_path):
+    # one ascending subset of 4000 of 8000 symbols: a valid block whose rank
+    # sums 4000 binomials of 8000
+    doc = {
+        "scheme": "window", "q": 8000, "rho": 0.5, "payload_bits": 7992,
+        "spec": [[8000, 8000]], "oligos": [",".join(map(str, range(1, 4001)))],
+    }
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "2..256" in err
+
+
+def test_encode_window_large_alphabet_exits_2(capsys, tmp_path):
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"x")
+    code, _, err = run_cli(
+        capsys, "encode", "--scheme", "window", "--q", "300",
+        "--in", str(source), "--out", str(tmp_path / "w.json"),
+    )
+    assert code == 2
+    assert "2..256" in err
+
+
 def test_missing_input_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

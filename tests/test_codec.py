@@ -16,22 +16,12 @@ from oligocycle import (
     base_encode,
     decode_payload,
     encode_payload,
-    lookup_encode,
     min_cycles_under,
     rate_table,
     subsequence_count,
     synthesis_cycles,
-    window_encode,
 )
-from oligocycle.bits import (
-    bits_from_bytes,
-    bits_from_int,
-    bytes_from_bits,
-    gray_decode,
-    gray_encode,
-    int_from_bits,
-    project,
-)
+from oligocycle.bits import bits_from_bytes, bytes_from_bits, gray_decode, gray_encode
 
 
 def random_bits(rng, count):
@@ -47,20 +37,16 @@ def test_bytes_round_trip():
     for _ in range(20):
         data = bytes(rng.randrange(256) for _ in range(rng.randrange(40)))
         assert bytes_from_bits(bits_from_bytes(data)) == data
+    for data in (b"", b"\x00\x00\x01", rng.randbytes(16384)):
+        bits = bits_from_bytes(data)
+        assert bits == "".join(format(b, "08b") for b in data)
+        assert bytes_from_bits(bits) == data
     with pytest.raises(DomainError):
         bytes_from_bits("0101010")
-
-
-def test_int_round_trip():
-    assert int_from_bits("") == 0
-    assert int_from_bits("101") == 5
-    assert bits_from_int(5, 3) == "101"
-    assert bits_from_int(0, 0) == ""
-    assert bits_from_int(3, 6) == "000011"
     with pytest.raises(DomainError):
-        bits_from_int(8, 3)
+        bytes_from_bits("1010101a")
     with pytest.raises(DomainError):
-        int_from_bits("10a")
+        encode_payload("base", "10a", q=4)
 
 
 def test_gray_code_round_trip_and_adjacency():
@@ -69,13 +55,6 @@ def test_gray_code_round_trip_and_adjacency():
     for value in range(255):
         diff = gray_encode(value) ^ gray_encode(value + 1)
         assert diff.bit_count() == 1
-
-
-def test_project():
-    assert project(("a", "b", "c", "d"), "0110") == ("b", "c")
-    assert project((1, 2, 3), "000") == ()
-    with pytest.raises(DomainError):
-        project((1, 2), "1")
 
 
 # --- base scheme ---
@@ -180,12 +159,24 @@ def test_decode_rejects_more_blocks_than_the_payload_needs(scheme, kwargs):
         decode_payload(short)
 
 
+def test_block_and_alphabet_limits():
+    bits = random_bits(random.Random(2048), 4096)
+    for scheme, kwargs, too_large in (
+        ("base", dict(q=4, block_symbols=2048), dict(block_symbols=2049)),
+        ("multisize", dict(q=5, rho=0.45, oligo_length=2048), dict(oligo_length=2049)),
+        ("window", dict(q=256), dict(q=257)),
+    ):
+        assert decode_payload(encode_payload(scheme, bits, **kwargs)) == bits
+        with pytest.raises(DomainError):
+            encode_payload(scheme, bits, **{**kwargs, **too_large})
+
+
 # --- lookup scheme ---
 
 
 def test_lookup_known_window():
     # q=2, C=4, L=2 holds 4 oligos: 2 bits per window
-    batch = lookup_encode(2, 2, 0.5, "10")
+    batch = encode_payload("lookup", "10", q=2, rho=0.5, depth=2)
     assert len(batch.oligos) == 1
     assert batch.oligos[0].symbols == (2, 1)
     assert decode_payload(batch) == "10"
@@ -209,15 +200,15 @@ def test_lookup_round_trip():
 
 def test_lookup_rejects_bad_geometry():
     with pytest.raises(DomainError):
-        lookup_encode(4, 2, 0.3, "1")  # 2.4 symbols is not a length
+        encode_payload("lookup", "1", q=4, rho=0.3, depth=2)  # 2.4 symbols is not a length
     with pytest.raises(DomainError):
-        lookup_encode(4, 1, 1.0, "1")  # single oligo, zero bits
+        encode_payload("lookup", "1", q=4, rho=1.0, depth=1)  # single oligo, zero bits
     with pytest.raises(DomainError):
-        lookup_encode(4, 1, 0.0, "1")
+        encode_payload("lookup", "1", q=4, rho=0.0, depth=1)
 
 
 def test_lookup_decode_rejects_tampering():
-    batch = lookup_encode(4, 2, 0.5, "110010")
+    batch = encode_payload("lookup", "110010", q=4, rho=0.5, depth=2)
     # replace an oligo with one that is not a subsequence of the window
     bad = batch.oligos[:1] + (Oligo((4, 4, 4, 4), 4),) + batch.oligos[2:]
     broken = EncodedBatch(
@@ -235,8 +226,8 @@ def test_window_block_exhaustive():
         width = q - 1
         cap = (q + 1) // 2
         for value in range(1 << width):
-            bits = bits_from_int(value, width)
-            batch = window_encode(q, bits)
+            bits = format(value, f"0{width}b")
+            batch = encode_payload("window", bits, q=q)
             oligo = batch.oligos[0]
             assert 1 <= len(oligo) <= cap
             assert all(b > a for a, b in zip(oligo.symbols, oligo.symbols[1:]))
@@ -257,7 +248,7 @@ def test_window_multiblock_round_trip():
 
 
 def test_window_decode_rejects_tampering():
-    batch = window_encode(3, "1011")
+    batch = encode_payload("window", "1011", q=3)
     descending = (Oligo((2, 1), 3),) + batch.oligos[1:]
     with pytest.raises(CorruptDataError):
         decode_payload(

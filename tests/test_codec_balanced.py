@@ -15,7 +15,6 @@ from oligocycle import (
     Oligo,
     balanced_block_decode,
     balanced_block_encode,
-    balanced_encode,
     balanced_params,
     decode_payload,
     encode_payload,
@@ -24,7 +23,6 @@ from oligocycle import (
     min_cycles_under,
     synthesis_cycles,
 )
-from oligocycle.bits import bits_from_int
 
 
 def test_params_table():
@@ -63,7 +61,7 @@ def test_knuth_balance_exhaustive_small_sizes():
         target = size // 2
         seen = set()
         for value in range(1 << f):
-            word = bits_from_int(value, f)
+            word = format(value, f"0{f}b")
             balanced = knuth_balance(word)
             assert len(balanced) == size
             assert balanced.count("1") == target
@@ -75,7 +73,7 @@ def test_knuth_balance_exhaustive_small_sizes():
 def test_knuth_balance_large_size_randomized():
     rng = random.Random(31)
     for _ in range(2000):
-        word = bits_from_int(rng.getrandbits(26), 26)
+        word = format(rng.getrandbits(26), "026b")
         balanced = knuth_balance(word)
         assert len(balanced) == 32
         assert balanced.count("1") == 16
@@ -98,7 +96,7 @@ def test_block_shape_exhaustive_per_alphabet():
         f, block_alphabet = balanced_params(q)
         half = block_alphabet // 2
         for value in range(1 << f):
-            block = bits_from_int(value, f)
+            block = format(value, f"0{f}b")
             oligo = balanced_block_encode(q, block)
             assert len(oligo) == half
             assert all(b > a for a, b in zip(oligo.symbols, oligo.symbols[1:]))

@@ -10,12 +10,10 @@ from oligocycle import (
     DomainError,
     EncodedBatch,
     Oligo,
-    alpha_profile,
     cap_fixed_length,
     decode_payload,
     encode_payload,
     min_cycles_under,
-    multisize_encode,
     multisize_rate,
     optimal_alpha,
 )
@@ -69,16 +67,15 @@ def test_optimal_alpha_domain():
 
 
 def test_alpha_profile_invariants():
+    # the profile is `fraction` of the symbols on size s and the rest on s + 1
     for q in (2, 3, 5, 8):
         low = 2.0 / (q + 1)
         for k in range(101):
             rho = low + (1.0 - low) * k / 100.0
-            profile = alpha_profile(q, rho)
-            fractions = profile.fractions
-            assert len(fractions) == q
-            assert abs(sum(fractions) - 1.0) <= 1e-9
-            assert sum(f > 0 for f in fractions) <= 2
-            mean_size = sum((i + 1) * f for i, f in enumerate(fractions))
+            s, fraction = optimal_alpha(q, rho)
+            assert 1 <= s < q
+            assert 0.0 <= fraction <= 1.0
+            mean_size = s * fraction + (s + 1) * (1.0 - fraction)
             assert mean_size == pytest.approx(2.0 / rho - 1.0, abs=1e-8)
 
 
@@ -131,7 +128,7 @@ def test_round_trip_various_operating_points():
 
 def test_constant_run_segment_shape():
     # at rho=0.8 with q=3: half the symbols are a constant run of 1s
-    batch = multisize_encode(3, 0.8, "1011", oligo_length=30)
+    batch = encode_payload("multisize", "1011", q=3, rho=0.8, oligo_length=30)
     oligo = batch.oligos[0]
     assert oligo.symbols[:15] == (1,) * 15
     assert batch.spec.segments[0] == (1, 15)
@@ -142,8 +139,8 @@ def measured_block_width(q, rho, length):
     lo, hi = 1, 4096
     while lo < hi:
         mid = (lo + hi) // 2
-        count = len(multisize_encode(q, rho, "0" * mid, oligo_length=length).oligos)
-        if count >= 2:
+        batch = encode_payload("multisize", "0" * mid, q=q, rho=rho, oligo_length=length)
+        if len(batch.oligos) >= 2:
             hi = mid
         else:
             lo = mid + 1
@@ -159,20 +156,21 @@ def test_finite_length_rate_approaches_the_asymptote():
         target = multisize_rate(q, rho)
         for length, allowed in thresholds.items():
             width = measured_block_width(q, rho, length)
-            cycles = multisize_encode(q, rho, "1", oligo_length=length).spec.total_cycles
+            batch = encode_payload("multisize", "1", q=q, rho=rho, oligo_length=length)
+            cycles = batch.spec.total_cycles
             deficit = 1.0 - (width / cycles) / target
             assert 0.0 <= deficit <= allowed
 
 
 def test_too_short_oligo_is_rejected():
     with pytest.raises(DomainError):
-        multisize_encode(4, 1.0, "1", oligo_length=8)  # rate zero at rho=1
+        encode_payload("multisize", "1", q=4, rho=1.0, oligo_length=8)  # rate zero at rho=1
     with pytest.raises(DomainError):
-        multisize_encode(4, 0.5, "1", oligo_length=1)
+        encode_payload("multisize", "1", q=4, rho=0.5, oligo_length=1)
 
 
 def test_decode_rejects_tampering():
-    batch = multisize_encode(3, 0.8, "10110", oligo_length=30)
+    batch = encode_payload("multisize", "10110", q=3, rho=0.8, oligo_length=30)
     symbols = batch.oligos[0].symbols
     broken = (Oligo((2,) + symbols[1:], batch.oligos[0].q),)
     with pytest.raises(CorruptDataError):

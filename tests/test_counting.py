@@ -22,12 +22,12 @@ from oligocycle import (
     brute_force_count,
     decode_payload,
     deletion_ball_size,
-    lookup_encode,
+    encode_payload,
     subsequence_count,
     subsequence_rank,
     subsequence_unrank,
 )
-from oligocycle.counting import suffix_table
+from oligocycle.counting import _MAX_CACHED_BYTES, suffix_table
 
 
 def enumerate_oligos(q, cycles, length):
@@ -211,6 +211,12 @@ def test_cache_drops_its_oldest_tables_past_its_bound():
         assert subsequence_rank(4, cycles, oligo, cache) == index
     held = sum(len(row) for rows in cache._tables.values() for row in rows)
     assert held <= 1 << 22
+    held_bytes = sum(
+        sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+        for rows in cache._tables.values()
+        for row in rows
+    )
+    assert held_bytes < _MAX_CACHED_BYTES
     assert (4, 4 * 256, 2 * 256) in cache._tables
     assert (4, 4, 2) not in cache._tables
 
@@ -258,6 +264,6 @@ def test_cold_count_at_two_thousand_cycles_is_fast():
 def test_depth_256_lookup_round_trip_is_fast():
     payload = "".join(format(b, "08b") for b in random.Random(256).randbytes(1024))
     start = time.perf_counter()
-    batch = lookup_encode(4, 256, 0.5, payload)
+    batch = encode_payload("lookup", payload, q=4, rho=0.5, depth=256)
     assert decode_payload(batch) == payload
     assert time.perf_counter() - start < 5.0
