@@ -21,7 +21,9 @@ encode and decode do the rest for all five: chunking, and on decode the
 program-shape, oligo-length, embedding and block-width checks.  Balanced
 joins its blocks end to end in one oligo, the others put one in each.  A
 payload is one integer inside the codec; '0'/'1' strings appear only in the
-public functions.  Batches round-trip through a small JSON document.
+public functions.  Batches round-trip through a small JSON document.  Every
+coding step is a pure function of its block, so within one call each
+distinct block is coded, rendered, parsed, checked and decoded once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import chain
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bits import (
     balance_word, balanced_data_bits, flip_layout_complete, unbalance_word, validate_bits
@@ -55,6 +57,25 @@ _MAX_ALPHABET = 256
 # Most symbols in one base block or multisize oligo: a block's value is one
 # integer of that many digits, and converting it is quadratic in its length.
 _MAX_BLOCK_SYMBOLS = 2048
+
+
+# --- each distinct input once ---
+
+
+def _first_seen(keys: Iterable) -> tuple[list[int], Iterable[int]]:
+    """Each key's position of first occurrence, and those positions, one per
+    distinct key in first-seen order."""
+    first: dict = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)], first.values()
+
+
+def _each_once(fn: Callable, items: Sequence, keys: Iterable | None = None) -> list:
+    """[fn(x) for x in items], calling fn on the first item of each distinct
+    key (the item itself by default) only, in order, so the item that raises
+    is the one a plain loop would meet first."""
+    at, distinct = _first_seen(items if keys is None else keys)
+    done = {i: fn(items[i]) for i in distinct}
+    return list(map(done.__getitem__, at))
 
 
 # --- batch container ---
@@ -78,7 +99,7 @@ class EncodedBatch:
             "rho": self.rho,
             "payload_bits": self.payload_bits,
             "spec": [[q, cycles] for q, cycles in self.spec.segments],
-            "oligos": [o.to_text() for o in self.oligos],
+            "oligos": _each_once(Oligo.to_text, self.oligos, [o.symbols for o in self.oligos]),
         }
         return json.dumps(doc, indent=2)
 
@@ -118,7 +139,7 @@ class EncodedBatch:
         try:
             spec = SupersequenceSpec(tuple((s, c) for s, c in raw_spec))
             alphabet = spec.max_alphabet
-            oligos = tuple(Oligo.from_text(o, alphabet) for o in raw_oligos)
+            oligos = tuple(_each_once(lambda text: Oligo.from_text(text, alphabet), raw_oligos))
         except DomainError as exc:
             raise CorruptDataError(str(exc)) from exc
         return cls(scheme, q, float(rho), bits, spec, oligos)
@@ -450,16 +471,17 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
     """Achievable rates for every scheme at alphabet q.
 
     Fixed-ratio schemes (base, balanced, window) contribute one row each at
-    their natural rho; lookup and multisize contribute one row per feasible
-    entry of *rhos*.  Lookup windows use the shallowest depth that makes
-    rho*C integral.
+    their natural rho, where their encoder accepts q; lookup and multisize
+    contribute one row per feasible entry of *rhos*.  Lookup windows use the
+    shallowest depth that makes rho*C integral.
     """
     if q < 2:
         raise DomainError("rate table requires alphabet size >= 2")
     rows = []
     base_rho = 2.0 / (q + 1)
     rows.append(RateRow("base", base_rho, base_rho * math.log2(q), cap_fixed_length(q, base_rho)))
-    rows.append(RateRow("window", 0.5, (q - 1) / q, cap_fixed_length(q, 0.5)))
+    if q <= _MAX_ALPHABET:  # the window encoder refuses larger alphabets
+        rows.append(RateRow("window", 0.5, (q - 1) / q, cap_fixed_length(q, 0.5)))
     with suppress(DomainError):  # not every q has a balanced layout
         f, size = balanced_params(q)
         rho = size // 2 / size
@@ -515,12 +537,14 @@ def encode_payload(
     code = SCHEMES[scheme](
         q, rho=rho, depth=depth, oligo_length=oligo_length, block_symbols=block_symbols
     )
-    blocks = [code.encode_block(value) for value in _fields(payload, code.width)]
-    spec = SupersequenceSpec(code.program(len(blocks)))
-    if code.joined and blocks:
-        blocks = [tuple(chain.from_iterable(blocks))]
+    values = _fields(payload, code.width)
+    spec = SupersequenceSpec(code.program(len(values)))
     alphabet = spec.max_alphabet
-    oligos = tuple(Oligo(block, alphabet) for block in blocks)
+    if code.joined:
+        blocks = _each_once(code.encode_block, values)
+        oligos = (Oligo(tuple(chain.from_iterable(blocks)), alphabet),) if blocks else ()
+    else:  # equal blocks share one Oligo
+        oligos = tuple(_each_once(lambda value: Oligo(code.encode_block(value), alphabet), values))
     return EncodedBatch(scheme, q, code.rho, len(payload), spec, oligos)
 
 
@@ -554,18 +578,24 @@ def decode_payload(batch: EncodedBatch) -> str:
             if len(oligos) > 1 or length % size:
                 raise CorruptDataError(f"{batch.scheme} batches carry one oligo of whole blocks")
             blocks = [blocks[0][i : i + size] for i in range(0, length, size)]
+        # each per-block check and decode below runs once per distinct block;
+        # a joined batch is one oligo, otherwise block i is oligo i
+        at, distinct = _first_seen(blocks)
+        embedded = (0,) if code.joined else distinct
         if batch.spec.segments != code.program(len(blocks)):
             raise CorruptDataError("program does not match the oligo shape and count")
-        if any(len(block) not in code.lengths for block in blocks):
+        if any(len(blocks[i]) not in code.lengths for i in distinct):
             raise CorruptDataError("oligo length does not match the program")
-        if any(min_cycles_under(batch.spec, o) is None for o in oligos):
+        if any(min_cycles_under(batch.spec, oligos[i]) is None for i in embedded):
             raise CorruptDataError("oligo does not embed in the program")
         width = code.width
         if len(blocks) != -(-batch.payload_bits // width):
             raise CorruptDataError("block count does not match the payload bit count")
-        values = [code.decode_block(block) for block in blocks]
+        values = {i: code.decode_block(blocks[i]) for i in distinct}
     except DomainError as exc:
         raise CorruptDataError(str(exc)) from exc
-    if any(v >> width for v in values):
+    if any(v >> width for v in values.values()):
         raise CorruptDataError("decoded block exceeds its bit width")
-    return "".join(format(v, f"0{width}b") for v in values)[: batch.payload_bits]
+    form = f"0{width}b"
+    text = {i: format(v, form) for i, v in values.items()}
+    return "".join(map(text.__getitem__, at))[: batch.payload_bits]

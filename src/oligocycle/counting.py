@@ -34,25 +34,29 @@ from typing import Sequence
 from .errors import DomainError
 from .sequence import Oligo
 
-# Largest suffix table built, in stored integers: depth-512 windows over four
-# symbols fit, and a hostile batch cannot make one take gigabytes.
+# Largest suffix table built, in stored integers.  It is checked first: the
+# byte bound below takes a closed-form count, which is cheap only once the
+# table is this small.
 _MAX_TABLE_ENTRIES = 1 << 20
-# Most bytes one cache holds: past it the oldest tables go first.  Deep
-# tables hold integers of hundreds of bits, so integers alone say little of
-# their size.  The depth-256 q4 table takes about 19 MiB.
+# Most bytes one cache holds: past it the oldest tables go first, and no
+# single table that could pass it is built.  Deep tables hold integers of
+# hundreds of bits, so integers alone say little of their size: over four
+# symbols, a depth-256 window fits (19 MiB held, 35 MiB bounded) and one
+# of depth 320 does not.
 _MAX_CACHED_BYTES = 1 << 26
 
 Table = list[list[int]]
 
 
+def _int_bytes(bits: int) -> int:
+    """At least the bytes of an integer of *bits* bits: 28 plus 4 per 30-bit digit."""
+    return 28 + 4 * ((bits + 29) // 30)
+
+
 def _table_bytes(rows: Table) -> int:
     """At least the bytes the table takes.  Each row ascends, so none of its
-    integers is larger than its last, and an integer of d 30-bit digits takes
-    at most 28 + 4d bytes; the row's list adds its slots."""
-    return sum(
-        sys.getsizeof(row) + len(row) * (28 + 4 * ((row[-1].bit_length() + 29) // 30))
-        for row in rows
-    )
+    integers is larger than its last; the row's list adds its slots."""
+    return sum(sys.getsizeof(row) + len(row) * _int_bytes(row[-1].bit_length()) for row in rows)
 
 
 class CountCache:
@@ -140,7 +144,12 @@ def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = No
     cycles - length, and from l*(q - 1) on every sequence fits, so each row
     stops at the smaller of the two; its last entry stands for every larger
     k.  Hence rows[length][-1] is subsequence_count(q, cycles, length).
-    Raises DomainError rather than build a table of over 2**20 integers.
+
+    Raises DomainError rather than build a table of over 2**20 integers, or
+    one that could take more than _MAX_CACHED_BYTES.  No entry exceeds the
+    count: appending gaps of 1 maps the shorter gap sequences one to one
+    into the counted ones.  A row built by appending keeps at most an eighth
+    plus 6 spare slots.
     """
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
@@ -151,8 +160,13 @@ def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = No
     rows = cache._tables.get(key)
     if rows is None:
         spare = cycles - length
-        if sum(min(spare, l * (q - 1)) + 1 for l in range(length + 1)) > _MAX_TABLE_ENTRIES:
+        sizes = [min(spare, l * (q - 1)) + 1 for l in range(length + 1)]
+        if sum(sizes) > _MAX_TABLE_ENTRIES:
             raise DomainError(f"a {cycles}-cycle window is too large to index")
+        entry = _int_bytes(subsequence_count(q, cycles, length).bit_length())
+        empty = sys.getsizeof([])
+        if sum(empty + 8 * (n + n // 8 + 6) + n * entry for n in sizes) > _MAX_CACHED_BYTES:
+            raise DomainError(f"a {cycles}-cycle window's table is too large to keep")
         row = [1]
         rows = [row]
         for l in range(1, length + 1):

@@ -205,6 +205,37 @@ def test_decode_lookup_window_too_large_to_index_exits_3_fast(capsys, tmp_path):
     assert "too large" in err
 
 
+def test_encode_lookup_table_past_the_cache_bound_exits_2_fast(capsys, tmp_path):
+    # a depth-512 q4 table would take about 244 MiB against the 64 MiB bound
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"x")
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "encode", "--scheme", "lookup", "--q", "4", "--rho", "0.5", "--depth", "512",
+        "--in", str(source), "--out", str(tmp_path / "batch.json"),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "too large" in err
+
+
+def test_decode_lookup_table_past_the_cache_bound_exits_3_fast(capsys, tmp_path):
+    # one well-formed oligo that embeds in the depth-512 window it claims
+    doc = {
+        "scheme": "lookup", "q": 4, "rho": 0.5, "payload_bits": 8,
+        "spec": [[4, 2048]], "oligos": [",".join(["1", "2", "3", "4"] * 256)],
+    }
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "too large" in err
+
+
 def test_decode_trailing_oligos_exits_3(capsys, tmp_path):
     batch_path = roundtrip(capsys, tmp_path, b"hi", "--scheme", "base", "--q", "4")
     doc = json.loads(batch_path.read_text())

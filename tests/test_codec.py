@@ -1,11 +1,13 @@
 """Bit utilities, the base and lookup and window schemes, and batch JSON."""
 
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
 
+from oligocycle import codec
 from oligocycle import (
     CorruptDataError,
     DomainError,
@@ -262,6 +264,63 @@ def test_window_decode_rejects_tampering():
         )
 
 
+# --- repeated blocks ---
+
+
+def test_each_distinct_window_block_is_coded_once(monkeypatch):
+    calls = {"encode": 0, "decode": 0}
+    window = codec.SCHEMES["window"]
+
+    def counted(q, **kwargs):
+        code = window(q, **kwargs)
+
+        def encode_block(value):
+            calls["encode"] += 1
+            return code.encode_block(value)
+
+        def decode_block(symbols):
+            calls["decode"] += 1
+            return code.decode_block(symbols)
+
+        return dataclasses.replace(code, encode_block=encode_block, decode_block=decode_block)
+
+    monkeypatch.setitem(codec.SCHEMES, "window", counted)
+    payload = bits_from_bytes(random.Random(41).randbytes(4096))
+    batch = encode_payload("window", payload, q=6)
+    assert len(batch.oligos) == -(-len(payload) // 5)
+    # the 32 codewords of a 5-bit block: each coded once, one Oligo apiece
+    assert len({id(o) for o in batch.oligos}) <= 32
+    assert decode_payload(EncodedBatch.from_json(batch.to_json())) == payload
+    assert 0 < calls["encode"] <= 32
+    assert 0 < calls["decode"] <= 32
+
+
+def test_a_changed_last_window_oligo_among_repeats_is_refused():
+    # 40 copies of the subset {1}; the last one, alone, is made invalid
+    doc = json.loads(encode_payload("window", "0" * 5 * 40, q=6).to_json())
+    assert set(doc["oligos"]) == {"1"}
+    # 3 is offered in the revolution of the previous 1, so "3,2" embeds
+    doc["oligos"][-1] = "3,2"
+    with pytest.raises(CorruptDataError, match="ascending"):
+        decode_payload(EncodedBatch.from_json(json.dumps(doc)))
+    doc["oligos"][-1] = "7"
+    with pytest.raises(CorruptDataError, match="outside alphabet"):
+        decode_payload(EncodedBatch.from_json(json.dumps(doc)))
+
+
+def test_a_changed_last_balanced_block_among_repeats_is_refused():
+    # 20 copies of the block 1..8 in one q16 oligo; the last block alone is
+    # made non-ascending, starting past 8 so that it still embeds
+    value = format(2040, "011b")
+    batch = encode_payload("balanced", value * 20, q=16)
+    symbols = batch.oligos[0].symbols
+    assert symbols == tuple(range(1, 9)) * 20
+    doc = json.loads(batch.to_json())
+    doc["oligos"][0] = ",".join(map(str, symbols[:-8] + (9, 10, 11, 12, 13, 14, 16, 15)))
+    with pytest.raises(CorruptDataError, match="ascending"):
+        decode_payload(EncodedBatch.from_json(json.dumps(doc)))
+
+
 # --- batch JSON ---
 
 
@@ -330,6 +389,13 @@ def test_rate_table_rows_are_bounded_and_sorted():
             assert "balanced" in schemes
         for row in rows:
             assert row.rate <= row.cap + 1e-9
+
+
+def test_rate_table_rates_window_only_where_it_encodes():
+    assert "window" in {row.scheme for row in rate_table(256, [0.5])}
+    assert "window" not in {row.scheme for row in rate_table(300, [0.5])}
+    with pytest.raises(DomainError):
+        encode_payload("window", "1", q=300)
 
 
 def test_rate_table_known_rates():
