@@ -23,6 +23,10 @@ from .counting import CountCache, subsequence_count
 from .errors import DomainError
 
 _BRACKET = (1e-12, 1.0 - 1e-12)
+# Largest alphabet of a fixed-length root solve.  A solve holds q
+# coefficients (about 32 MB at this bound) and takes some 60 passes over
+# them (seconds at this bound).
+_MAX_ROOT_ALPHABET = 1 << 20
 
 
 def binary_entropy(p: float) -> float:
@@ -51,11 +55,11 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _poly_fixed(q: int, rho: float, x: float) -> float:
-    # Horner form of sum_i (1 - rho*i) x^i
+def _horner(coeffs: list[float], x: float) -> float:
+    """sum_i c_i x^i for i = 1..q, with coeffs listing c_q down to c_1."""
     acc = 0.0
-    for i in range(q, 0, -1):
-        acc = acc * x + (1.0 - rho * i)
+    for c in coeffs:
+        acc = acc * x + c
     return acc * x
 
 
@@ -63,19 +67,21 @@ def capacity_root_fixed(q: int, rho: float) -> float:
     """Root in (0, 1) of sum_i (1 - rho*i) x^i for 2/(q+1) < rho < 1.
 
     The coefficients change sign once, so the polynomial crosses zero exactly
-    once on (0, 1): positive near 0, negative at 1.
+    once on (0, 1): positive near 0, negative at 1.  They are computed once,
+    for every evaluation of the bisection and of the Newton step.
     """
-    if q < 2:
-        raise DomainError("fixed-length root requires alphabet size >= 2")
+    if not 2 <= q <= _MAX_ROOT_ALPHABET:
+        raise DomainError(f"fixed-length root requires alphabet size in 2..{_MAX_ROOT_ALPHABET}")
     if not 2.0 / (q + 1) < rho < 1.0:
         raise DomainError("rho must lie strictly between 2/(q+1) and 1")
-    x = _bisect(lambda x: _poly_fixed(q, rho, x) > 0.0, *_BRACKET)
+    coeffs = [1.0 - rho * i for i in range(q, 0, -1)]
+    x = _bisect(lambda x: _horner(coeffs, x) > 0.0, *_BRACKET)
     # one Newton step to polish the last bit
     slope = 0.0
-    for i in range(q, 0, -1):
-        slope = slope * x + i * (1.0 - rho * i)
+    for i, c in zip(range(q, 0, -1), coeffs):
+        slope = slope * x + i * c
     if slope:
-        step = x - _poly_fixed(q, rho, x) / slope
+        step = x - _horner(coeffs, x) / slope
         if 0.0 < step < 1.0:
             x = step
     return x

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bits import bits_from_bytes, bytes_from_bits
@@ -18,6 +19,9 @@ from .counting import brute_force_count, subsequence_count
 from .errors import CorruptDataError, DomainError
 
 _DNA = {1: "A", 2: "C", 3: "G", 4: "T"}
+# Most rho values one sweep tabulates: a step far below the range's width
+# would otherwise build rows until memory runs out.
+_MAX_GRID_POINTS = 100_000
 
 
 def _fmt(value) -> str:
@@ -55,8 +59,8 @@ def _parse_int_list(text: str, label: str) -> list[int]:
 
 
 def _rho_grid(start: float, stop: float, step: float) -> list[float]:
-    if step <= 0:
-        raise DomainError("rho step must be positive")
+    if not (step > 0 and math.isfinite(step)):  # written so that NaN fails too
+        raise DomainError("rho step must be positive and finite")
     if not 0.0 <= start <= stop <= 1.0:
         raise DomainError("rho range must satisfy 0 <= start <= stop <= 1")
     grid = []
@@ -65,6 +69,8 @@ def _rho_grid(start: float, stop: float, step: float) -> list[float]:
         rho = start + k * step
         if rho > stop + 1e-12:
             break
+        if k == _MAX_GRID_POINTS:
+            raise DomainError(f"rho grid must have at most {_MAX_GRID_POINTS} points")
         grid.append(min(rho, 1.0))
         k += 1
     return grid
@@ -93,6 +99,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    # checked before anything is written
+    if args.oligos_out and args.dna and args.q != 4:
+        raise DomainError("DNA letters are only defined for q = 4")
     with open(args.infile, "rb") as handle:
         payload = bits_from_bytes(handle.read())
     batch = encode_payload(
@@ -107,8 +116,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
     _write_text(args.out, batch.to_json() + "\n")
     if args.oligos_out:
         if args.dna:
-            if args.q != 4:
-                raise DomainError("DNA letters are only defined for q = 4")
             lines = ["".join(_DNA[s] for s in o.symbols) for o in batch.oligos]
         else:
             lines = [o.to_text() for o in batch.oligos]

@@ -32,11 +32,10 @@ import json
 import math
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import (
     balance_word, balanced_data_bits, flip_layout_complete, unbalance_word, validate_bits
@@ -81,8 +80,7 @@ def _each_once(fn: Callable, items: Sequence, keys: Iterable | None = None) -> l
 # --- batch container ---
 
 
-@dataclass(frozen=True)
-class EncodedBatch:
+class EncodedBatch(NamedTuple):
     """A payload rendered as oligos plus the offer program that builds them."""
 
     scheme: str
@@ -148,8 +146,7 @@ class EncodedBatch:
 # --- the scheme record ---
 
 
-@dataclass(frozen=True)
-class _BlockCode:
+class _BlockCode(NamedTuple):
     """One scheme at fixed parameters: encode_block maps each integer below
     2**width to a block whose length lies in lengths, decode_block inverts it
     and raises on a block outside the code, and program(n) is the offer
@@ -165,7 +162,7 @@ class _BlockCode:
     decode_block: Callable[[Sequence[int]], int]
     joined: bool = False  # every block in one oligo, end to end
 
-    @cached_property
+    @property
     def width(self) -> int:
         """Bits per block: the largest w with 2**w codewords, at least 1."""
         width = self.codewords().bit_length() - 1
@@ -457,8 +454,7 @@ def _window(q: int, **_) -> _BlockCode:
 # --- scheme comparison ---
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     """One scheme's operating point: bits per cycle against the ceiling."""
 
     scheme: str

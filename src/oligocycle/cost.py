@@ -17,28 +17,28 @@ cost of alpha*C + beta*N/log2(q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .capacity import _bisect, binary_entropy, cap_fixed_length
 from .errors import DomainError
+from .sequence import _Record
 
 
-@dataclass(frozen=True)
-class CostParams:
+class CostParams(_Record):
     """Price sheet for one synthesis run: cycle cost, base cost, workload."""
 
-    alpha: float
-    beta: float
-    payload_bits: float
-    cycles: int
+    __slots__ = ("alpha", "beta", "payload_bits", "cycles")
 
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+    def __init__(self, alpha: float, beta: float, payload_bits: float, cycles: int) -> None:
+        if alpha < 0 or beta < 0:
             raise DomainError("unit costs must be non-negative")
-        if self.payload_bits < 0:
+        if payload_bits < 0:
             raise DomainError("payload size must be non-negative")
-        if self.cycles < 1:
+        if cycles < 1:
             raise DomainError("cycle count must be at least 1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "payload_bits", payload_bits)
+        object.__setattr__(self, "cycles", cycles)
 
 
 def cost_at_capacity(params: CostParams, q: int, rho: float) -> float:

@@ -11,25 +11,56 @@ whose alphabet changes between segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Oligo:
+class _Record:
+    """An immutable record whose fields are its __slots__: a subclass's
+    __init__ validates them and stores them with object.__setattr__, and
+    records compare, hash, print and pickle as the tuple of their fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Oligo(_Record):
     """An oligo as a tuple of symbols drawn from {1, ..., q}."""
 
-    symbols: tuple[int, ...]
-    q: int
+    __slots__ = ("symbols", "q")
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
+    def __init__(self, symbols: tuple[int, ...], q: int) -> None:
+        if q < 1:
             raise DomainError("alphabet size must be at least 1")
-        if self.symbols and not 1 <= min(self.symbols) <= max(self.symbols) <= self.q:
-            bad = next(s for s in self.symbols if not 1 <= s <= self.q)
-            raise DomainError(f"symbol {bad} outside alphabet 1..{self.q}")
+        if symbols and not 1 <= min(symbols) <= max(symbols) <= q:
+            bad = next(s for s in symbols if not 1 <= s <= q)
+            raise DomainError(f"symbol {bad} outside alphabet 1..{q}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "q", q)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -51,18 +82,18 @@ class Oligo:
         return cls(symbols, q)
 
 
-@dataclass(frozen=True)
-class SupersequenceSpec:
+class SupersequenceSpec(_Record):
     """An offer program: consecutive segments of (alphabet size, cycle count)."""
 
-    segments: tuple[tuple[int, int], ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self) -> None:
-        for q, cycles in self.segments:
+    def __init__(self, segments: tuple[tuple[int, int], ...]) -> None:
+        for q, cycles in segments:
             if q < 1:
                 raise DomainError("segment alphabet size must be at least 1")
             if cycles < 0:
                 raise DomainError("segment cycle count must be non-negative")
+        object.__setattr__(self, "segments", segments)
 
     @property
     def total_cycles(self) -> int:

@@ -15,7 +15,8 @@ from oligocycle import (
     empirical_cap,
     rho_star,
 )
-from oligocycle.capacity import _BRACKET, _bisect, _poly_fixed
+from oligocycle.capacity import _BRACKET, _MAX_ROOT_ALPHABET, _bisect, _horner
+from oligocycle.cli import _rho_grid
 
 
 def poly_residual(q, rho, x):
@@ -55,6 +56,12 @@ def test_fixed_root_domain():
         capacity_root_fixed(2, 1.0)
     with pytest.raises(DomainError):
         capacity_root_fixed(1, 0.9)
+    # a solve holds q coefficients, so the alphabet is bounded
+    with pytest.raises(DomainError):
+        capacity_root_fixed(_MAX_ROOT_ALPHABET + 1, 0.5)
+    with pytest.raises(DomainError):
+        cap_fixed_length(10**9, 0.5)
+    assert cap_fixed_length(10**9, 1e-9) == 1e-9 * math.log2(10**9)
 
 
 def two_hundred_halvings(below, lo, hi):
@@ -80,11 +87,57 @@ def test_bisect_matches_two_hundred_halvings():
     for q in (2, 4, 8, 16):
         for _ in range(50):
             rho = rng.uniform(2.0 / (q + 1), 1.0)
+            coeffs = [1.0 - rho * i for i in range(q, 0, -1)]
 
             def below(x):
-                return _poly_fixed(q, rho, x) > 0.0
+                return _horner(coeffs, x) > 0.0
 
             assert _bisect(below, *_BRACKET) == two_hundred_halvings(below, *_BRACKET)
+
+
+def per_step_root(q, rho):
+    # the solver as it was before the coefficients were built once per solve:
+    # each evaluation recomputes every 1 - rho*i
+    def poly(x):
+        acc = 0.0
+        for i in range(q, 0, -1):
+            acc = acc * x + (1.0 - rho * i)
+        return acc * x
+
+    x = _bisect(lambda x: poly(x) > 0.0, *_BRACKET)
+    slope = 0.0
+    for i in range(q, 0, -1):
+        slope = slope * x + i * (1.0 - rho * i)
+    if slope:
+        step = x - poly(x) / slope
+        if 0.0 < step < 1.0:
+            x = step
+    return x
+
+
+def per_step_cap(q, rho):
+    if rho <= 2.0 / (q + 1):
+        return rho * math.log2(q)
+    if rho == 1.0:
+        return 0.0
+    x = per_step_root(q, rho)
+    inv = 1.0 / rho
+    total = 0.0
+    for i in range(1, q + 1):
+        total += x ** (i - inv)
+    return rho * math.log2(total)
+
+
+def test_root_and_cap_bit_identical_to_per_step_solver():
+    grid = _rho_grid(0.05, 0.95, 0.05)  # the sweep command's default grid
+    assert len(grid) == 19
+    points = [(q, rho) for q in range(2, 65) for rho in grid]
+    rng = random.Random(5)  # the draws of test_bisect_matches_two_hundred_halvings
+    points += [(q, rng.uniform(2.0 / (q + 1), 1.0)) for q in (2, 4, 8, 16) for _ in range(50)]
+    for q, rho in points:
+        assert cap_fixed_length(q, rho) == per_step_cap(q, rho), (q, rho)
+        if 2.0 / (q + 1) < rho < 1.0:
+            assert capacity_root_fixed(q, rho) == per_step_root(q, rho), (q, rho)
 
 
 def test_cap_known_values():

@@ -36,6 +36,10 @@ def test_capacity_rejects_bad_domain(capsys):
     code, _, err = run_cli(capsys, "capacity", "--q", "4", "--rho", "1.5")
     assert code == 2
     assert "error:" in err
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "capacity", "--q", "100000000", "--rho", "0.5")
+    assert code == 2 and "error:" in err
+    assert time.perf_counter() - started < 1.0
 
 
 def test_count_command(capsys):
@@ -105,6 +109,7 @@ def test_encode_writes_oligo_listing_and_dna(capsys, tmp_path):
         "--oligos-out", str(listing), "--dna",
     )
     assert code == 2
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_encode_missing_scheme_parameters(capsys, tmp_path):
@@ -475,6 +480,16 @@ def test_sweep_rejects_bad_grid(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "sweep", "--curve", "cap-vs-rho", "--q-list", "x")
     assert code == 2
+    # a NaN step, a step too fine to move rho, and a billion-point grid
+    for bounds in (
+        ("--rho-step", "nan"),
+        ("--rho-start", "0.5", "--rho-stop", "0.5", "--rho-step", "1e-300"),
+        ("--rho-step", "1e-9"),
+    ):
+        started = time.perf_counter()
+        code, _, err = run_cli(capsys, "sweep", "--curve", "cap-vs-rho", "--q-list", "4", *bounds)
+        assert code == 2 and "error:" in err
+        assert time.perf_counter() - started < 1.0
 
 
 def test_module_entry_point_subprocess(tmp_path):
@@ -502,13 +517,17 @@ def test_module_entry_point_subprocess(tmp_path):
 
 
 def test_cli_import_loads_no_numpy():
-    # same child PYTHONPATH as test_module_entry_point_subprocess
+    # the CLI loads neither numpy nor dataclasses, whose imports of inspect,
+    # ast, dis and tokenize cost a cold command about 12 ms; same child
+    # PYTHONPATH as test_module_entry_point_subprocess
     package_root = str(Path(oligocycle.__file__).resolve().parent.parent)
     paths = [package_root, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import oligocycle.cli, sys; print('numpy' in sys.modules, oligocycle.__file__)"],
+         "import oligocycle.cli, sys; "
+         "print(any(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')), "
+         "oligocycle.__file__)"],
         capture_output=True, text=True, env=env,
     )
     assert probe.returncode == 0

@@ -1,6 +1,5 @@
 """Bit utilities, the base and lookup and window schemes, and batch JSON."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -282,7 +281,7 @@ def test_each_distinct_window_block_is_coded_once(monkeypatch):
             calls["decode"] += 1
             return code.decode_block(symbols)
 
-        return dataclasses.replace(code, encode_block=encode_block, decode_block=decode_block)
+        return code._replace(encode_block=encode_block, decode_block=decode_block)
 
     monkeypatch.setitem(codec.SCHEMES, "window", counted)
     payload = bits_from_bytes(random.Random(41).randbytes(4096))

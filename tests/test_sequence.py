@@ -1,13 +1,17 @@
 """Cycle accounting against a literal scan of the offer stream."""
 
 import itertools
+import pickle
 import random
 
 import pytest
 
 from oligocycle import (
+    CostParams,
     DomainError,
+    EncodedBatch,
     Oligo,
+    RateRow,
     SupersequenceSpec,
     alternating_prefix,
     materialize,
@@ -121,3 +125,32 @@ def test_oligo_text_round_trip():
     assert Oligo.from_text("", 2) == Oligo((), 2)
     with pytest.raises(DomainError):
         Oligo.from_text("1,x", 4)
+
+
+def test_records_are_immutable_and_compare_by_fields():
+    def records():
+        spec = SupersequenceSpec(((4, 9),))
+        oligos = (Oligo((1, 2, 3), 4),)
+        return [
+            (Oligo((4, 1, 3), 4), "symbols"),
+            (spec, "segments"),
+            (CostParams(alpha=1.0, beta=0.01, payload_bits=1e6, cycles=200), "cycles"),
+            (EncodedBatch("base", 4, 0.4, 6, spec, oligos), "oligos"),
+            (RateRow("window", 0.5, 0.75, 0.92), "rate"),
+        ]
+
+    for (record, name), (twin, _) in zip(records(), records()):
+        assert record is not twin
+        assert record == twin and hash(record) == hash(twin)
+        assert repr(record) == repr(twin)
+        assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == twin
+    assert Oligo((1, 2), 4) != Oligo((1, 2), 3)
+    assert Oligo((1, 2), 4) != SupersequenceSpec(((1, 2),))
+    assert repr(Oligo((1, 2), 4)) == "Oligo(symbols=(1, 2), q=4)"
