@@ -17,8 +17,10 @@ from .codec import SCHEMES, EncodedBatch, decode_payload, encode_payload, rate_t
 from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
 from .counting import brute_force_count, subsequence_count
 from .errors import CorruptDataError, DomainError
+from .sequence import render_oligos
 
-_DNA = {1: "A", 2: "C", 3: "G", 4: "T"}
+# the comma-separated text of a q = 4 oligo as A/C/G/T letters
+_DNA = str.maketrans("1234", "ACGT", ",")
 # Most rho values one sweep tabulates: a step far below the range's width
 # would otherwise build rows until memory runs out.
 _MAX_GRID_POINTS = 100_000
@@ -100,7 +102,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     # checked before anything is written
-    if args.oligos_out and args.dna and args.q != 4:
+    if args.dna and not args.oligos_out:
+        raise DomainError("--dna renders the --oligos-out listing; give --oligos-out too")
+    if args.dna and args.q != 4:
         raise DomainError("DNA letters are only defined for q = 4")
     with open(args.infile, "rb") as handle:
         payload = bits_from_bytes(handle.read())
@@ -115,11 +119,9 @@ def cmd_encode(args: argparse.Namespace) -> int:
     )
     _write_text(args.out, batch.to_json() + "\n")
     if args.oligos_out:
-        if args.dna:
-            lines = ["".join(_DNA[s] for s in o.symbols) for o in batch.oligos]
-        else:
-            lines = [o.to_text() for o in batch.oligos]
-        _write_text(args.oligos_out, "\n".join(lines) + ("\n" if lines else ""))
+        lines = render_oligos(batch.oligos)
+        listing = "\n".join(lines) + ("\n" if lines else "")
+        _write_text(args.oligos_out, listing.translate(_DNA) if args.dna else listing)
     summary = {
         "scheme": batch.scheme,
         "oligos": len(batch.oligos),

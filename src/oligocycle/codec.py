@@ -43,7 +43,7 @@ from .bits import (
 from .capacity import cap_fixed_length
 from .counting import rank_symbols, subsequence_count, suffix_table, unrank_symbols
 from .errors import CorruptDataError, DomainError
-from .sequence import Oligo, SupersequenceSpec, min_cycles_under
+from .sequence import Oligo, SupersequenceSpec, min_cycles_under, parse_oligos, render_oligos
 
 
 # --- limits ---
@@ -68,11 +68,11 @@ def _first_seen(keys: Iterable) -> tuple[list[int], Iterable[int]]:
     return [first.setdefault(key, i) for i, key in enumerate(keys)], first.values()
 
 
-def _each_once(fn: Callable, items: Sequence, keys: Iterable | None = None) -> list:
-    """[fn(x) for x in items], calling fn on the first item of each distinct
-    key (the item itself by default) only, in order, so the item that raises
-    is the one a plain loop would meet first."""
-    at, distinct = _first_seen(items if keys is None else keys)
+def _each_once(fn: Callable, items: Sequence) -> list:
+    """[fn(x) for x in items], calling fn on the first of each distinct item
+    only, in order, so the item that raises is the one a plain loop would
+    meet first."""
+    at, distinct = _first_seen(items)
     done = {i: fn(items[i]) for i in distinct}
     return list(map(done.__getitem__, at))
 
@@ -97,7 +97,7 @@ class EncodedBatch(NamedTuple):
             "rho": self.rho,
             "payload_bits": self.payload_bits,
             "spec": [[q, cycles] for q, cycles in self.spec.segments],
-            "oligos": _each_once(Oligo.to_text, self.oligos, [o.symbols for o in self.oligos]),
+            "oligos": render_oligos(self.oligos),
         }
         return json.dumps(doc, indent=2)
 
@@ -136,8 +136,7 @@ class EncodedBatch(NamedTuple):
             raise CorruptDataError("field 'oligos' must be a list of strings")
         try:
             spec = SupersequenceSpec(tuple((s, c) for s, c in raw_spec))
-            alphabet = spec.max_alphabet
-            oligos = tuple(_each_once(lambda text: Oligo.from_text(text, alphabet), raw_oligos))
+            oligos = tuple(parse_oligos(raw_oligos, spec.max_alphabet))
         except DomainError as exc:
             raise CorruptDataError(str(exc)) from exc
         return cls(scheme, q, float(rho), bits, spec, oligos)

@@ -11,7 +11,7 @@ whose alphabet changes between segments.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DomainError
 
@@ -67,19 +67,55 @@ class Oligo(_Record):
 
     def to_text(self) -> str:
         """Comma-separated symbol list, e.g. '4,3,2,1'."""
-        return ",".join(map(str, self.symbols))
+        return render_oligos((self,))[0]
 
     @classmethod
     def from_text(cls, text: str, q: int) -> "Oligo":
         """Parse the output of to_text.  Empty string means the empty oligo."""
-        text = text.strip()
-        if not text:
-            return cls((), q)
+        return parse_oligos((text,), q)[0]
+
+
+# --- the oligo text format, one batch at a time ---
+#
+# A batch repeats few symbols many times, so each call names each distinct
+# symbol once, converts each distinct token once, and renders or parses each
+# distinct oligo once.
+
+
+def render_oligos(oligos: Iterable[Oligo]) -> list[str]:
+    """Each oligo as its comma-separated symbol list, e.g. '4,3,2,1'."""
+    rows = [o.symbols for o in oligos]
+    distinct = set(rows)
+    names = {s: str(s) for s in set().union(*distinct)}
+    text = {row: ",".join(map(names.__getitem__, row)) for row in distinct}
+    return list(map(text.__getitem__, rows))
+
+
+def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
+    """Read render_oligos' output back as oligos over 1..q: surrounding
+    whitespace is dropped, an empty text is the empty oligo, and int() reads
+    each symbol.  Texts are checked in batch order, each for a malformed
+    symbol before one outside 1..q, so the DomainError raised is the one a
+    loop over the texts meets first."""
+    symbols = _Symbols()
+    oligos = {}
+    for text in dict.fromkeys(texts):
+        stripped = text.strip()
         try:
-            symbols = tuple(map(int, text.split(",")))
+            row = tuple(map(symbols.__getitem__, stripped.split(","))) if stripped else ()
         except ValueError as exc:
-            raise DomainError(f"malformed oligo text {text!r}") from exc
-        return cls(symbols, q)
+            raise DomainError(f"malformed oligo text {stripped!r}") from exc
+        oligos[text] = Oligo(row, q)
+    return list(map(oligos.__getitem__, texts))
+
+
+class _Symbols(dict):
+    """Each symbol token's int(), computed the first time it is looked up;
+    int() takes surrounding spaces, a sign and leading zeros."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
 
 
 class SupersequenceSpec(_Record):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oligocycle
-from oligocycle import cap_fixed_length, rho_star, subsequence_count
+from oligocycle import EncodedBatch, cap_fixed_length, rho_star, subsequence_count
 from oligocycle.cli import main
 
 
@@ -110,6 +110,40 @@ def test_encode_writes_oligo_listing_and_dna(capsys, tmp_path):
     )
     assert code == 2
     assert not (tmp_path / "c.json").exists()
+
+    # --dna renders the listing, so it needs one
+    code, _, err = run_cli(
+        capsys,
+        "encode", "--scheme", "base", "--q", "4",
+        "--in", str(source), "--out", str(tmp_path / "d.json"), "--dna",
+    )
+    assert code == 2 and "--oligos-out" in err
+    assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("scheme_args", [
+    ("--scheme", "window", "--q", "4"),  # a few distinct blocks, each repeated many times
+    ("--scheme", "lookup", "--q", "4", "--rho", "0.5", "--depth", "2"),
+])
+def test_oligo_listing_matches_per_oligo_text_and_dna_letters(capsys, tmp_path, scheme_args):
+    source = tmp_path / "payload.bin"
+    source.write_bytes(bytes(range(256)) * 2)
+    listings = {}
+    for dna in (False, True):
+        listing = tmp_path / f"oligos-{dna}.txt"
+        code, _, _ = run_cli(
+            capsys, "encode", *scheme_args, "--in", str(source), "--out", str(tmp_path / "b.json"),
+            "--oligos-out", str(listing), *(["--dna"] if dna else []),
+        )
+        assert code == 0
+        listings[dna] = listing.read_bytes()
+    oligos = EncodedBatch.from_json((tmp_path / "b.json").read_text()).oligos
+    assert len(set(oligos)) < len(oligos)
+    dna = {1: "A", 2: "C", 3: "G", 4: "T"}
+    text = "".join(",".join(map(str, o.symbols)) + "\n" for o in oligos)
+    letters = "".join("".join(dna[s] for s in o.symbols) + "\n" for o in oligos)
+    assert listings[False] == text.encode()
+    assert listings[True] == letters.encode()
 
 
 def test_encode_missing_scheme_parameters(capsys, tmp_path):

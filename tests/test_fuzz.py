@@ -1,0 +1,146 @@
+"""Mutation fuzz gate: decoding a damaged batch ends in a payload or a clean refusal.
+
+Valid batches of all five schemes are mutated one field at a time: oligo
+text, oligo lengths, the program, q, rho, payload_bits, and dropped or
+duplicated oligos.  Every case must end quickly in a decoded payload of the
+declared length, a CorruptDataError or a DomainError; a case whose mutation
+left the batch's content unchanged (say, "+1" for "1") must recover the
+payload exactly.  A mutated oligo can be another valid codeword, so a
+changed batch may decode to another payload: only a digest could tell.
+The examples are fixed so the gate is deterministic.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import time
+from pathlib import Path
+
+import pytest
+
+from oligocycle import CorruptDataError, DomainError, EncodedBatch, decode_payload, encode_payload
+from oligocycle.bits import bits_from_bytes
+from oligocycle.cli import main
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+SETUPS = [
+    ("base", dict(q=4, block_symbols=7)),
+    ("lookup", dict(q=4, rho=0.5, depth=2)),
+    ("multisize", dict(q=5, rho=0.45, oligo_length=12)),
+    ("balanced", dict(q=8)),
+    ("window", dict(q=6)),
+]
+SECONDS_PER_CASE = 2.0
+FIXED = settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def symbol_edit(draw, tokens, q):
+    """One token rewritten: another value in -1..q+2, or the same value spelled another way."""
+    j = draw(st.integers(0, len(tokens) - 1))
+    if draw(st.booleans()):
+        tokens[j] = str(draw(st.integers(-1, q + 2)))
+    else:
+        tokens[j] = draw(st.sampled_from([" ", "+", "0", " +0"])) + tokens[j].strip()
+    return tokens
+
+
+@st.composite
+def mutated_batches(draw):
+    """(payload, original batch JSON document, mutated document)."""
+    scheme, kwargs = draw(st.sampled_from(SETUPS))
+    payload = bits_from_bytes(draw(st.binary(min_size=1, max_size=6)))
+    doc = json.loads(encode_payload(scheme, payload, **kwargs).to_json())
+    new = json.loads(json.dumps(doc))
+    oligos, spec = new["oligos"], new["spec"]
+    kind = draw(st.sampled_from(
+        ["symbol", "text", "length", "spec", "q", "rho", "payload_bits", "drop", "duplicate"]
+    ))
+    i = draw(st.integers(0, len(oligos) - 1))
+    tokens = oligos[i].split(",")
+    if kind == "symbol":
+        oligos[i] = ",".join(symbol_edit(draw, tokens, doc["q"]))
+    elif kind == "text":
+        oligos[i] = draw(st.text(alphabet="0123456789,+- x", max_size=12))
+    elif kind == "length":
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j : j + 1] = [] if draw(st.booleans()) else [tokens[j]] * 2
+        oligos[i] = ",".join(tokens)
+    elif kind == "spec":
+        k = draw(st.integers(0, len(spec) - 1))
+        change = draw(st.sampled_from(["alphabet", "cycles", "drop", "extra"]))
+        if change == "drop":
+            del spec[k]
+        elif change == "extra":
+            segment = [draw(st.integers(1, 9)), draw(st.integers(0, 40))]
+            spec.insert(k + draw(st.integers(0, 1)), segment)
+        else:
+            spec[k][change == "cycles"] += draw(st.integers(-3, 3))
+    elif kind == "q":
+        new["q"] = draw(st.integers(1, 300) | st.just(10**12))
+    elif kind == "rho":
+        new["rho"] = draw(st.floats() | st.sampled_from([0, 1, 0.4]))
+    elif kind == "payload_bits":
+        new["payload_bits"] = draw(st.integers(0, 2 * doc["payload_bits"] + 80))
+    elif kind == "drop":
+        del oligos[i]
+    else:
+        oligos.insert(draw(st.integers(0, len(oligos))), oligos[i])
+    return payload, doc, new
+
+
+def unchanged(doc, new):
+    """Whether the two documents carry the same batch, each oligo read the
+    way the per-oligo parser reads it: one int() per symbol."""
+
+    def content(doc):
+        oligos = []
+        for text in doc["oligos"]:
+            try:
+                oligos.append(tuple(map(int, text.split(","))) if text.strip() else ())
+            except ValueError:
+                return None
+        return {**doc, "oligos": oligos}
+
+    return content(new) == content(doc)
+
+
+@FIXED
+@given(mutated_batches())
+def test_mutated_batches_decode_exactly_or_are_refused(case):
+    payload, doc, new = case
+    started = time.perf_counter()
+    try:
+        batch = EncodedBatch.from_json(json.dumps(new))
+        bits = decode_payload(batch)
+    except (CorruptDataError, DomainError):
+        bits = None
+    assert time.perf_counter() - started < SECONDS_PER_CASE
+    if unchanged(doc, new):
+        assert bits == payload
+    elif bits is not None:
+        assert len(bits) == batch.payload_bits and set(bits) <= {"0", "1"}
+
+
+@settings(FIXED, max_examples=25)
+@given(mutated_batches())
+def test_mutated_batches_exit_0_2_or_3_through_the_cli(case):
+    payload, doc, new = case
+    with tempfile.TemporaryDirectory() as tmp:
+        batch, out = Path(tmp) / "batch.json", Path(tmp) / "out.bin"
+        batch.write_text(json.dumps(new), encoding="utf-8")
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["decode", "--in", str(batch), "--out", str(out)])
+        assert time.perf_counter() - started < SECONDS_PER_CASE
+        assert code in (0, 2, 3)
+        if unchanged(doc, new):
+            assert code == 0 and bits_from_bytes(out.read_bytes()) == payload

@@ -1,12 +1,14 @@
 """Cycle accounting against a literal scan of the offer stream."""
 
 import itertools
+import json
 import pickle
 import random
 
 import pytest
 
 from oligocycle import (
+    CorruptDataError,
     CostParams,
     DomainError,
     EncodedBatch,
@@ -19,6 +21,7 @@ from oligocycle import (
     offer_gap,
     synthesis_cycles,
 )
+from oligocycle.sequence import parse_oligos, render_oligos
 
 
 def scan_embed(stream, symbols):
@@ -125,6 +128,76 @@ def test_oligo_text_round_trip():
     assert Oligo.from_text("", 2) == Oligo((), 2)
     with pytest.raises(DomainError):
         Oligo.from_text("1,x", 4)
+
+
+def parse_one_by_one(texts, q):
+    """Oracle: the per-oligo parser, one int() per symbol."""
+    out = []
+    for text in texts:
+        text = text.strip()
+        symbols = ()
+        if text:
+            try:
+                symbols = tuple(map(int, text.split(",")))
+            except ValueError:
+                raise DomainError(f"malformed oligo text {text!r}") from None
+        out.append(Oligo(symbols, q))
+    return out
+
+
+def outcome(parse, texts, q):
+    try:
+        return parse(texts, q)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+TEXTS = [
+    "", "  ", " 1, 2", "+1", "01", "1,,2", "1,x", "0", "-1", "5", "9" * 5000, "4,3,2,1", "2,2",
+]
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_batch_parser_matches_per_oligo_oracle(text):
+    expected = outcome(parse_one_by_one, [text], 4)
+    assert outcome(parse_oligos, [text], 4) == expected
+    assert outcome(lambda texts, q: [Oligo.from_text(texts[0], q)], [text], 4) == expected
+
+
+def test_batch_parser_raises_for_the_first_bad_oligo_in_batch_order():
+    malformed, outside = "1,x", "1,5"
+    for texts in (
+        ["1,2", malformed, "3", outside],
+        ["1,2", outside, "3", malformed],
+        [outside, "1", malformed, outside],
+        [" 4", "4", "04", malformed, "+4", malformed],
+    ):
+        expected = outcome(parse_one_by_one, texts, 4)
+        assert isinstance(expected, tuple)
+        assert outcome(parse_oligos, texts, 4) == expected
+        doc = {"scheme": "base", "q": 4, "rho": 0.4, "payload_bits": 0,
+               "spec": [[4, 9]], "oligos": texts}
+        with pytest.raises(CorruptDataError) as caught:
+            EncodedBatch.from_json(json.dumps(doc))
+        assert str(caught.value) == expected[1]
+
+    rng = random.Random(9)
+    for _ in range(300):
+        texts = [rng.choice(TEXTS[:-1]) for _ in range(rng.randrange(6))]
+        assert outcome(parse_oligos, texts, 4) == outcome(parse_one_by_one, texts, 4)
+
+
+def test_batch_renderer_matches_per_oligo_join():
+    rng = random.Random(10)
+    for q in (2, 4, 16, 300):
+        rows = [tuple(rng.randint(1, q) for _ in range(rng.randrange(6))) for _ in range(8)]
+        pool = [Oligo(row, q) for row in rows]
+        oligos = [rng.choice(pool) for _ in range(40)]
+        texts = render_oligos(oligos)
+        assert texts == [",".join(map(str, o.symbols)) for o in oligos]
+        assert [o.to_text() for o in oligos] == texts
+        assert parse_oligos(texts, q) == oligos
+    assert render_oligos([]) == []
 
 
 def test_records_are_immutable_and_compare_by_fields():
