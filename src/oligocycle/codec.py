@@ -41,7 +41,7 @@ from .bits import (
     balance_word, balanced_data_bits, flip_layout_complete, unbalance_word, validate_bits
 )
 from .capacity import cap_fixed_length
-from .counting import rank_symbols, subsequence_count, suffix_table, unrank_symbols
+from .counting import indexed_count, rank_symbols, subsequence_count, unrank_symbols
 from .errors import CorruptDataError, DomainError
 from .sequence import Oligo, SupersequenceSpec, min_cycles_under, parse_oligos, render_oligos
 
@@ -195,6 +195,9 @@ def _digits(value: int, base: int, count: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+_DIGIT_NAMES = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+
+
 def _base_value(q: int, symbols: Sequence[int]) -> int:
     """The integer whose base-q digits, as gaps, were steered into *symbols*."""
     if not symbols:
@@ -204,9 +207,16 @@ def _base_value(q: int, symbols: Sequence[int]) -> int:
     if max(symbols) > q:
         raise CorruptDataError(f"symbols must lie in 1..{q}")
     flip = symbols[0] == 2  # each gap g went out as q+1-g
+    pairs = zip(symbols, symbols[1:])
+    digits = [(a - b) % q for a, b in pairs] if flip else [(b - a - 1) % q for a, b in pairs]
+    # the encoder flips exactly when the gaps, each digit + 1, pass the midpoint
+    if flip != (2 * (sum(digits) + len(digits)) > (q + 1) * len(digits)):
+        raise CorruptDataError("steering symbol does not match the gaps it steers")
+    if digits and q <= 36:  # int() reads the digits 0-9a-z in C
+        return int(bytes(digits).translate(_DIGIT_NAMES), q)
     value = 0
-    for a, b in zip(symbols, symbols[1:]):
-        value = value * q + (a - b if flip else b - a - 1) % q
+    for d in digits:
+        value = value * q + d
     return value
 
 
@@ -266,8 +276,8 @@ def _lookup(q: int, *, rho: float | None, depth: int | None, **_) -> _BlockCode:
         rho=rho,
         lengths=range(length, length + 1),
         program=lambda n: ((q, cycles),),
-        # the table's total refuses an oversized window before anything counts it
-        codewords=lambda: suffix_table(q, cycles, length)[length][-1],
+        # the table refuses an oversized window before anything counts it
+        codewords=partial(indexed_count, q, cycles, length),
         encode_block=partial(unrank_symbols, q, cycles, length),
         decode_block=partial(rank_symbols, q, cycles),
     )

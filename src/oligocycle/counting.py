@@ -16,15 +16,19 @@ summed while C - j*q >= L.
 Ranking an oligo among its peers in lexicographic order adds, at each
 position, the completions of every smaller symbol: with w cycles left after
 that symbol's gap and l symbols still to place, that is N(w, l), the number
-of gap sequences of length l with sum at most w.  One suffix table of N per
-(q, C, L), built by the running-sum recurrence
-N(w, l) = sum_{a=1..q} N(w - a, l - 1), serves every rank and unrank of that
-geometry (Cover, "Enumerative source coding", IEEE T-IT 1973).
+of gap sequences of length l with sum at most w (Cover, "Enumerative source
+coding", IEEE T-IT 1973).  The symbols below a given one leave at most two
+runs of consecutive spares, so one suffix table per (q, C, L) holds running
+sums of N, row by row: a run's completions are one difference of two
+entries, and unrank finds each symbol with one bisection of a row.  The
+recurrence N(w, l) = sum_{a=1..q} N(w - a, l - 1) is itself a difference of
+two running sums of the row below, so each row costs one pass.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 from math import comb
 from operator import sub
@@ -139,17 +143,21 @@ def brute_force_count(q: int, cycles: int, length: int) -> int:
 def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = None) -> Table:
     """The suffix table of the (q, cycles, length) geometry, built once per cache.
 
-    Row l holds N(l + k, l) for k = 0, 1, ...: gap sequences of length l
-    with at most k cycles to spare.  Rank and unrank never spare more than
-    cycles - length, and from l*(q - 1) on every sequence fits, so each row
-    stops at the smaller of the two; its last entry stands for every larger
-    k.  Hence rows[length][-1] is subsequence_count(q, cycles, length).
+    Row l holds the running sums S_l(k) = N(l, l) + N(l + 1, l) + ... +
+    N(l + k, l) for k = 0, 1, ...: the gap sequences of length l with at
+    most 0, 1, ..., k cycles to spare, summed.  Rank and unrank never spare
+    more than cycles - length, and from l*(q - 1) on all q**l sequences fit,
+    so past that point S_l grows by q**l per spare cycle.  Each row stops at
+    the smaller of cycles - length and l*(q - 1) + q: the q + 1 sums below a
+    larger spare then slide down to the row's end, changed by one constant.
+    The last step of rows[length] is subsequence_count(q, cycles, length).
 
     Raises DomainError rather than build a table of over 2**20 integers, or
-    one that could take more than _MAX_CACHED_BYTES.  No entry exceeds the
-    count: appending gaps of 1 maps the shorter gap sequences one to one
-    into the counted ones.  A row built by appending keeps at most an eighth
-    plus 6 spare slots.
+    one that could take more than _MAX_CACHED_BYTES.  No count N exceeds
+    subsequence_count(q, cycles, length): appending gaps of 1 maps the
+    shorter gap sequences one to one into the counted ones.  So no entry of
+    a row of n sums exceeds n times it.  A row built by appending keeps at
+    most an eighth plus 6 spare slots.
     """
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
@@ -160,22 +168,45 @@ def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = No
     rows = cache._tables.get(key)
     if rows is None:
         spare = cycles - length
-        sizes = [min(spare, l * (q - 1)) + 1 for l in range(length + 1)]
+        sizes = [min(spare, l * (q - 1) + q) + 1 for l in range(length + 1)]
         if sum(sizes) > _MAX_TABLE_ENTRIES:
             raise DomainError(f"a {cycles}-cycle window is too large to index")
-        entry = _int_bytes(subsequence_count(q, cycles, length).bit_length())
+        bits = subsequence_count(q, cycles, length).bit_length()
         empty = sys.getsizeof([])
-        if sum(empty + 8 * (n + n // 8 + 6) + n * entry for n in sizes) > _MAX_CACHED_BYTES:
+        if sum(
+            empty + 8 * (n + n // 8 + 6) + n * _int_bytes(bits + n.bit_length()) for n in sizes
+        ) > _MAX_CACHED_BYTES:
             raise DomainError(f"a {cycles}-cycle window's table is too large to keep")
-        row = [1]
+        row = list(range(1, sizes[0] + 1))  # S_0(k) = k + 1
         rows = [row]
-        for l in range(1, length + 1):
-            prev = row + [row[-1]] * (min(spare, l * (q - 1)) + 1 - len(row))
-            # N(w, l) - N(w - 1, l) = N(w - 1, l - 1) - N(w - 1 - q, l - 1)
+        for n in sizes[1:]:
+            # past its end the previous row grows by its last step
+            prev = row + [row[-1] + (row[-1] - row[-2]) * j for j in range(1, n - len(row) + 1)]
+            # N(l + k, l) = S_{l-1}(k) - S_{l-1}(k - q), then its running sum
             row = list(accumulate(map(sub, prev, chain(repeat(0, q), prev))))
             rows.append(row)
         rows = cache._insert(key, rows)
     return rows
+
+
+def indexed_count(q: int, cycles: int, length: int, cache: CountCache | None = None) -> int:
+    """subsequence_count read off the suffix table, which is built (or refused,
+    for an oversized window) first: the number of ranks unrank accepts."""
+    return _total(suffix_table(q, cycles, length, cache))
+
+
+def _total(rows: Table) -> int:
+    """The last step of the table's last row."""
+    row = rows[-1]
+    return row[-1] - row[-2] if len(row) > 1 else row[0]
+
+
+# After symbol prev, with `spare` cycles to spare, symbol s takes the gap
+# (s - prev - 1) % q + 1 and leaves spare - (s - prev - 1) % q: the symbols
+# prev+1..q leave spare down to spare - q + prev + 1, then 1..prev leave
+# spare - q + prev down to spare - q + 1.  So the completions of all the
+# symbols below s are at most two differences of running sums.  Rank and
+# unrank read the sums at spare, or at the row's end when spare lies past it.
 
 
 def rank_symbols(
@@ -189,14 +220,18 @@ def rank_symbols(
     spare = cycles - length  # cycles left beyond one per symbol still to place
     prev = index = 0  # prev: the symbol last placed, 0 before the first
     for row, sym in zip(reversed(rows[:length]), symbols):
-        top = len(row) - 1
-        for smaller in range(1, sym):
-            k = spare - (smaller - prev - 1) % q
-            if k >= 0:
-                index += row[k if k < top else top]
-        spare -= (sym - prev - 1) % q
-        if spare < 0:
+        gap = (sym - prev - 1) % q
+        if gap > spare:
             raise DomainError("oligo is not a subsequence of the offer prefix")
+        top = spare if spare < len(row) else len(row) - 1  # where the sums are read
+        wrap = top - q + prev  # what symbol 1 leaves; symbol q leaves wrap + 1
+        # S(wrap) - S(what sym leaves) counts the symbols 1..sym-1 when
+        # sym <= prev; past prev it is less the symbols sym..q, and all q
+        # symbols together are S(top) - S(top - q)
+        index += (row[wrap] if wrap >= 0 else 0) - row[top - gap]
+        if sym > prev:
+            index += row[top] - (row[top - q] if top >= q else 0)
+        spare -= gap
         prev = sym
     return index
 
@@ -204,28 +239,32 @@ def rank_symbols(
 def unrank_symbols(
     q: int, cycles: int, length: int, index: int, cache: CountCache | None = None
 ) -> tuple[int, ...]:
-    """subsequence_unrank as a bare symbol tuple."""
+    """subsequence_unrank as a bare symbol tuple: one bisection per symbol,
+    over the sums that the symbols 1..prev leave or over those of prev+1..q."""
     rows = suffix_table(q, cycles, length, cache)
-    if not 0 <= index < rows[length][-1]:
-        raise DomainError(f"index must lie in 0..{rows[length][-1] - 1}")
+    total = _total(rows)
+    if not 0 <= index < total:
+        raise DomainError(f"index must lie in 0..{total - 1}")
     spare = cycles - length
     prev = 0
     out: list[int] = []
     for row in reversed(rows[:length]):
-        top = len(row) - 1
-        for sym in range(1, q + 1):
-            k = spare - (sym - prev - 1) % q
-            if k < 0:
-                continue
-            below = row[k if k < top else top]
-            if index < below:
-                break
-            index -= below
-        else:
-            raise RuntimeError("rank bookkeeping exhausted the alphabet")
-        out.append(sym)
-        spare = k
+        top = spare if spare < len(row) else len(row) - 1  # where the sums are read
+        wrap = top - q + prev  # what symbol 1 leaves
+        below = row[wrap] if wrap >= 0 else 0
+        first = below - row[top - q] if top >= q else below  # completions of 1..prev
+        if index < first:  # s <= prev leaves wrap + 1 - s
+            target = below - index
+            left = bisect_left(row, target, top - q + 1 if top >= q else 0, wrap + 1)
+            sym = wrap + 1 - left
+        else:  # s > prev leaves top + 1 - (s - prev)
+            target = row[top] - index + first
+            left = bisect_left(row, target, wrap + 1 if wrap >= 0 else 0, top + 1)
+            sym = prev + top + 1 - left
+        index = row[left] - target
+        spare -= top - left
         prev = sym
+        out.append(sym)
     return tuple(out)
 
 

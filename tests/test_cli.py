@@ -275,6 +275,23 @@ def test_decode_lookup_table_past_the_cache_bound_exits_3_fast(capsys, tmp_path)
     assert "too large" in err
 
 
+def test_decode_base_oligo_with_the_wrong_steering_symbol_exits_3(capsys, tmp_path):
+    # 1,1,1,2,4 reads as the gaps 4,4,1,2 behind a steering 1, but those pass
+    # the midpoint, so the encoder would have flipped them behind a 2
+    batch_path = roundtrip(
+        capsys, tmp_path, b"A", "--scheme", "base", "--q", "4", "--block-symbols", "4"
+    )
+    doc = json.loads(batch_path.read_text())
+    assert doc["oligos"] == ["1,3,4,1,3"]
+    doc["oligos"] = ["1,1,1,2,4"]
+    batch_path.write_text(json.dumps(doc))
+    out = tmp_path / "x.bin"
+    code, _, err = run_cli(capsys, "decode", "--in", str(batch_path), "--out", str(out))
+    assert code == 3
+    assert "steering symbol" in err
+    assert not out.exists()
+
+
 def test_decode_trailing_oligos_exits_3(capsys, tmp_path):
     batch_path = roundtrip(capsys, tmp_path, b"hi", "--scheme", "base", "--q", "4")
     doc = json.loads(batch_path.read_text())

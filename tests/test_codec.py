@@ -90,6 +90,22 @@ def test_base_decode_rejects_garbage():
         base_decode(4, Oligo((3, 1, 2), 4))
 
 
+def test_base_spelling_decodes_only_when_the_encoder_would_write_it():
+    # every spelling of a block, steering symbol first: exactly the encoder's
+    # own q**size spellings decode, each to the value it encodes
+    for q in range(2, 6):
+        for size in range(1, 5):
+            code = codec.SCHEMES["base"](q, block_symbols=size)
+            own = {code.encode_block(value): value for value in range(q**size)}
+            assert len(own) == q**size
+            for spelling in itertools.product(range(1, q + 1), repeat=size + 1):
+                if spelling in own:
+                    assert code.decode_block(spelling) == own[spelling]
+                else:
+                    with pytest.raises(CorruptDataError):
+                        code.decode_block(spelling)
+
+
 def test_base_batch_round_trip():
     rng = random.Random(11)
     for q, block in ((2, 5), (4, 32), (7, 10)):

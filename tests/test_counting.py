@@ -6,6 +6,7 @@ agreement is evidence about the closed form, not about itself.
 """
 
 import itertools
+import operator
 import random
 import sys
 import threading
@@ -27,7 +28,7 @@ from oligocycle import (
     subsequence_rank,
     subsequence_unrank,
 )
-from oligocycle.counting import _MAX_CACHED_BYTES, suffix_table
+from oligocycle.counting import _MAX_CACHED_BYTES, indexed_count, suffix_table
 
 
 def enumerate_oligos(q, cycles, length):
@@ -142,6 +143,118 @@ def test_rank_unrank_bijection_and_order():
                 assert len(set(seen)) == total
 
 
+def test_rank_and_unrank_follow_the_sorted_subsequences_of_the_offer_prefix():
+    # Every tuple of a length is tried where there are at most 4096 of them;
+    # past that (q**length reaches 10 million at q 6), every subsequence and
+    # every tuple one symbol away from one.
+    for q in range(1, 7):
+        for cycles in range(10):
+            for length in range(cycles + 1):
+                order = sorted(enumerate_oligos(q, cycles, length))
+                position = {symbols: i for i, symbols in enumerate(order)}
+                if q**length <= 4096:
+                    tried = itertools.product(range(1, q + 1), repeat=length)
+                else:
+                    tried = {
+                        symbols[:i] + (s,) + symbols[i + 1 :]
+                        for symbols in order
+                        for i in range(length)
+                        for s in range(1, q + 1)
+                    }
+                for symbols in tried:
+                    if symbols in position:
+                        assert subsequence_rank(q, cycles, Oligo(symbols, q)) == position[symbols]
+                    else:
+                        with pytest.raises(DomainError, match="not a subsequence"):
+                            subsequence_rank(q, cycles, Oligo(symbols, q))
+                for index, symbols in enumerate(order):
+                    assert subsequence_unrank(q, cycles, length, index).symbols == symbols
+
+
+def per_symbol_table(q, cycles, length):
+    """Row l: N(l + k, l) for k up to min(spare, l*(q - 1)), the last entry
+    standing for every larger k."""
+    spare = cycles - length
+    row = [1]
+    rows = [row]
+    for l in range(1, length + 1):
+        above = row + [row[-1]] * (min(spare, l * (q - 1)) + 1 - len(row))
+        # N(w, l) - N(w - 1, l) = N(w - 1, l - 1) - N(w - 1 - q, l - 1)
+        row = list(itertools.accumulate(map(operator.sub, above, [0] * q + above)))
+        rows.append(row)
+    return rows
+
+
+def per_symbol_rank(rows, q, cycles, symbols):
+    """Reference rank: the completions of every smaller symbol, one at a time."""
+    spare, prev, index = cycles - len(symbols), 0, 0
+    for row, sym in zip(reversed(rows[: len(symbols)]), symbols):
+        for smaller in range(1, sym):
+            k = spare - (smaller - prev - 1) % q
+            if k >= 0:
+                index += row[min(k, len(row) - 1)]
+        spare -= (sym - prev - 1) % q
+        if spare < 0:
+            raise DomainError("oligo is not a subsequence of the offer prefix")
+        prev = sym
+    return index
+
+
+def per_symbol_unrank(rows, q, cycles, length, index):
+    """Reference unrank: walk the alphabet, skipping each symbol's completions."""
+    spare, prev, out = cycles - length, 0, []
+    for row in reversed(rows[:length]):
+        for sym in range(1, q + 1):
+            k = spare - (sym - prev - 1) % q
+            if k < 0:
+                continue
+            below = row[min(k, len(row) - 1)]
+            if index < below:
+                break
+            index -= below
+        out.append(sym)
+        spare, prev = k, sym
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "q, cycles, length",
+    [
+        (16, 64, 32),  # large alphabets
+        (64, 128, 64),
+        (256, 512, 256),
+        (4, 12, 12),  # rho 1: no cycle to spare
+        (3, 9, 9),
+        (4, 8, 0),  # the empty oligo
+        (1, 5, 0),
+        (4, 40, 8),  # spares far past the end of every row
+        (2, 30, 5),
+        (5, 60, 12),
+    ],
+)
+def test_rank_and_unrank_match_the_per_symbol_loop(q, cycles, length):
+    rows = per_symbol_table(q, cycles, length)
+    total = rows[length][-1]
+    assert total == subsequence_count(q, cycles, length)
+    rng = random.Random(q * 1000 + cycles)
+    for index in [0, total - 1] + [rng.randrange(total) for _ in range(20)]:
+        symbols = per_symbol_unrank(rows, q, cycles, length, index)
+        assert per_symbol_rank(rows, q, cycles, symbols) == index
+        assert subsequence_unrank(q, cycles, length, index).symbols == symbols
+        assert subsequence_rank(q, cycles, Oligo(symbols, q)) == index
+    for _ in range(20):  # mostly tuples that do not embed
+        symbols = tuple(rng.randint(1, q) for _ in range(length))
+        try:
+            expected = per_symbol_rank(rows, q, cycles, symbols)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=str(exc)):
+                subsequence_rank(q, cycles, Oligo(symbols, q))
+        else:
+            assert subsequence_rank(q, cycles, Oligo(symbols, q)) == expected
+    with pytest.raises(DomainError, match=rf"index must lie in 0\.\.{total - 1}$"):
+        subsequence_unrank(q, cycles, length, total)
+
+
 def test_rank_of_known_order():
     # q=2, C=4 holds exactly 11 < 12 < 21 < 22
     got = [subsequence_unrank(2, 4, 2, i).symbols for i in range(4)]
@@ -251,8 +364,21 @@ def test_suffix_table_total_matches_the_closed_form():
     for q in range(1, 9):
         for cycles in range(61):
             for length in range(cycles + 1):
+                total = indexed_count(q, cycles, length, CountCache())
+                assert total == subsequence_count(q, cycles, length), (q, cycles, length)
+
+
+def test_suffix_table_rows_are_running_sums_of_counts():
+    # row l's steps count the gap sequences of length l within l + k cycles
+    for q in range(1, 7):
+        for cycles in range(17):
+            for length in range(cycles + 1):
                 rows = suffix_table(q, cycles, length, CountCache())
-                assert rows[length][-1] == subsequence_count(q, cycles, length), (q, cycles, length)
+                assert len(rows) == length + 1
+                for l, row in enumerate(rows):
+                    assert len(row) == min(cycles - length, l * (q - 1) + q) + 1
+                    steps = [b - a for a, b in zip([0] + row, row)]
+                    assert steps == [subsequence_count(q, l + k, l) for k in range(len(row))]
 
 
 def test_cold_count_at_two_thousand_cycles_is_fast():
