@@ -195,9 +195,6 @@ def _digits(value: int, base: int, count: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-_DIGIT_NAMES = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
-
-
 def _base_value(q: int, symbols: Sequence[int]) -> int:
     """The integer whose base-q digits, as gaps, were steered into *symbols*."""
     if not symbols:
@@ -207,16 +204,15 @@ def _base_value(q: int, symbols: Sequence[int]) -> int:
     if max(symbols) > q:
         raise CorruptDataError(f"symbols must lie in 1..{q}")
     flip = symbols[0] == 2  # each gap g went out as q+1-g
-    pairs = zip(symbols, symbols[1:])
-    digits = [(a - b) % q for a, b in pairs] if flip else [(b - a - 1) % q for a, b in pairs]
+    value = total = 0
+    for a, b in zip(symbols, symbols[1:]):
+        digit = (a - b if flip else b - a - 1) % q
+        value = value * q + digit
+        total += digit
     # the encoder flips exactly when the gaps, each digit + 1, pass the midpoint
-    if flip != (2 * (sum(digits) + len(digits)) > (q + 1) * len(digits)):
+    n = len(symbols) - 1
+    if flip != (2 * (total + n) > (q + 1) * n):
         raise CorruptDataError("steering symbol does not match the gaps it steers")
-    if digits and q <= 36:  # int() reads the digits 0-9a-z in C
-        return int(bytes(digits).translate(_DIGIT_NAMES), q)
-    value = 0
-    for d in digits:
-        value = value * q + d
     return value
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -117,6 +118,25 @@ def test_base_batch_round_trip():
                 assert len(oligo) == block + 1
                 need = min_cycles_under(batch.spec, oligo)
                 assert need is not None and need <= batch.spec.total_cycles
+
+
+def test_long_base_blocks_decode_under_a_lowered_int_string_limit():
+    # a block's value is read digit by digit, so the interpreter's limit on
+    # int-from-string digits (4300 by default, 640 at its lowest) never applies
+    rng = random.Random(13)
+    info = Oligo(tuple(rng.randint(1, 3) for _ in range(5000)), 3)
+    assert base_decode(3, base_encode(3, info)) == info
+    bits = random_bits(rng, 8192)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for scheme, options in (
+            ("base", dict(q=3, block_symbols=2048)),
+            ("multisize", dict(q=5, rho=0.45, oligo_length=2048)),
+        ):
+            assert decode_payload(encode_payload(scheme, bits, **options)) == bits
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_base_decode_rejects_oligo_outside_its_program():
