@@ -6,92 +6,70 @@ waits.  That makes "what fits in C cycles" a combinatorial question with
 exact answers, and this package provides them end to end: subsequence
 counting, channel capacity, five payload encoders with cycle guarantees,
 and cost curves for choosing an operating point.
+
+Public names load their module on first use, so a command that never codes
+a payload never imports the codec.
 """
 
-from .bits import knuth_balance, knuth_unbalance
-from .capacity import (
-    binary_entropy,
-    cap_fixed_length,
-    cap_flexible,
-    capacity_root_fixed,
-    capacity_root_flexible,
-    empirical_cap,
-)
-from .codec import (
-    EncodedBatch,
-    RateRow,
-    balanced_block_decode,
-    balanced_block_encode,
-    balanced_params,
-    base_decode,
-    base_encode,
-    decode_payload,
-    encode_payload,
-    multisize_rate,
-    optimal_alpha,
-    rate_table,
-)
-from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
-from .counting import (
-    CountCache,
-    brute_force_count,
-    deletion_ball_size,
-    subsequence_count,
-    subsequence_rank,
-    subsequence_unrank,
-)
-from .errors import CorruptDataError, DomainError
-from .sequence import (
-    Oligo,
-    SupersequenceSpec,
-    alternating_prefix,
-    materialize,
-    min_cycles_under,
-    offer_gap,
-    synthesis_cycles,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorruptDataError",
-    "CostParams",
-    "CountCache",
-    "DomainError",
-    "EncodedBatch",
-    "Oligo",
-    "RateRow",
-    "SupersequenceSpec",
-    "alternating_prefix",
-    "balanced_block_decode",
-    "balanced_block_encode",
-    "balanced_params",
-    "base_decode",
-    "base_encode",
-    "binary_entropy",
-    "brute_force_count",
-    "cap_fixed_length",
-    "cap_flexible",
-    "capacity_root_fixed",
-    "capacity_root_flexible",
-    "cost_at_capacity",
-    "decode_payload",
-    "deletion_ball_size",
-    "empirical_cap",
-    "encode_payload",
-    "knuth_balance",
-    "knuth_unbalance",
-    "materialize",
-    "min_cycles_under",
-    "minimize_over_alphabet",
-    "minimize_over_rho",
-    "multisize_rate",
-    "offer_gap",
-    "optimal_alpha",
-    "rate_table",
-    "rho_star",
-    "subsequence_count",
-    "subsequence_rank",
-    "subsequence_unrank",
-    "synthesis_cycles",
-]
+# public name -> the module that defines it
+_HOMES = {
+    "knuth_balance": "bits",
+    "knuth_unbalance": "bits",
+    "binary_entropy": "capacity",
+    "cap_fixed_length": "capacity",
+    "cap_flexible": "capacity",
+    "capacity_root_fixed": "capacity",
+    "capacity_root_flexible": "capacity",
+    "empirical_cap": "capacity",
+    "EncodedBatch": "codec",
+    "RateRow": "codec",
+    "balanced_block_decode": "codec",
+    "balanced_block_encode": "codec",
+    "balanced_params": "codec",
+    "base_decode": "codec",
+    "base_encode": "codec",
+    "decode_payload": "codec",
+    "encode_payload": "codec",
+    "multisize_rate": "codec",
+    "optimal_alpha": "codec",
+    "rate_table": "codec",
+    "CostParams": "cost",
+    "cost_at_capacity": "cost",
+    "minimize_over_alphabet": "cost",
+    "minimize_over_rho": "cost",
+    "rho_star": "cost",
+    "CountCache": "counting",
+    "brute_force_count": "counting",
+    "deletion_ball_size": "counting",
+    "subsequence_count": "counting",
+    "subsequence_rank": "counting",
+    "subsequence_unrank": "counting",
+    "CorruptDataError": "errors",
+    "DomainError": "errors",
+    "Oligo": "sequence",
+    "SupersequenceSpec": "sequence",
+    "alternating_prefix": "sequence",
+    "materialize": "sequence",
+    "min_cycles_under": "sequence",
+    "offer_gap": "sequence",
+    "synthesis_cycles": "sequence",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

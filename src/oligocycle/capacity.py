@@ -9,9 +9,15 @@ root in (0, 1) of
     sum_{i=1}^{q} (1 - rho*i) * x^i = 0.
 
 Dropping the length constraint gives the flexible capacity -log2(x) with x
-solving sum_{i=1}^{q} x^i = 1.  Both roots come from plain bisection: the
+solving sum_{i=1}^{q} x^i = 1.  Both roots come from bisection: the
 polynomials are monotone or single-crossing on (0, 1), and halving until
-the midpoint no longer moves pins the root to full double precision.
+the midpoint no longer moves pins the root to full double precision.  The
+flexible root evaluates its polynomial at every halving.  The fixed-length
+root first finds the root by Newton's method, proves where the sign of a
+Horner evaluation can differ from the sign of the polynomial (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., section 5.1), and
+evaluates only inside that zone; elsewhere the sign is known, so bisection
+takes the same path and returns the same float as evaluating everywhere.
 """
 
 from __future__ import annotations
@@ -24,9 +30,12 @@ from .errors import DomainError
 
 _BRACKET = (1e-12, 1.0 - 1e-12)
 # Largest alphabet of a fixed-length root solve.  A solve holds q
-# coefficients (about 32 MB at this bound) and takes some 60 passes over
-# them (seconds at this bound).
+# coefficients (about 32 MB at this bound) and takes some 20 to 35 passes
+# over them (seconds at this bound).
 _MAX_ROOT_ALPHABET = 1 << 20
+_UNIT = 2.0**-53  # unit roundoff of a double
+# Newton steps at most; each costs about three bisection halvings
+_NEWTON_STEPS = 20
 
 
 def binary_entropy(p: float) -> float:
@@ -63,19 +72,88 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc * x
 
 
+def _horner_terms(coeffs: list[float], x: float) -> tuple[float, float, float]:
+    """p(x) exactly as _horner computes it, p'(x), and sum_i |c_i| x^i, in one pass."""
+    acc = slope = size = 0.0
+    for c in coeffs:
+        slope = slope * x + acc
+        acc = acc * x + c
+        size = size * x + abs(c)
+    return acc * x, acc + slope * x, size * x
+
+
+def _newton_root(coeffs: list[float], x: float) -> float:
+    """Estimate of the root in (0, 1) by Newton steps from x, a point left of it.
+
+    The coefficients change sign once, and so, with weights growing in i,
+    do those of p' and p''.  So p rises to one maximum and is concave from
+    before it on, and falls through the root.  A tangent step from a point
+    past the maximum therefore lands right of the root (the tangent lies
+    above p), and tangent steps from the right fall monotonically to it.
+    Stops once the value is within Horner's error bound of zero, where the
+    sign of a further step cannot be trusted.
+    """
+    noise = 2 * len(coeffs) * _UNIT
+    value, slope, _ = _horner_terms(coeffs, x)
+    x = min(x - value / slope, 1.0) if slope < 0.0 else 1.0
+    for _ in range(_NEWTON_STEPS):
+        value, slope, size = _horner_terms(coeffs, x)
+        if abs(value) <= noise * size or not slope < 0.0:
+            break
+        step = x - value / slope
+        if not 0.0 < step < x:
+            break
+        x = step
+    return x
+
+
+def _positive_below(coeffs: list[float], r: float) -> Callable[[float], bool]:
+    """The predicate p(x) > 0 as Horner evaluates it, evaluated only near r.
+
+    Horner's result differs from p(x) by at most gamma_2q * S(x), where
+    S(x) = sum_i |c_i| x^i and gamma_2q is about 2q unit roundoffs.  The
+    polynomials p - gamma_2q*S and p + gamma_2q*S keep the single sign change
+    of the coefficients, so each has one root on (0, inf) and is positive
+    before it, negative after.  If Horner reads p(a) above twice the bound,
+    p - gamma_2q*S is positive at a, hence on all of (0, a], and Horner reads
+    every x there as positive; likewise below minus twice the bound at b,
+    for every x >= b as not positive.  Only (a, b) is then left to
+    evaluate, with a and b a few bound-widths either side of the estimate r;
+    an end outside the bisection's bracket needs no check.  When a check
+    fails the plain predicate is returned.
+    """
+    noise = 2 * len(coeffs) * _UNIT
+    _, slope, size = _horner_terms(coeffs, r)
+    if slope:
+        radius = 8 * noise * size / abs(slope) + 4 * math.ulp(r)
+        a, b = r - radius, r + radius
+        # 2.5 * noise * S covers twice gamma_2q * S and the rounding of S itself
+        value_a, _, size_a = _horner_terms(coeffs, a)
+        value_b, _, size_b = _horner_terms(coeffs, b)
+        if (a <= _BRACKET[0] or value_a > 2.5 * noise * size_a) and (
+            b >= _BRACKET[1] or value_b < -2.5 * noise * size_b
+        ):
+            return lambda x: x < a or (x <= b and _horner(coeffs, x) > 0.0)
+    return lambda x: _horner(coeffs, x) > 0.0
+
+
 def capacity_root_fixed(q: int, rho: float) -> float:
     """Root in (0, 1) of sum_i (1 - rho*i) x^i for 2/(q+1) < rho < 1.
 
     The coefficients change sign once, so the polynomial crosses zero exactly
     once on (0, 1): positive near 0, negative at 1.  They are computed once,
-    for every evaluation of the bisection and of the Newton step.
+    for every evaluation of the bisection and of the Newton steps.  Newton's
+    method starts from 1 - rho, where the sum to infinity vanishes; the
+    finite sum drops only negative terms, so 1 - rho lies left of the root.
+    The estimate only narrows where bisection evaluates: the result is that
+    of evaluating at every halving.
     """
     if not 2 <= q <= _MAX_ROOT_ALPHABET:
         raise DomainError(f"fixed-length root requires alphabet size in 2..{_MAX_ROOT_ALPHABET}")
     if not 2.0 / (q + 1) < rho < 1.0:
         raise DomainError("rho must lie strictly between 2/(q+1) and 1")
     coeffs = [1.0 - rho * i for i in range(q, 0, -1)]
-    x = _bisect(lambda x: _horner(coeffs, x) > 0.0, *_BRACKET)
+    x = _bisect(_positive_below(coeffs, _newton_root(coeffs, 1.0 - rho)), *_BRACKET)
     # one Newton step to polish the last bit
     slope = 0.0
     for i, c in zip(range(q, 0, -1), coeffs):

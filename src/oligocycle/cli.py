@@ -11,9 +11,7 @@ import json
 import math
 import sys
 
-from .bits import bits_from_bytes, bytes_from_bits
 from .capacity import binary_entropy, cap_fixed_length, cap_flexible, empirical_cap
-from .codec import SCHEMES, EncodedBatch, decode_payload, encode_payload, rate_table
 from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
 from .counting import brute_force_count, subsequence_count
 from .errors import CorruptDataError, DomainError
@@ -21,6 +19,9 @@ from .sequence import render_oligos
 
 # the comma-separated text of a q = 4 oligo as A/C/G/T letters
 _DNA = str.maketrans("1234", "ACGT", ",")
+# codec.SCHEMES, spelled out so that building the parser does not import
+# the codec: only encode, decode and the rate-vs-rho sweep use it
+_SCHEMES = ("balanced", "base", "lookup", "multisize", "window")
 # Most rho values one sweep tabulates: a step far below the range's width
 # would otherwise build rows until memory runs out.
 _MAX_GRID_POINTS = 100_000
@@ -101,6 +102,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    from .bits import bits_from_bytes
+    from .codec import encode_payload
+
     # checked before anything is written
     if args.dna and not args.oligos_out:
         raise DomainError("--dna renders the --oligos-out listing; give --oligos-out too")
@@ -133,8 +137,16 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    with open(args.infile, "r", encoding="utf-8") as handle:
-        batch = EncodedBatch.from_json(handle.read())
+    from .bits import bytes_from_bits
+    from .codec import EncodedBatch, decode_payload
+
+    with open(args.infile, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptDataError(f"batch is not UTF-8 text: {exc}") from exc
+    batch = EncodedBatch.from_json(text)
     bits = decode_payload(batch)
     if len(bits) % 8:
         raise CorruptDataError("decoded payload is not byte aligned")
@@ -155,6 +167,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             (q, rho, cap_fixed_length(q, rho), binary_entropy(rho)) for q in qs for rho in grid
         ]
     elif curve == "rate-vs-rho":
+        from .codec import rate_table
+
         columns = ["q", "rho", "scheme", "rate", "cap"]
         rows = [
             (q, row.rho, row.scheme, row.rate, row.cap) for q in qs for row in rate_table(q, grid)
@@ -227,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("encode", help="encode a file into an oligo batch")
-    p.add_argument("--scheme", choices=SCHEMES, required=True)
+    p.add_argument("--scheme", choices=_SCHEMES, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--rho", type=float, help="target length ratio (lookup, multisize)")
     p.add_argument("--depth", type=int, help="window depth in revolutions (lookup)")

@@ -91,15 +91,23 @@ class EncodedBatch(NamedTuple):
     oligos: tuple[Oligo, ...]
 
     def to_json(self) -> str:
-        doc = {
+        """The batch as json.dumps(doc, indent=2) writes it.
+
+        With an indent, json encodes in pure Python, one step per item, so
+        the oligo list, nearly all of the text, goes through the C encoder
+        with the indent spelled into its item separator.
+        """
+        head = {
             "scheme": self.scheme,
             "q": self.q,
             "rho": self.rho,
             "payload_bits": self.payload_bits,
             "spec": [[q, cycles] for q, cycles in self.spec.segments],
-            "oligos": render_oligos(self.oligos),
         }
-        return json.dumps(doc, indent=2)
+        texts = render_oligos(self.oligos)
+        oligos = json.dumps(texts, separators=(",\n    ", ": "))[1:-1]
+        oligos = f"[\n    {oligos}\n  ]" if texts else "[]"
+        return f'{json.dumps(head, indent=2)[:-2]},\n  "oligos": {oligos}\n}}'
 
     @classmethod
     def from_json(cls, text: str) -> "EncodedBatch":
@@ -107,6 +115,8 @@ class EncodedBatch(NamedTuple):
             doc = json.loads(text)
         except ValueError as exc:
             raise CorruptDataError(f"batch is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise CorruptDataError("batch JSON nests too deeply to read") from exc
         if not isinstance(doc, dict):
             raise CorruptDataError("batch JSON must be an object")
         missing = {"scheme", "q", "rho", "payload_bits", "spec", "oligos"} - doc.keys()

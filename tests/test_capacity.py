@@ -15,6 +15,7 @@ from oligocycle import (
     empirical_cap,
     rho_star,
 )
+from oligocycle import capacity
 from oligocycle.capacity import _BRACKET, _MAX_ROOT_ALPHABET, _bisect, _horner
 from oligocycle.cli import _rho_grid
 
@@ -236,3 +237,86 @@ def test_empirical_cap_domain():
         empirical_cap(2, 0, 0.5)
     with pytest.raises(DomainError):
         empirical_cap(2, 10, 1.5)
+
+
+def plain_root(q, rho):
+    # per_step_root with the coefficients built once: bisection evaluating
+    # at every halving, the same floats at a third of the cost
+    coeffs = [1.0 - rho * i for i in range(q, 0, -1)]
+
+    def poly(x):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc * x
+
+    x = _bisect(lambda x: poly(x) > 0.0, *_BRACKET)
+    slope = 0.0
+    for i, c in zip(range(q, 0, -1), coeffs):
+        slope = slope * x + i * c
+    if slope:
+        step = x - poly(x) / slope
+        if 0.0 < step < 1.0:
+            x = step
+    return x
+
+
+def test_root_bit_identical_to_plain_bisection_on_a_dense_grid():
+    # 41 rho per alphabet across (2/(q+1), 1), and 13 each creeping onto the
+    # edge 2/(q+1), where the root nears 1, and onto 1, where it leaves the
+    # bracket below
+    points = []
+    for q in list(range(2, 65)) + [128, 1024]:
+        edge = 2.0 / (q + 1)
+        rhos = [edge + (1.0 - edge) * k / 42 for k in range(1, 42)]
+        if q <= 64:
+            rhos += [edge * (1.0 + 10.0**-k) for k in range(1, 14)]
+            rhos += [1.0 - 10.0**-k for k in range(1, 14)]
+        points += [(q, rho) for rho in rhos if edge < rho < 1.0]
+    for q, rho in points[::50]:
+        assert plain_root(q, rho) == per_step_root(q, rho), (q, rho)
+    for q, rho in points:
+        assert capacity_root_fixed(q, rho) == plain_root(q, rho), (q, rho)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda root: 0.5,
+        lambda root: root * (1.0 + 1e-9),
+        lambda root: root * (1.0 - 1e-9),
+        lambda root: 1e-13,
+        lambda root: 1.0 - 1e-13,
+        lambda root: 2.0,
+    ],
+    ids=["half", "above", "below", "under-bracket", "over-bracket", "outside"],
+)
+def test_root_bit_identical_when_the_newton_estimate_is_wrong(monkeypatch, wrong):
+    # the sign checks around the estimate must catch a zone that misses the
+    # root and fall back to evaluating at every halving
+    newton_root = capacity._newton_root
+    monkeypatch.setattr(
+        capacity, "_newton_root", lambda coeffs, x: wrong(newton_root(coeffs, x))
+    )
+    grid = _rho_grid(0.05, 0.95, 0.05)
+    for q in (2, 3, 4, 8, 16, 64):
+        for rho in grid + [2.0 / (q + 1) * (1.0 + 1e-12), 1.0 - 1e-12]:
+            if 2.0 / (q + 1) < rho < 1.0:
+                assert capacity_root_fixed(q, rho) == per_step_root(q, rho), (q, rho)
+
+
+def test_root_solve_evaluates_horner_only_near_the_root(monkeypatch):
+    # bisection over the whole bracket would evaluate about 60 times a solve
+    calls = 0
+
+    def counted(coeffs, x):
+        nonlocal calls
+        calls += 1
+        return _horner(coeffs, x)
+
+    monkeypatch.setattr(capacity, "_horner", counted)
+    grid = _rho_grid(0.05, 0.95, 0.05)  # the sweep command's default grid
+    points = [(q, rho) for q in range(2, 65) for rho in grid if 2.0 / (q + 1) < rho < 1.0]
+    for q, rho in points:
+        capacity_root_fixed(q, rho)
+    assert calls / len(points) < 20

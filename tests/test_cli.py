@@ -177,6 +177,28 @@ def test_decode_corrupt_batch_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"[" * 100_000,
+        b'{"scheme": "base", "q": 4, "rho": 0.5, "payload_bits": 8, "spec": '
+        + b"[" * 100_000 + b"]" * 100_000 + b', "oligos": []}',
+        b"\xff\xfe{}",
+    ],
+    ids=["deep-top-level", "deep-spec", "not-utf8"],
+)
+def test_decode_unreadable_batch_text_exits_3(capsys, tmp_path, text):
+    # json.loads raises RecursionError on deep nesting, and a file that is
+    # not UTF-8 fails before JSON is read; neither may escape as a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    out = tmp_path / "x.bin"
+    code, _, err = run_cli(capsys, "decode", "--in", str(bad), "--out", str(out))
+    assert code == 3
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
 def test_encode_non_finite_rho_exits_2(capsys, tmp_path, rho):
     source = tmp_path / "payload.bin"

@@ -367,6 +367,28 @@ def test_batch_json_round_trip():
     assert set(doc) == {"scheme", "q", "rho", "payload_bits", "spec", "oligos"}
 
 
+@pytest.mark.parametrize("scheme, kwargs", EVERY_SCHEME)
+def test_batch_json_is_the_indented_dump_of_its_document(scheme, kwargs):
+    # to_json writes the oligo list without json's indenting encoder; the
+    # text must still be what json.dumps(doc, indent=2) writes.  No, one and
+    # many oligos (balanced joins every block into one oligo)
+    counts = []
+    for payload in ("", "1", random_bits(random.Random(8), 4096)):
+        batch = encode_payload(scheme, payload, **kwargs)
+        doc = {
+            "scheme": batch.scheme,
+            "q": batch.q,
+            "rho": batch.rho,
+            "payload_bits": batch.payload_bits,
+            "spec": [list(segment) for segment in batch.spec.segments],
+            "oligos": [oligo.to_text() for oligo in batch.oligos],
+        }
+        assert batch.to_json() == json.dumps(doc, indent=2)
+        counts.append(len(batch.oligos))
+    assert counts[:2] == [0, 1]
+    assert counts[2] > 50 or scheme == "balanced"
+
+
 def test_batch_json_rejects_malformed_documents():
     batch = encode_payload("base", "1101", q=4)
     text = batch.to_json()
