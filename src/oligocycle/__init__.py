@@ -44,7 +44,6 @@ _HOMES = {
     "rho_star": "cost",
     "CountCache": "counting",
     "brute_force_count": "counting",
-    "deletion_ball_size": "counting",
     "subsequence_count": "counting",
     "subsequence_rank": "counting",
     "subsequence_unrank": "counting",

@@ -23,10 +23,12 @@ takes the same path and returns the same float as evaluating everywhere.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .counting import CountCache, subsequence_count
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .counting import CountCache
 
 _BRACKET = (1e-12, 1.0 - 1e-12)
 # Largest alphabet of a fixed-length root solve.  A solve holds q
@@ -222,6 +224,9 @@ def empirical_cap(q: int, cycles: int, rho: float, cache: CountCache | None = No
         raise DomainError("cycle count must be at least 1")
     if not 0.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [0, 1]")
+    # counting is imported here, so commands that never count never load it
+    from .counting import subsequence_count
+
     length = int(rho * cycles + 1e-9)
     count = subsequence_count(q, cycles, length, cache)
     return _log2_int(count) / cycles

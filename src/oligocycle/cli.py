@@ -7,13 +7,13 @@ Exit codes: 0 on success, 2 for arguments outside an operation's domain,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 from .capacity import binary_entropy, cap_fixed_length, cap_flexible, empirical_cap
 from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
-from .counting import brute_force_count, subsequence_count
 from .errors import CorruptDataError, DomainError
 from .sequence import render_oligos
 
@@ -47,8 +47,21 @@ def _emit_rows(columns: list[str], rows: list[tuple], fmt: str, path: str) -> No
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         _write_text(path, "\n".join(lines) + "\n")
     else:
-        doc = [dict(zip(columns, row)) for row in rows]
-        _write_text(path, json.dumps(doc, indent=2) + "\n")
+        _write_text(path, _json_rows([dict(zip(columns, row)) for row in rows]) + "\n")
+
+
+def _json_rows(doc: list[dict]) -> str:
+    """json.dumps(doc, indent=2) for a list of flat, non-empty objects.
+
+    With an indent, json encodes in pure Python, one step per value, so the
+    C encoder writes the rows with the inner indent spelled into its item
+    separator, and only the row boundaries are respaced.  JSON strings
+    escape newlines, so a newline followed by '{' only ever starts a row.
+    """
+    if not doc:
+        return "[]"
+    text = json.dumps(doc, separators=(",\n    ", ": "))
+    return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
 
 
 def _parse_int_list(text: str, label: str) -> list[int]:
@@ -94,6 +107,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .counting import brute_force_count, subsequence_count
+
     if args.oracle:
         print(brute_force_count(args.q, args.cycles, args.length))
     else:
@@ -189,8 +204,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif curve == "empirical-convergence":
         cycles_list = sorted(set(_parse_int_list(args.cycles_list, "--cycles-list")))
         columns = ["q", "rho", "cycles", "empirical", "cap"]
+        cap = functools.cache(cap_fixed_length)  # one root solve per (q, rho)
         rows = [
-            (q, rho, c, empirical_cap(q, c, rho), cap_fixed_length(q, rho))
+            (q, rho, c, empirical_cap(q, c, rho), cap(q, rho))
             for q in qs
             for rho in grid
             for c in cycles_list

@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from contextlib import suppress
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import accumulate, chain, product, repeat
 from math import comb
+from operator import getitem
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import (
@@ -43,7 +45,9 @@ from .bits import (
 from .capacity import cap_fixed_length
 from .counting import indexed_count, rank_symbols, subsequence_count, unrank_symbols
 from .errors import CorruptDataError, DomainError
-from .sequence import Oligo, SupersequenceSpec, min_cycles_under, parse_oligos, render_oligos
+from .sequence import (
+    Oligo, SupersequenceSpec, _Memo, min_cycles_under, parse_oligos, render_oligos
+)
 
 
 # --- limits ---
@@ -72,9 +76,8 @@ def _each_once(fn: Callable, items: Sequence) -> list:
     """[fn(x) for x in items], calling fn on the first of each distinct item
     only, in order, so the item that raises is the one a plain loop would
     meet first."""
-    at, distinct = _first_seen(items)
-    done = {i: fn(items[i]) for i in distinct}
-    return list(map(done.__getitem__, at))
+    done = {item: fn(item) for item in dict.fromkeys(items)}
+    return list(map(done.__getitem__, items))
 
 
 # --- batch container ---
@@ -182,27 +185,61 @@ class _BlockCode(NamedTuple):
 
 def _fields(payload: str, width: int) -> list[int]:
     """The payload, zero-padded to whole width-bit blocks, as one integer per block."""
-    return [int(payload[i : i + width].ljust(width, "0"), 2) for i in range(0, len(payload), width)]
+    padded = payload + "0" * (-len(payload) % width)
+    return list(map(int, re.findall(f".{{{width}}}", padded), repeat(2)))
 
 
 # --- base scheme: one steering symbol per oligo ---
+#
+# Encoding looks up what it would otherwise compute symbol by symbol.  A
+# value splits into chunks of k base-q digits, k the largest with
+# q**k <= 1024, one divmod per chunk, and each chunk becomes its k gaps by
+# one lookup.  Symbol i is 1 + (s0 + g1 + ... + gi) mod q, where s0 is the
+# steering symbol less one, so the symbols are one accumulate over the gaps
+# and one lookup per running sum; a flip to q+1-g is one more lookup per
+# gap.  A scheme record builds its tables on its first encode_block call,
+# so they live for one encode_payload call and decoding builds none.
 
 
-def _steer(q: int, gaps: Sequence[int]) -> tuple[int, ...]:
-    flip = 2 * sum(gaps) > (q + 1) * len(gaps)
-    out = [2 if flip else 1]
-    for g in gaps:
-        out.append((out[-1] - 1 + (q + 1 - g if flip else g)) % q + 1)
-    return tuple(out)
+class _Digits:
+    """Base-q digits as gaps, and gaps steered into symbols, by lookup.  Up
+    to q = 1024 the chunk table is built whole, in C; past it a chunk is one
+    digit and, like the other tables at every q, the table is a memo that
+    holds only what a payload uses."""
 
+    def __init__(self, q: int) -> None:
+        k, unit = 1, q
+        while unit * q <= 1024:
+            k, unit = k + 1, unit * q
+        self.q, self.k, self.unit = q, k, unit
+        self.chunk_gaps = (
+            list(product(range(1, q + 1), repeat=k)) if unit <= 1024 else _Memo(lambda c: (c + 1,))
+        )
+        self.flipped = _Memo((q + 1).__sub__)
+        self.symbol = _Memo(lambda total: total % q + 1)
 
-def _digits(value: int, base: int, count: int) -> tuple[int, ...]:
-    """*count* base-*base* digits of *value* as symbols 1..base, most significant first."""
-    digits = []
-    for _ in range(count):
-        value, digit = divmod(value, base)
-        digits.append(digit + 1)
-    return tuple(reversed(digits))
+    def gaps(self, value: int, count: int) -> list[int]:
+        """The low *count* base-q digits of *value*, each plus one, most significant first."""
+        unit, table = self.unit, self.chunk_gaps
+        chunks = []
+        for _ in range(-(-count // self.k)):
+            value, chunk = divmod(value, unit)
+            chunks.append(table[chunk])
+        chunks.reverse()
+        gaps = list(chain.from_iterable(chunks))
+        return gaps[len(gaps) - count :]
+
+    def steer(self, gaps: Sequence[int]) -> tuple[int, ...]:
+        """The steering symbol, then a symbol *gaps[i]* cycles after the one
+        before, or q+1-gaps[i] when the gaps pass the midpoint."""
+        flip = 2 * sum(gaps) > (self.q + 1) * len(gaps)
+        if flip:
+            gaps = map(self.flipped.__getitem__, gaps)
+        return tuple(map(self.symbol.__getitem__, accumulate(gaps, initial=int(flip))))
+
+    def steered(self, value: int, count: int) -> tuple[int, ...]:
+        """The low *count* base-q digits of *value*, as gaps behind a steering symbol."""
+        return self.steer(self.gaps(value, count))
 
 
 def _base_value(q: int, symbols: Sequence[int]) -> int:
@@ -238,14 +275,14 @@ def base_encode(q: int, info: Oligo) -> Oligo:
         raise DomainError("base scheme requires alphabet size >= 2")
     if info.q > q:
         raise DomainError("info symbols exceed the alphabet")
-    return Oligo(_steer(q, info.symbols), q)
+    return Oligo(_Digits(q).steer(info.symbols), q)
 
 
 def base_decode(q: int, oligo: Oligo) -> Oligo:
     """Invert base_encode; raises CorruptDataError on a malformed oligo."""
     if q < 2:
         raise DomainError("base scheme requires alphabet size >= 2")
-    return Oligo(_digits(_base_value(q, oligo.symbols), q, len(oligo) - 1), q)
+    return Oligo(tuple(_Digits(q).gaps(_base_value(q, oligo.symbols), len(oligo) - 1)), q)
 
 
 def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
@@ -255,12 +292,13 @@ def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
     if not 1 <= size <= _MAX_BLOCK_SYMBOLS:
         raise DomainError(f"block must carry 1..{_MAX_BLOCK_SYMBOLS} symbols")
     budget = (q + 1) * (size + 1) // 2
+    tables = _Memo(_Digits)  # built by the first encode_block call
     return _BlockCode(
         rho=2.0 / (q + 1),
         lengths=range(size + 1, size + 2),
         program=lambda n: ((q, budget if n else 0),),
         codewords=lambda: q**size,
-        encode_block=lambda value: _steer(q, _digits(value, q, size)),
+        encode_block=lambda value: tables[q].steered(value, size),
         decode_block=partial(_base_value, q),
     )
 
@@ -335,11 +373,12 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
     coded = run if s >= 2 else 0
     low_values = s ** max(coded - 1, 0)
     program = ((s, (s + 1) * run // 2),) * (run > 0) + ((s + 1, (s + 2) * tail // 2),) * (tail > 0)
+    tables = _Memo(_Digits)  # one per sub-alphabet, built by the first encode_block call
 
     def encode_block(value: int) -> tuple[int, ...]:
         high, low = divmod(value, low_values)
-        head = _steer(s, _digits(low, s, run - 1)) if coded else (1,) * run
-        return head + (_steer(s + 1, _digits(high, s + 1, tail - 1)) if tail else ())
+        head = tables[s].steered(low, run - 1) if coded else (1,) * run
+        return head + (tables[s + 1].steered(high, tail - 1) if tail else ())
 
     def decode_block(symbols: Sequence[int]) -> int:
         head, rest = symbols[:run], symbols[run:]
@@ -382,10 +421,10 @@ def balanced_params(q: int) -> tuple[int, int]:
 def _balanced(q: int, **_) -> _BlockCode:
     # a block is the set bits of the balanced word, as ascending positions
     f, size = balanced_params(q)
+    positions = _Memo(_positions)  # built by the first encode_block call
 
     def encode_block(value: int) -> tuple[int, ...]:
-        word = balance_word(value, f)
-        return tuple(v for v in range(1, size + 1) if word >> (size - v) & 1)
+        return positions[size](balance_word(value, f))
 
     def decode_block(symbols: Sequence[int]) -> int:
         if len(symbols) != size // 2:
@@ -405,6 +444,22 @@ def _balanced(q: int, **_) -> _BlockCode:
         decode_block=decode_block,
         joined=True,
     )
+
+
+def _positions(size: int) -> Callable[[int], tuple[int, ...]]:
+    """The positions of a size-bit word's set bits, counted from 1 at its top
+    bit: the word, left-aligned in whole bytes, is read a byte at a time,
+    through one memo per byte offset."""
+    nbytes = -(-size // 8)
+    shift = 8 * nbytes - size
+    tables = [_Memo(partial(_byte_positions, 8 * i)) for i in range(nbytes)]
+    return lambda word: tuple(
+        chain.from_iterable(map(getitem, tables, (word << shift).to_bytes(nbytes, "big")))
+    )
+
+
+def _byte_positions(offset: int, byte: int) -> tuple[int, ...]:
+    return tuple(offset + b for b in range(1, 9) if byte >> (8 - b) & 1)
 
 
 def balanced_block_encode(q: int, block: str) -> Oligo:

@@ -114,17 +114,6 @@ def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None
     return total
 
 
-def deletion_ball_size(q: int, cycles: int, deletions: int) -> int:
-    """Number of distinct subsequences left after deleting exactly
-    *deletions* symbols from the length-*cycles* alternating prefix over 1..q.
-    """
-    if cycles < 0:
-        raise DomainError("cycle count must be non-negative")
-    if not 0 <= deletions <= cycles:
-        raise DomainError("deletions must lie in 0..cycles")
-    return subsequence_count(q, cycles, cycles - deletions)
-
-
 def brute_force_count(q: int, cycles: int, length: int) -> int:
     """Reference implementation by explicit enumeration (cycles capped at 20)."""
     if cycles > 20:

@@ -11,7 +11,7 @@ whose alphabet changes between segments.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
 
@@ -97,7 +97,7 @@ def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
     each symbol.  Texts are checked in batch order, each for a malformed
     symbol before one outside 1..q, so the DomainError raised is the one a
     loop over the texts meets first."""
-    symbols = _Symbols()
+    symbols = _Memo(int)  # int() takes surrounding spaces, a sign and leading zeros
     oligos = {}
     for text in dict.fromkeys(texts):
         stripped = text.strip()
@@ -109,12 +109,18 @@ def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
     return list(map(oligos.__getitem__, texts))
 
 
-class _Symbols(dict):
-    """Each symbol token's int(), computed the first time it is looked up;
-    int() takes surrounding spaces, a sign and leading zeros."""
+class _Memo(dict):
+    """fn(key) for each key looked up, computed on its first lookup; a
+    lookup that hits runs no Python code, even through map()."""
 
-    def __missing__(self, token: str) -> int:
-        value = self[token] = int(token)
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
         return value
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import oligocycle
-from oligocycle import EncodedBatch, cap_fixed_length, rho_star, subsequence_count
+from oligocycle import EncodedBatch, cap_fixed_length, empirical_cap, rho_star, subsequence_count
+from oligocycle import cli
 from oligocycle.cli import main
 
 
@@ -525,6 +526,72 @@ def test_sweep_cost_curve_json(capsys):
     rows = json.loads(out)
     assert [row["rho"] for row in rows] == pytest.approx([0.2, 0.4, 0.6])
     assert rows[0]["cost"] == pytest.approx(200 + 1e4 * 0.5, rel=1e-12)
+
+
+SWEEP_CURVES = {
+    "cap-vs-rho": ("--q-list", "2,4"),
+    "rate-vs-rho": ("--q-list", "4,8"),
+    "rho-star": ("--q-list", "2,4,8"),
+    "cost-vs-rho": ("--q-list", "4,16"),
+    "empirical-convergence": ("--q-list", "2,4", "--cycles-list", "10,20"),
+}
+
+
+@pytest.mark.parametrize("curve", sorted(SWEEP_CURVES))
+def test_sweep_json_is_the_indented_dump_of_its_rows(capsys, curve):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--curve", curve, *SWEEP_CURVES[curve], "--format", "json"
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert rows and all(rows)
+    assert out == json.dumps(rows, indent=2) + "\n"
+
+
+def test_sweep_json_of_an_empty_cost_grid(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--curve", "cost-vs-rho", "--q-list", "4", "--format", "json",
+        "--rho-start", "0", "--rho-stop", "0",
+    )
+    assert code == 0
+    assert out == json.dumps([], indent=2) + "\n" == "[]\n"
+
+
+def test_json_rows_respaces_only_row_boundaries():
+    # strings that spell a row boundary, a newline or a brace stay escaped
+    doc = [
+        {"a": "},\n    {", "b": -0.0, "c": float("inf"), "d": 'é"\\{'},
+        {"a": 1},
+        {"x": None, "y": True, "z": "},\\n    {"},
+    ]
+    assert cli._json_rows(doc) == json.dumps(doc, indent=2)
+    assert cli._json_rows(doc[1:2]) == json.dumps(doc[1:2], indent=2)
+
+
+def test_sweep_empirical_convergence_solves_each_root_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(q, rho):
+        calls.append((q, rho))
+        return cap_fixed_length(q, rho)
+
+    monkeypatch.setattr(cli, "cap_fixed_length", counted)
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "--curve", "empirical-convergence", "--q-list", "4,2",
+        "--rho-start", "0.3", "--rho-stop", "0.7", "--rho-step", "0.2",
+    )
+    assert code == 0
+    grid = cli._rho_grid(0.3, 0.7, 0.2)
+    assert sorted(calls) == sorted(set(calls)) == [(q, rho) for q in (2, 4) for rho in grid]
+    # the rows of one solve per row, with the default cycle list
+    expected = ["q,rho,cycles,empirical,cap"] + [
+        ",".join(map(cli._fmt, (q, rho, c, empirical_cap(q, c, rho), cap_fixed_length(q, rho))))
+        for q in (2, 4)
+        for rho in grid
+        for c in (25, 50, 100, 200)
+    ]
+    assert out == "\n".join(expected) + "\n"
 
 
 def test_cost_command(capsys):

@@ -22,7 +22,6 @@ from oligocycle import (
     alternating_prefix,
     brute_force_count,
     decode_payload,
-    deletion_ball_size,
     encode_payload,
     subsequence_count,
     subsequence_rank,
@@ -54,9 +53,9 @@ def test_recursion_matches_enumeration():
 
 
 def test_known_counts():
-    assert deletion_ball_size(2, 4, 2) == 4
-    assert deletion_ball_size(3, 6, 3) == 17
-    assert deletion_ball_size(4, 8, 4) == 66
+    assert subsequence_count(2, 4, 2) == 4
+    assert subsequence_count(3, 6, 3) == 17
+    assert subsequence_count(4, 8, 4) == 66
     assert subsequence_count(4, 12, 5) == 512
     assert subsequence_count(3, 9, 4) == 66
     assert subsequence_count(4, 16, 8) == 8938
@@ -85,7 +84,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         subsequence_count(2, 4, -1)
     with pytest.raises(DomainError):
-        deletion_ball_size(0, 4, 2)
+        subsequence_count(0, 4, 2)
     with pytest.raises(DomainError):
         brute_force_count(2, 21, 3)
 
@@ -357,7 +356,6 @@ def test_closed_form_matches_the_deletion_ball_recursion():
             for length in range(cycles + 1):
                 expected = deletion_ball_recursion(q, cycles, cycles - length, memo)
                 assert subsequence_count(q, cycles, length) == expected, (q, cycles, length)
-                assert deletion_ball_size(q, cycles, cycles - length) == expected
 
 
 def test_suffix_table_total_matches_the_closed_form():

@@ -38,6 +38,12 @@ def test_cli_import_loads_neither_codec_nor_bits():
     assert not loaded & {"oligocycle.codec", "oligocycle.bits"}
 
 
+def test_commands_that_never_count_load_no_counting():
+    loaded = loaded_after("import oligocycle.cli, oligocycle.capacity, oligocycle.cost")
+    assert {"oligocycle.cli", "oligocycle.capacity", "oligocycle.cost"} <= loaded
+    assert "oligocycle.counting" not in loaded
+
+
 def test_every_public_name_resolves_to_its_home_module_object():
     star = {}
     exec("from oligocycle import *", star)
