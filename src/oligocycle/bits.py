@@ -13,9 +13,12 @@ from functools import lru_cache
 from .errors import CorruptDataError, DomainError
 
 
+_NOT_BITS = str.maketrans("", "", "01")  # deletes every '0' and '1'
+
+
 def validate_bits(bits: str) -> str:
     """Return *bits* unchanged, or raise DomainError on a non-binary character."""
-    if not isinstance(bits, str) or bits.strip("01"):
+    if not isinstance(bits, str) or bits.translate(_NOT_BITS):
         raise DomainError("expected a string of '0'/'1' characters")
     return bits
 

@@ -18,12 +18,14 @@ Each scheme at fixed parameters is one ``_BlockCode`` record: a bijection
 between fixed-width integers and blocks of symbols, plus the offer program
 of n blocks.  ``SCHEMES`` maps scheme names to record builders; one generic
 encode and decode do the rest for all five: chunking, and on decode the
-program-shape, oligo-length, embedding and block-width checks.  Balanced
-joins its blocks end to end in one oligo, the others put one in each.  A
-payload is one integer inside the codec; '0'/'1' strings appear only in the
-public functions.  Batches round-trip through a small JSON document.  Every
-coding step is a pure function of its block, so within one call each
-distinct block is coded, rendered, parsed, checked and decoded once.
+program-shape, oligo-length, block-count and block-width checks.  A block
+that decode_block accepts fits its share of the program, so no decode pass
+checks embedding.  Balanced joins its blocks end to end in one oligo, the
+others put one in each.  A payload is one integer inside the codec; '0'/'1'
+strings appear only in the public functions.  Batches round-trip through a
+small JSON document.  Every coding step is a pure function of its block, so
+within one call each distinct block is coded, rendered, parsed, checked and
+decoded once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
 from math import comb
 from operator import getitem
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bits import (
     balance_word, balanced_data_bits, flip_layout_complete, unbalance_word, validate_bits
@@ -46,7 +48,7 @@ from .capacity import cap_fixed_length
 from .counting import indexed_count, rank_symbols, subsequence_count, unrank_symbols
 from .errors import CorruptDataError, DomainError
 from .sequence import (
-    Oligo, SupersequenceSpec, _Memo, min_cycles_under, parse_oligos, render_oligos
+    Oligo, SupersequenceSpec, _Memo, parse_oligos, render_oligos
 )
 
 
@@ -63,13 +65,6 @@ _MAX_BLOCK_SYMBOLS = 2048
 
 
 # --- each distinct input once ---
-
-
-def _first_seen(keys: Iterable) -> tuple[list[int], Iterable[int]]:
-    """Each key's position of first occurrence, and those positions, one per
-    distinct key in first-seen order."""
-    first: dict = {}
-    return [first.setdefault(key, i) for i, key in enumerate(keys)], first.values()
 
 
 def _each_once(fn: Callable, items: Sequence) -> list:
@@ -502,6 +497,8 @@ def _subset_unrank(q: int, value: int) -> tuple[int, ...]:
 def _subset_rank(q: int, symbols: Sequence[int]) -> int:
     if any(b <= a for a, b in zip(symbols, symbols[1:])):
         raise CorruptDataError("subset must be strictly ascending")
+    if symbols and not 1 <= symbols[0] <= symbols[-1] <= q:
+        raise CorruptDataError(f"subset symbols must lie in 1..{q}")
     # the last rank of this size, less the subsets that come lexicographically after
     size = len(symbols)
     last = sum(comb(q, j) for j in range(1, size + 1)) - 1
@@ -643,25 +640,24 @@ def decode_payload(batch: EncodedBatch) -> str:
             size = code.lengths[0]
             if len(oligos) > 1 or length % size:
                 raise CorruptDataError(f"{batch.scheme} batches carry one oligo of whole blocks")
-            blocks = [blocks[0][i : i + size] for i in range(0, length, size)]
-        # each per-block check and decode below runs once per distinct block;
-        # a joined batch is one oligo, otherwise block i is oligo i
-        at, distinct = _first_seen(blocks)
-        embedded = (0,) if code.joined else distinct
+            blocks = list(zip(*[iter(blocks[0])] * size))
+        # each per-block check and decode below runs once per distinct block
+        distinct = dict.fromkeys(blocks)
         if batch.spec.segments != code.program(len(blocks)):
             raise CorruptDataError("program does not match the oligo shape and count")
-        if any(len(blocks[i]) not in code.lengths for i in distinct):
+        if any(len(block) not in code.lengths for block in distinct):
             raise CorruptDataError("oligo length does not match the program")
-        if any(min_cycles_under(batch.spec, oligos[i]) is None for i in embedded):
-            raise CorruptDataError("oligo does not embed in the program")
         width = code.width
         if len(blocks) != -(-batch.payload_bits // width):
             raise CorruptDataError("block count does not match the payload bit count")
-        values = {i: code.decode_block(blocks[i]) for i in distinct}
+        # a block that decodes fits its share of the program: steering caps a
+        # base block's cycles at its segment's, balanced and window blocks
+        # ascend within one revolution, and rank refuses a lookup block past its window
+        values = {block: code.decode_block(block) for block in distinct}
     except DomainError as exc:
         raise CorruptDataError(str(exc)) from exc
     if any(v >> width for v in values.values()):
         raise CorruptDataError("decoded block exceeds its bit width")
     form = f"0{width}b"
-    text = {i: format(v, form) for i, v in values.items()}
-    return "".join(map(text.__getitem__, at))[: batch.payload_bits]
+    text = {block: format(v, form) for block, v in values.items()}
+    return "".join(map(text.__getitem__, blocks))[: batch.payload_bits]

@@ -5,7 +5,8 @@ text, oligo lengths, the program, q, rho, payload_bits, and dropped or
 duplicated oligos.  Every case must end quickly in a decoded payload of the
 declared length, a CorruptDataError or a DomainError; a case whose mutation
 left the batch's content unchanged (say, "+1" for "1") must recover the
-payload exactly.  A mutated oligo can be another valid codeword, so a
+payload exactly, and a case that decodes must have every oligo embed in
+its program.  A mutated oligo can be another valid codeword, so a
 changed batch may decode to another payload: only a digest could tell.
 The examples are fixed so the gate is deterministic.
 """
@@ -19,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from oligocycle import CorruptDataError, DomainError, EncodedBatch, decode_payload, encode_payload
+from oligocycle import (
+    CorruptDataError, DomainError, EncodedBatch, decode_payload, encode_payload, min_cycles_under
+)
 from oligocycle.bits import bits_from_bytes
 from oligocycle.cli import main
 
@@ -128,6 +131,8 @@ def test_mutated_batches_decode_exactly_or_are_refused(case):
         assert bits == payload
     elif bits is not None:
         assert len(bits) == batch.payload_bits and set(bits) <= {"0", "1"}
+    if bits is not None:  # decode checks no embedding: its block checks must imply it
+        assert all(min_cycles_under(batch.spec, o) is not None for o in batch.oligos)
 
 
 @settings(FIXED, max_examples=25)
