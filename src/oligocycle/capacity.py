@@ -11,19 +11,24 @@ root in (0, 1) of
 Dropping the length constraint gives the flexible capacity -log2(x) with x
 solving sum_{i=1}^{q} x^i = 1.  Both roots come from bisection: the
 polynomials are monotone or single-crossing on (0, 1), and halving until
-the midpoint no longer moves pins the root to full double precision.  The
-flexible root evaluates its polynomial at every halving.  The fixed-length
-root first finds the root by Newton's method, proves where the sign of a
-Horner evaluation can differ from the sign of the polynomial (Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., section 5.1), and
+the midpoint no longer moves pins the root to full double precision.  One
+solver finds both.  It estimates the root by Newton's method, proves where
+the sign of a Horner evaluation can differ from that of the polynomial, and
 evaluates only inside that zone; elsewhere the sign is known, so bisection
 takes the same path and returns the same float as evaluating everywhere.
+The zone comes from Horner's termwise error bound sum_i gamma_2i |c_i| x^i
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., section
+5.1, eq. 5.3).  The polynomial minus or plus that bound has coefficients
+c_i -/+ gamma_2i |c_i|, each of the sign of c_i since gamma_2i < 1, so it
+keeps the polynomial's single sign change and crosses zero once; and since
+the terms fade as x^i, the zone stays a few ulps wide at every q.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import DomainError
 
@@ -32,11 +37,12 @@ if TYPE_CHECKING:
 
 _BRACKET = (1e-12, 1.0 - 1e-12)
 # Largest alphabet of a fixed-length root solve.  A solve holds q
-# coefficients (about 32 MB at this bound) and takes some 20 to 35 passes
-# over them (seconds at this bound).
+# coefficients and their weights (about 64 MB at this bound) and makes 12
+# or 13 passes over them, 2 of them to build them: 1.0 to 1.2 s at this
+# bound (rho .3, .5, .7; Python 3.11 on a shared 2-vCPU host).
 _MAX_ROOT_ALPHABET = 1 << 20
 _UNIT = 2.0**-53  # unit roundoff of a double
-# Newton steps at most; each costs about three bisection halvings
+# Newton steps at most; each costs about two Horner evaluations
 _NEWTON_STEPS = 20
 
 
@@ -66,7 +72,7 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _horner(coeffs: list[float], x: float) -> float:
+def _horner(coeffs: Iterable[float], x: float) -> float:
     """sum_i c_i x^i for i = 1..q, with coeffs listing c_q down to c_1."""
     acc = 0.0
     for c in coeffs:
@@ -74,69 +80,121 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc * x
 
 
-def _horner_terms(coeffs: list[float], x: float) -> tuple[float, float, float]:
-    """p(x) exactly as _horner computes it, p'(x), and sum_i |c_i| x^i, in one pass."""
-    acc = slope = size = 0.0
+def _value_slope(coeffs: Iterable[float], x: float) -> tuple[float, float]:
+    """p(x) exactly as _horner computes it, and p'(x), in one pass."""
+    acc = slope = 0.0
     for c in coeffs:
         slope = slope * x + acc
         acc = acc * x + c
-        size = size * x + abs(c)
-    return acc * x, acc + slope * x, size * x
+    return acc * x, acc + slope * x
 
 
-def _newton_root(coeffs: list[float], x: float) -> float:
-    """Estimate of the root in (0, 1) by Newton steps from x, a point left of it.
+def _end_values(
+    coeffs: Iterable[float], weights: Iterable[float], a: float, b: float
+) -> tuple[float, float, float]:
+    """p(a) and p(b) exactly as _horner computes them, and W(b), in one pass."""
+    acc_a = acc_b = weight = 0.0
+    for c, w in zip(coeffs, weights):
+        acc_a = acc_a * a + c
+        acc_b = acc_b * b + c
+        weight = weight * b + w
+    return acc_a * a, acc_b * b, weight * b
 
-    The coefficients change sign once, and so, with weights growing in i,
-    do those of p' and p''.  So p rises to one maximum and is concave from
-    before it on, and falls through the root.  A tangent step from a point
-    past the maximum therefore lands right of the root (the tangent lies
-    above p), and tangent steps from the right fall monotonically to it.
-    Stops once the value is within Horner's error bound of zero, where the
-    sign of a further step cannot be trusted.
+
+def _slope_weight(
+    coeffs: Iterable[float], weights: Iterable[float], x: float
+) -> tuple[float, float]:
+    """p'(x) and W(x) = sum_i i |c_i| x^i, in one pass."""
+    acc = slope = weight = 0.0
+    for c, w in zip(coeffs, weights):
+        slope = slope * x + acc
+        acc = acc * x + c
+        weight = weight * x + w
+    return acc + slope * x, weight * x
+
+
+def _newton_root(coeffs: Iterable[float], x: float, target: float = 0.0) -> float:
+    """Estimate of the root in (0, 1) of p(x) = target by Newton steps from x, left of it.
+
+    The coefficients of p - target (its constant term -target among them)
+    change sign once, from + to -, and so, with weights growing in i, do
+    those of p' and p'' if they change sign at all.  So p - target rises to
+    at most one maximum, is concave from before it on, and falls through
+    the root.  A tangent step from a point past the maximum therefore lands
+    right of the root (the tangent lies above p), and tangent steps from
+    the right fall monotonically to it.  Stops once a step moves x by a few
+    ulps, or would not move it left: near the root the rounding of p, not
+    the distance to the root, sets the step.
     """
-    noise = 2 * len(coeffs) * _UNIT
-    value, slope, _ = _horner_terms(coeffs, x)
-    x = min(x - value / slope, 1.0) if slope < 0.0 else 1.0
+    value, slope = _value_slope(coeffs, x)
+    step = min(x - (value - target) / slope, 1.0) if slope < 0.0 else 1.0
     for _ in range(_NEWTON_STEPS):
-        value, slope, size = _horner_terms(coeffs, x)
-        if abs(value) <= noise * size or not slope < 0.0:
+        if abs(step - x) <= 4 * math.ulp(step):
+            return step
+        x = step
+        value, slope = _value_slope(coeffs, x)
+        if not slope < 0.0:
             break
-        step = x - value / slope
+        step = x - (value - target) / slope
         if not 0.0 < step < x:
             break
-        x = step
     return x
 
 
-def _positive_below(coeffs: list[float], r: float) -> Callable[[float], bool]:
-    """The predicate p(x) > 0 as Horner evaluates it, evaluated only near r.
+def _zone(
+    coeffs: Iterable[float], weights: Iterable[float], target: float, r: float
+) -> tuple[float, float]:
+    """Ends a, b near r: Horner reads p(x) > target below a and p(x) <= target above b.
 
-    Horner's result differs from p(x) by at most gamma_2q * S(x), where
-    S(x) = sum_i |c_i| x^i and gamma_2q is about 2q unit roundoffs.  The
-    polynomials p - gamma_2q*S and p + gamma_2q*S keep the single sign change
-    of the coefficients, so each has one root on (0, inf) and is positive
-    before it, negative after.  If Horner reads p(a) above twice the bound,
-    p - gamma_2q*S is positive at a, hence on all of (0, a], and Horner reads
-    every x there as positive; likewise below minus twice the bound at b,
-    for every x >= b as not positive.  Only (a, b) is then left to
-    evaluate, with a and b a few bound-widths either side of the estimate r;
-    an end outside the bisection's bracket needs no check.  When a check
-    fails the plain predicate is returned.
+    Horner carries the term c_i x^i through at most 2i roundings, so its
+    result differs from p(x) by at most E(x) = sum_i gamma_2i |c_i| x^i
+    (Higham, eq. 5.3), where gamma_2i = 2iu/(1 - 2iu) for the unit roundoff
+    u.  So E(x) <= 2u/(1 - 2qu) * W(x), with W(x) = sum_i i |c_i| x^i, a
+    bound that fades with x^i instead of growing with q.  The polynomials
+    p - target -/+ E have coefficients c_i -/+ gamma_2i |c_i|, of the signs
+    of the c_i, so they keep the single sign change of p - target: each is
+    positive before its one root on (0, inf) and negative after.  If Horner
+    reads p(a) - target above 2E(a), p - target - E is positive at a, hence
+    on all of (0, a], and Horner reads every x there as above target;
+    likewise below -2E(b) at b, for every x >= b as not above.  5u W, with
+    W as Horner computes it, covers 2E, the rounding of W and of the check,
+    and underflow, for every q below 2^48.  a and b lie a few bound-widths
+    either side of the estimate r, and an end outside the bisection's
+    bracket needs no check.  When a check fails, or a NaN fails a
+    comparison, the zone is all of (0, 1).
     """
-    noise = 2 * len(coeffs) * _UNIT
-    _, slope, size = _horner_terms(coeffs, r)
-    if slope:
-        radius = 8 * noise * size / abs(slope) + 4 * math.ulp(r)
+    slope, weight = _slope_weight(coeffs, weights, r)
+    if slope < 0.0:
+        radius = 16 * _UNIT * weight / -slope + 4 * math.ulp(r)
         a, b = r - radius, r + radius
-        # 2.5 * noise * S covers twice gamma_2q * S and the rounding of S itself
-        value_a, _, size_a = _horner_terms(coeffs, a)
-        value_b, _, size_b = _horner_terms(coeffs, b)
-        if (a <= _BRACKET[0] or value_a > 2.5 * noise * size_a) and (
-            b >= _BRACKET[1] or value_b < -2.5 * noise * size_b
+        value_a, value_b, weight_b = _end_values(coeffs, weights, a, b)
+        # W rises with x, so W(r) bounds W(a)
+        if (a <= _BRACKET[0] or value_a - target > 5 * _UNIT * weight) and (
+            b >= _BRACKET[1] or value_b - target < -5 * _UNIT * weight_b
         ):
-            return lambda x: x < a or (x <= b and _horner(coeffs, x) > 0.0)
-    return lambda x: _horner(coeffs, x) > 0.0
+            return a, b
+    return 0.0, 1.0
+
+
+def _solve(
+    coeffs: Iterable[float], weights: Iterable[float], target: float, estimate: float
+) -> float:
+    """_bisect on _horner(coeffs, x) > target over _BRACKET, evaluating only in the zone.
+
+    Below the zone the predicate holds and above it it fails, so the halvings
+    take the path, and give the float, of evaluating at every one.
+    """
+    a, b = _zone(coeffs, weights, target, estimate)
+    lo, hi = _BRACKET
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if mid < a or (mid <= b and _horner(coeffs, mid) > target):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def capacity_root_fixed(q: int, rho: float) -> float:
@@ -144,24 +202,26 @@ def capacity_root_fixed(q: int, rho: float) -> float:
 
     The coefficients change sign once, so the polynomial crosses zero exactly
     once on (0, 1): positive near 0, negative at 1.  They are computed once,
-    for every evaluation of the bisection and of the Newton steps.  Newton's
-    method starts from 1 - rho, where the sum to infinity vanishes; the
-    finite sum drops only negative terms, so 1 - rho lies left of the root.
-    The estimate only narrows where bisection evaluates: the result is that
-    of evaluating at every halving.
+    with their weights i*|c_i|, for every evaluation of the bisection and of
+    the Newton steps.  Newton's method starts from 1 - rho, where the sum to
+    infinity vanishes; the finite sum drops only negative terms, so 1 - rho
+    lies left of the root.  The estimate only narrows where bisection
+    evaluates: the result is that of evaluating at every halving.
     """
     if not 2 <= q <= _MAX_ROOT_ALPHABET:
         raise DomainError(f"fixed-length root requires alphabet size in 2..{_MAX_ROOT_ALPHABET}")
     if not 2.0 / (q + 1) < rho < 1.0:
         raise DomainError("rho must lie strictly between 2/(q+1) and 1")
     coeffs = [1.0 - rho * i for i in range(q, 0, -1)]
-    x = _bisect(_positive_below(coeffs, _newton_root(coeffs, 1.0 - rho)), *_BRACKET)
+    weights = [i * abs(c) for i, c in zip(range(q, 0, -1), coeffs)]
+    x = _solve(coeffs, weights, 0.0, _newton_root(coeffs, 1.0 - rho))
     # one Newton step to polish the last bit
-    slope = 0.0
+    acc = slope = 0.0
     for i, c in zip(range(q, 0, -1), coeffs):
         slope = slope * x + i * c
+        acc = acc * x + c
     if slope:
-        step = x - _horner(coeffs, x) / slope
+        step = x - acc * x / slope
         if 0.0 < step < 1.0:
             x = step
     return x
@@ -185,20 +245,33 @@ def cap_fixed_length(q: int, rho: float) -> float:
     return rho * math.log2(total)
 
 
+class _Repeat:
+    """c, n times, iterable again and again without a list of n entries."""
+
+    def __init__(self, c: float, n: int) -> None:
+        self.c, self.n = c, n
+
+    def __iter__(self) -> Iterator[float]:
+        return repeat(self.c, self.n)
+
+
 def capacity_root_flexible(q: int) -> float:
-    """Root in (0, 1] of sum_{i=1}^{q} x^i = 1."""
+    """Root in (0, 1] of sum_{i=1}^{q} x^i = 1.
+
+    Solved by the fixed-length solver as the point where Horner's
+    -(sum_i x^i) stops exceeding -1: with every coefficient -1, Horner
+    computes, by symmetric rounding, the exact negation of its sum with
+    every coefficient 1.  The constant term 1 and the coefficients -1
+    change sign once, so the zone proof holds, and the weights i*|c_i| are
+    the integers i.  Newton starts from 1/2, left of the root since
+    sum_{i=1}^{q} 2^-i < 1.
+    """
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
     if q == 1:
         return 1.0
-
-    def short(x: float) -> bool:
-        acc = 0.0
-        for _ in range(q):
-            acc = (acc + 1.0) * x
-        return acc < 1.0
-
-    return _bisect(short, *_BRACKET)
+    coeffs = _Repeat(-1.0, q)
+    return _solve(coeffs, range(q, 0, -1), -1.0, _newton_root(coeffs, 0.5, -1.0))
 
 
 def cap_flexible(q: int) -> float:

@@ -140,7 +140,8 @@ class EncodedBatch(NamedTuple):
         ):
             raise CorruptDataError("field 'spec' must be a list of [alphabet, cycles] pairs")
         raw_oligos = doc["oligos"]
-        if not isinstance(raw_oligos, list) or not all(isinstance(o, str) for o in raw_oligos):
+        # json.loads builds only exact str, so one set of types checks every oligo
+        if not isinstance(raw_oligos, list) or not set(map(type, raw_oligos)) <= {str}:
             raise CorruptDataError("field 'oligos' must be a list of strings")
         try:
             spec = SupersequenceSpec(tuple((s, c) for s, c in raw_spec))

@@ -320,3 +320,73 @@ def test_root_solve_evaluates_horner_only_near_the_root(monkeypatch):
     for q, rho in points:
         capacity_root_fixed(q, rho)
     assert calls / len(points) < 20
+
+
+def test_root_bit_identical_to_plain_bisection_at_large_alphabets():
+    for q in (4096, 65536):
+        edge = 2.0 / (q + 1)
+        for rho in (edge * (1.0 + 1e-1), edge * (1.0 + 1e-12), 0.5, 1.0 - 1e-3, 1.0 - 1e-12):
+            assert capacity_root_fixed(q, rho) == plain_root(q, rho), (q, rho)
+
+
+# the estimates of test_root_bit_identical_when_the_newton_estimate_is_wrong
+WRONG_ESTIMATES = {
+    "half": lambda root: 0.5,
+    "above": lambda root: root * (1.0 + 1e-9),
+    "below": lambda root: root * (1.0 - 1e-9),
+    "under-bracket": lambda root: 1e-13,
+    "over-bracket": lambda root: 1.0 - 1e-13,
+    "outside": lambda root: 2.0,
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_ESTIMATES.values(), ids=WRONG_ESTIMATES.keys())
+def test_root_bit_identical_when_the_newton_estimate_is_wrong_at_large_alphabets(
+    monkeypatch, wrong
+):
+    # at q 4096 an estimate of 2.0 overflows the Horner sums to inf and NaN
+    newton_root = capacity._newton_root
+    monkeypatch.setattr(
+        capacity, "_newton_root", lambda coeffs, x: wrong(newton_root(coeffs, x))
+    )
+    for q in (1024, 4096):
+        for rho in (0.3, 0.7, 2.0 / (q + 1) * (1.0 + 1e-12), 1.0 - 1e-12):
+            assert capacity_root_fixed(q, rho) == plain_root(q, rho), (q, rho)
+
+
+def test_root_solve_evaluates_horner_at_most_ten_times(monkeypatch):
+    # the zone is sized by the termwise bound, which does not grow with q
+    calls = []
+
+    def counted(coeffs, x):
+        calls[-1] += 1
+        return _horner(coeffs, x)
+
+    monkeypatch.setattr(capacity, "_horner", counted)
+    grid = _rho_grid(0.05, 0.95, 0.05)  # the sweep command's default grid
+    points = [(q, rho) for q in range(2, 65) for rho in grid if 2.0 / (q + 1) < rho < 1.0]
+    points += [(q, rho) for q in (1024, 4096, 65536) for rho in (0.3, 0.5, 0.7)]
+    for q, rho in points:
+        calls.append(0)
+        capacity_root_fixed(q, rho)
+    assert max(calls) <= 10, max(zip(calls, points))
+
+
+def per_halving_flexible_root(q):
+    # the flexible solver as it was before it shared the fixed-length one:
+    # the polynomial evaluated at every halving
+    if q == 1:
+        return 1.0
+
+    def short(x):
+        acc = 0.0
+        for _ in range(q):
+            acc = (acc + 1.0) * x
+        return acc < 1.0
+
+    return _bisect(short, *_BRACKET)
+
+
+def test_flexible_root_bit_identical_to_per_halving_bisection():
+    for q in list(range(1, 65)) + [128, 1024, 4096]:
+        assert capacity_root_flexible(q) == per_halving_flexible_root(q), q

@@ -328,6 +328,19 @@ def test_decode_trailing_oligos_exits_3(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("oligo", [7, None, ["1,2"], True], ids=["int", "null", "list", "bool"])
+def test_decode_oligo_that_is_not_a_string_exits_3(capsys, tmp_path, oligo):
+    batch_path = roundtrip(capsys, tmp_path, b"hi", "--scheme", "base", "--q", "4")
+    doc = json.loads(batch_path.read_text())
+    doc["oligos"].append(oligo)
+    batch_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert code == 3
+    assert "field 'oligos' must be a list of strings" in err
+
+
 def test_decode_balanced_huge_alphabet_exits_3_fast(capsys, tmp_path):
     # one symbol cannot hold a block of a 10**8-symbol alphabet; the bound
     # must come before the balanced parameters are searched
