@@ -27,8 +27,7 @@ the terms fade as x^i, the zone stays a few ulps wide at every q.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import DomainError
 
@@ -36,7 +35,7 @@ if TYPE_CHECKING:
     from .counting import CountCache
 
 _BRACKET = (1e-12, 1.0 - 1e-12)
-# Largest alphabet of a fixed-length root solve.  A solve holds q
+# Largest alphabet of a root solve.  A fixed-length solve holds q
 # coefficients and their weights (about 64 MB at this bound) and makes 12
 # or 13 passes over them, 2 of them to build them: 1.0 to 1.2 s at this
 # bound (rho .3, .5, .7; Python 3.11 on a shared 2-vCPU host).
@@ -55,9 +54,14 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
+def _bisect(
+    below: Callable[[float], bool], lo: float, hi: float, a: float = -math.inf, b: float = math.inf
+) -> float:
     """The point where *below* turns false on [lo, hi], by bisection.
 
+    *a* and *b* are optional zone ends: *below* is known to hold at every
+    point under a and to fail at every point over b, so it is called only
+    on [a, b], and the halvings take the path of calling it everywhere.
     Stops once the midpoint equals a bracket end: no later halving could
     move it, so the result is that of all 200 halvings, in about 60.
     """
@@ -65,7 +69,7 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if below(mid):
+        if mid < a or (mid <= b and below(mid)):
             lo = mid
         else:
             hi = mid
@@ -179,22 +183,10 @@ def _zone(
 def _solve(
     coeffs: Iterable[float], weights: Iterable[float], target: float, estimate: float
 ) -> float:
-    """_bisect on _horner(coeffs, x) > target over _BRACKET, evaluating only in the zone.
-
-    Below the zone the predicate holds and above it it fails, so the halvings
-    take the path, and give the float, of evaluating at every one.
-    """
-    a, b = _zone(coeffs, weights, target, estimate)
-    lo, hi = _BRACKET
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if mid < a or (mid <= b and _horner(coeffs, mid) > target):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """_bisect on _horner(coeffs, x) > target over _BRACKET, evaluating only in the zone."""
+    return _bisect(
+        lambda x: _horner(coeffs, x) > target, *_BRACKET, *_zone(coeffs, weights, target, estimate)
+    )
 
 
 def capacity_root_fixed(q: int, rho: float) -> float:
@@ -245,18 +237,8 @@ def cap_fixed_length(q: int, rho: float) -> float:
     return rho * math.log2(total)
 
 
-class _Repeat:
-    """c, n times, iterable again and again without a list of n entries."""
-
-    def __init__(self, c: float, n: int) -> None:
-        self.c, self.n = c, n
-
-    def __iter__(self) -> Iterator[float]:
-        return repeat(self.c, self.n)
-
-
 def capacity_root_flexible(q: int) -> float:
-    """Root in (0, 1] of sum_{i=1}^{q} x^i = 1.
+    """Root in (0, 1] of sum_{i=1}^{q} x^i = 1, for q in 1.._MAX_ROOT_ALPHABET.
 
     Solved by the fixed-length solver as the point where Horner's
     -(sum_i x^i) stops exceeding -1: with every coefficient -1, Horner
@@ -264,19 +246,21 @@ def capacity_root_flexible(q: int) -> float:
     every coefficient 1.  The constant term 1 and the coefficients -1
     change sign once, so the zone proof holds, and the weights i*|c_i| are
     the integers i.  Newton starts from 1/2, left of the root since
-    sum_{i=1}^{q} 2^-i < 1.
+    sum_{i=1}^{q} 2^-i < 1.  The alphabet bound is the fixed-length root's:
+    a solve holds q coefficients and passes over them about 10 times.
     """
-    if q < 1:
-        raise DomainError("alphabet size must be at least 1")
+    if not 1 <= q <= _MAX_ROOT_ALPHABET:
+        raise DomainError(f"flexible root requires alphabet size in 1..{_MAX_ROOT_ALPHABET}")
     if q == 1:
         return 1.0
-    coeffs = _Repeat(-1.0, q)
+    coeffs = [-1.0] * q
     return _solve(coeffs, range(q, 0, -1), -1.0, _newton_root(coeffs, 0.5, -1.0))
 
 
 def cap_flexible(q: int) -> float:
     """Capacity in bits per cycle when oligo lengths are unconstrained."""
-    return -math.log2(capacity_root_flexible(q))
+    # 0.0 - log2(x) is -log2(x) for every x < 1, and 0.0, not -0.0, at x = 1
+    return 0.0 - math.log2(capacity_root_flexible(q))
 
 
 def _log2_int(n: int) -> float:

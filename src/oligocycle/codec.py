@@ -553,6 +553,7 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
     for rho in rhos:
         if not 0.0 <= rho <= 1.0:
             raise DomainError("rho grid entries must lie in [0, 1]")
+        cap = cap_fixed_length(q, rho)  # one root solve for both rows
         for depth in range(1, 65):
             try:
                 length = _lookup(q, rho=rho, depth=depth).lengths[0]
@@ -561,10 +562,10 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
             # the closed form alone: a rated geometry needs no rank table
             width = subsequence_count(q, depth * q, length).bit_length() - 1
             if width >= 1:
-                rows.append(RateRow("lookup", rho, width / (depth * q), cap_fixed_length(q, rho)))
+                rows.append(RateRow("lookup", rho, width / (depth * q), cap))
                 break
         if rho >= 2.0 / (q + 1) - 1e-12:
-            rows.append(RateRow("multisize", rho, multisize_rate(q, rho), cap_fixed_length(q, rho)))
+            rows.append(RateRow("multisize", rho, multisize_rate(q, rho), cap))
     rows.sort(key=lambda r: (r.rho, r.scheme))
     return rows
 

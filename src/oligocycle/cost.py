@@ -29,10 +29,11 @@ class CostParams(_Record):
     __slots__ = ("alpha", "beta", "payload_bits", "cycles")
 
     def __init__(self, alpha: float, beta: float, payload_bits: float, cycles: int) -> None:
-        if alpha < 0 or beta < 0:
-            raise DomainError("unit costs must be non-negative")
-        if payload_bits < 0:
-            raise DomainError("payload size must be non-negative")
+        # written so that NaN fails too
+        if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+            raise DomainError("unit costs must be non-negative and finite")
+        if not 0 <= payload_bits < math.inf:
+            raise DomainError("payload size must be non-negative and finite")
         if cycles < 1:
             raise DomainError("cycle count must be at least 1")
         object.__setattr__(self, "alpha", alpha)

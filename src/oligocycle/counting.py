@@ -36,7 +36,7 @@ from threading import Lock
 from typing import Sequence
 
 from .errors import DomainError
-from .sequence import Oligo
+from .sequence import Oligo, alternating_prefix
 
 # Largest suffix table built, in stored integers.  It is checked first: the
 # byte bound below takes a closed-form count, which is cheap only once the
@@ -65,6 +65,8 @@ def _table_bytes(rows: Table) -> int:
 
 class CountCache:
     """Suffix tables keyed by (q, cycles, length); len() counts the tables.
+
+    The module keeps one, _shared_cache, for every table of the process.
 
     Entries are pure functions of their key, so a reader racing a writer at
     worst builds the same table twice.  Once the tables take more than
@@ -100,8 +102,8 @@ _shared_cache = CountCache()
 def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None = None) -> int:
     """Number of distinct length-*length* oligos reachable in *cycles* cycles.
 
-    The closed form memoizes nothing; *cache* is accepted for symmetry with
-    rank and unrank.
+    The closed form memoizes nothing; *cache* is accepted and ignored,
+    because the perfbench suite still passes one positionally.
     """
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
@@ -120,7 +122,7 @@ def brute_force_count(q: int, cycles: int, length: int) -> int:
         raise DomainError("brute force enumeration is capped at 20 cycles")
     if not 0 <= length <= cycles:
         raise DomainError("length must lie in 0..cycles")
-    stream = tuple(i % q + 1 for i in range(cycles))
+    stream = alternating_prefix(q, cycles)
     seen: set[tuple[int, ...]] = set()
     for mask in range(1 << cycles):
         if mask.bit_count() != length:
@@ -129,8 +131,8 @@ def brute_force_count(q: int, cycles: int, length: int) -> int:
     return len(seen)
 
 
-def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = None) -> Table:
-    """The suffix table of the (q, cycles, length) geometry, built once per cache.
+def suffix_table(q: int, cycles: int, length: int) -> Table:
+    """The suffix table of the (q, cycles, length) geometry, built once per process.
 
     Row l holds the running sums S_l(k) = N(l, l) + N(l + 1, l) + ... +
     N(l + k, l) for k = 0, 1, ...: the gap sequences of length l with at
@@ -152,9 +154,8 @@ def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = No
         raise DomainError("alphabet size must be at least 1")
     if not 0 <= length <= cycles:
         raise DomainError("length must lie in 0..cycles")
-    cache = cache if cache is not None else _shared_cache
     key = (q, cycles, length)
-    rows = cache._tables.get(key)
+    rows = _shared_cache._tables.get(key)
     if rows is None:
         spare = cycles - length
         sizes = [min(spare, l * (q - 1) + q) + 1 for l in range(length + 1)]
@@ -174,14 +175,14 @@ def suffix_table(q: int, cycles: int, length: int, cache: CountCache | None = No
             # N(l + k, l) = S_{l-1}(k) - S_{l-1}(k - q), then its running sum
             row = list(accumulate(map(sub, prev, chain(repeat(0, q), prev))))
             rows.append(row)
-        rows = cache._insert(key, rows)
+        rows = _shared_cache._insert(key, rows)
     return rows
 
 
-def indexed_count(q: int, cycles: int, length: int, cache: CountCache | None = None) -> int:
+def indexed_count(q: int, cycles: int, length: int) -> int:
     """subsequence_count read off the suffix table, which is built (or refused,
     for an oversized window) first: the number of ranks unrank accepts."""
-    return _total(suffix_table(q, cycles, length, cache))
+    return _total(suffix_table(q, cycles, length))
 
 
 def _total(rows: Table) -> int:
@@ -198,14 +199,12 @@ def _total(rows: Table) -> int:
 # unrank read the sums at spare, or at the row's end when spare lies past it.
 
 
-def rank_symbols(
-    q: int, cycles: int, symbols: Sequence[int], cache: CountCache | None = None
-) -> int:
+def rank_symbols(q: int, cycles: int, symbols: Sequence[int]) -> int:
     """subsequence_rank on a bare symbol sequence."""
     if symbols and not 1 <= min(symbols) <= max(symbols) <= q:
         raise DomainError(f"symbols must lie in 1..{q}")
     length = len(symbols)
-    rows = suffix_table(q, cycles, length, cache)
+    rows = suffix_table(q, cycles, length)
     spare = cycles - length  # cycles left beyond one per symbol still to place
     prev = index = 0  # prev: the symbol last placed, 0 before the first
     for row, sym in zip(reversed(rows[:length]), symbols):
@@ -225,12 +224,10 @@ def rank_symbols(
     return index
 
 
-def unrank_symbols(
-    q: int, cycles: int, length: int, index: int, cache: CountCache | None = None
-) -> tuple[int, ...]:
+def unrank_symbols(q: int, cycles: int, length: int, index: int) -> tuple[int, ...]:
     """subsequence_unrank as a bare symbol tuple: one bisection per symbol,
     over the sums that the symbols 1..prev leave or over those of prev+1..q."""
-    rows = suffix_table(q, cycles, length, cache)
+    rows = suffix_table(q, cycles, length)
     total = _total(rows)
     if not 0 <= index < total:
         raise DomainError(f"index must lie in 0..{total - 1}")
@@ -257,7 +254,7 @@ def unrank_symbols(
     return tuple(out)
 
 
-def subsequence_rank(q: int, cycles: int, oligo: Oligo, cache: CountCache | None = None) -> int:
+def subsequence_rank(q: int, cycles: int, oligo: Oligo) -> int:
     """Index of *oligo* among the distinct same-length oligos reachable in
     *cycles* cycles, ordered lexicographically by symbol value.
 
@@ -265,11 +262,9 @@ def subsequence_rank(q: int, cycles: int, oligo: Oligo, cache: CountCache | None
     """
     if oligo.q > q:
         raise DomainError("oligo alphabet exceeds the stream alphabet")
-    return rank_symbols(q, cycles, oligo.symbols, cache)
+    return rank_symbols(q, cycles, oligo.symbols)
 
 
-def subsequence_unrank(
-    q: int, cycles: int, length: int, index: int, cache: CountCache | None = None
-) -> Oligo:
+def subsequence_unrank(q: int, cycles: int, length: int, index: int) -> Oligo:
     """Inverse of subsequence_rank: the oligo at *index* in lexicographic order."""
-    return Oligo(unrank_symbols(q, cycles, length, index, cache), q)
+    return Oligo(unrank_symbols(q, cycles, length, index), q)

@@ -204,6 +204,20 @@ def test_flexible_values():
         previous = value
 
 
+def test_flexible_cap_has_no_negative_zero():
+    assert math.copysign(1.0, cap_flexible(1)) == 1.0
+    for q in range(2, 65):
+        # 0.0 - log2(x) and -log2(x) agree bit for bit below x = 1
+        assert cap_flexible(q).hex() == (-math.log2(capacity_root_flexible(q))).hex(), q
+
+
+def test_flexible_root_domain():
+    # the fixed-length root's bound: a solve holds q coefficients
+    for q in (0, _MAX_ROOT_ALPHABET + 1, 10**10):
+        with pytest.raises(DomainError):
+            capacity_root_flexible(q)
+
+
 def test_flexible_dominates_fixed_length():
     for q in (2, 3, 4, 8):
         flexible = cap_flexible(q)

@@ -31,6 +31,9 @@ def test_capacity_command(capsys):
     code, out, _ = run_cli(capsys, "capacity", "--q", "4", "--flexible")
     assert code == 0
     assert json.loads(out)["kind"] == "flexible"
+    code, out, _ = run_cli(capsys, "capacity", "--q", "1", "--flexible")
+    assert code == 0
+    assert out == '{"q": 1, "kind": "flexible", "cap": 0.0}\n'  # not -0.0
 
 
 def test_capacity_rejects_bad_domain(capsys):
@@ -40,6 +43,10 @@ def test_capacity_rejects_bad_domain(capsys):
     started = time.perf_counter()
     code, _, err = run_cli(capsys, "capacity", "--q", "100000000", "--rho", "0.5")
     assert code == 2 and "error:" in err
+    assert time.perf_counter() - started < 1.0
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "capacity", "--q", "10000000", "--flexible")
+    assert code == 2 and out == "" and "error:" in err
     assert time.perf_counter() - started < 1.0
 
 
@@ -54,6 +61,12 @@ def test_count_command(capsys):
     assert int(oracle_out) == subsequence_count(3, 9, 4)
     code, _, _ = run_cli(capsys, "count", "--q", "2", "--cycles", "3", "--length", "9")
     assert code == 2
+    # the oracle's offer stream needs an alphabet
+    for q, length in (("0", "1"), ("-3", "2")):
+        code, out, err = run_cli(
+            capsys, "count", "--q", q, "--cycles", "5", "--length", length, "--oracle"
+        )
+        assert code == 2 and out == "" and "error:" in err
 
 
 def roundtrip(capsys, tmp_path, data, *encode_args):
@@ -624,6 +637,23 @@ def test_cost_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["q"] == 16
+
+
+NON_FINITE_PRICES = [
+    ("cost", "--alpha", "nan", "--beta", "1", "--bits", "1e6", "--cycles", "200", "--q", "4"),
+    ("cost", "--alpha", "1", "--beta", "nan", "--bits", "1e6", "--cycles", "200", "--q", "4"),
+    ("cost", "--alpha", "1", "--beta", "inf", "--bits", "1e6", "--cycles", "200", "--q", "4"),
+    ("cost", "--alpha", "1", "--beta", "1", "--bits", "inf", "--cycles", "200", "--max-q", "8"),
+    ("cost", "--alpha", "1", "--beta", "1", "--bits", "nan", "--cycles", "200", "--q", "4"),
+    ("sweep", "--curve", "cost-vs-rho", "--q-list", "4", "--alpha", "nan", "--format", "json"),
+    ("sweep", "--curve", "cost-vs-rho", "--q-list", "4", "--bits", "inf"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_PRICES, ids=" ".join)
+def test_non_finite_prices_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_sweep_rejects_bad_grid(capsys):

@@ -16,6 +16,7 @@ from oligocycle import (
     SupersequenceSpec,
     base_decode,
     base_encode,
+    cap_fixed_length,
     decode_payload,
     encode_payload,
     min_cycles_under,
@@ -461,6 +462,24 @@ def test_rate_table_known_rates():
     assert rows[("balanced", 0.5)] == pytest.approx(0.5)
     assert rows[("window", 0.5)] == pytest.approx(0.75)
     assert rows[("multisize", 0.4)] == pytest.approx(0.8)
+
+
+def test_rate_table_solves_each_root_once(monkeypatch):
+    calls = []
+
+    def counted(q, rho):
+        calls.append((q, rho))
+        return cap_fixed_length(q, rho)
+
+    monkeypatch.setattr(codec, "cap_fixed_length", counted)
+    grid = [0.05 + 0.1 * k for k in range(10)]  # none is a fixed-ratio scheme's rho
+    for q in (4, 16):
+        rows = rate_table(q, grid)
+        # the lookup and multisize rows of one rho share one solve
+        assert [calls.count((q, rho)) for rho in grid] == [1] * len(grid)
+        for row in rows:
+            if row.scheme in ("lookup", "multisize"):
+                assert row.cap == cap_fixed_length(q, row.rho)
 
 
 def test_encode_payload_validates_arguments():

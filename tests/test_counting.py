@@ -27,6 +27,7 @@ from oligocycle import (
     subsequence_rank,
     subsequence_unrank,
 )
+from oligocycle import counting
 from oligocycle.counting import _MAX_CACHED_BYTES, indexed_count, suffix_table
 
 
@@ -275,25 +276,23 @@ def test_unrank_bounds():
         subsequence_unrank(3, 6, 3, -1)
 
 
-def test_private_cache_is_isolated():
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty CountCache in place of the module's one for the test."""
     cache = CountCache()
-    before = len(cache)
-    oligo = subsequence_unrank(4, 30, 12, 12345, cache)
-    assert len(cache) > before
-    assert subsequence_rank(4, 30, oligo, cache) == 12345
-    other = CountCache()
-    assert len(other) == 0
+    monkeypatch.setattr(counting, "_shared_cache", cache)
+    return cache
 
 
-def test_cache_survives_concurrent_use():
-    cache = CountCache()
+def test_cache_survives_concurrent_use(fresh_cache):
+    cache = fresh_cache
     total = subsequence_count(5, 60, 24)
     indices = [total * k // 9 for k in range(1, 9)]
     results = []
 
     def work(index):
-        oligo = subsequence_unrank(5, 60, 24, index, cache)
-        results.append((index, oligo.symbols, subsequence_rank(5, 60, oligo, cache)))
+        oligo = subsequence_unrank(5, 60, 24, index)
+        results.append((index, oligo.symbols, subsequence_rank(5, 60, oligo)))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in indices]
     interval = sys.getswitchinterval()
@@ -313,14 +312,14 @@ def test_cache_survives_concurrent_use():
     assert len(cache) == 1
 
 
-def test_cache_drops_its_oldest_tables_past_its_bound():
+def test_cache_drops_its_oldest_tables_past_its_bound(fresh_cache):
     # one 1-byte lookup block at every depth 1..256 would keep 18.8M integers
-    cache = CountCache()
+    cache = fresh_cache
     for depth in range(1, 257):
         cycles, length = 4 * depth, 2 * depth
         index = (0xA5 + depth) % subsequence_count(4, cycles, length)
-        oligo = subsequence_unrank(4, cycles, length, index, cache)
-        assert subsequence_rank(4, cycles, oligo, cache) == index
+        oligo = subsequence_unrank(4, cycles, length, index)
+        assert subsequence_rank(4, cycles, oligo) == index
     held = sum(len(row) for rows in cache._tables.values() for row in rows)
     assert held <= 1 << 22
     held_bytes = sum(
@@ -358,20 +357,20 @@ def test_closed_form_matches_the_deletion_ball_recursion():
                 assert subsequence_count(q, cycles, length) == expected, (q, cycles, length)
 
 
-def test_suffix_table_total_matches_the_closed_form():
+def test_suffix_table_total_matches_the_closed_form(fresh_cache):
     for q in range(1, 9):
         for cycles in range(61):
             for length in range(cycles + 1):
-                total = indexed_count(q, cycles, length, CountCache())
+                total = indexed_count(q, cycles, length)
                 assert total == subsequence_count(q, cycles, length), (q, cycles, length)
 
 
-def test_suffix_table_rows_are_running_sums_of_counts():
+def test_suffix_table_rows_are_running_sums_of_counts(fresh_cache):
     # row l's steps count the gap sequences of length l within l + k cycles
     for q in range(1, 7):
         for cycles in range(17):
             for length in range(cycles + 1):
-                rows = suffix_table(q, cycles, length, CountCache())
+                rows = suffix_table(q, cycles, length)
                 assert len(rows) == length + 1
                 for l, row in enumerate(rows):
                     assert len(row) == min(cycles - length, l * (q - 1) + q) + 1

@@ -8,6 +8,9 @@ left the batch's content unchanged (say, "+1" for "1") must recover the
 payload exactly, and a case that decodes must have every oligo embed in
 its program.  A mutated oligo can be another valid codeword, so a
 changed batch may decode to another payload: only a digest could tell.
+The raw text of a batch file is fuzzed too: truncated, with bytes flipped
+or inserted, with a value wrapped in deep nesting, or with invalid UTF-8,
+and decoded through the CLI, which must exit 0, 2 or 3.
 The examples are fixed so the gate is deterministic.
 """
 
@@ -148,4 +151,58 @@ def test_mutated_batches_exit_0_2_or_3_through_the_cli(case):
         assert time.perf_counter() - started < SECONDS_PER_CASE
         assert code in (0, 2, 3)
         if unchanged(doc, new):
+            assert code == 0 and bits_from_bytes(out.read_bytes()) == payload
+
+
+# byte strings that no UTF-8 decoder accepts: a stray continuation byte, a
+# truncated lead, a surrogate, an overlong slash, a five-byte form
+INVALID_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf8\x88\x80\x80\x80"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """(payload, original batch file bytes, mutated bytes)."""
+    scheme, kwargs = draw(st.sampled_from(SETUPS))
+    payload = bits_from_bytes(draw(st.binary(min_size=1, max_size=4)))
+    text = encode_payload(scheme, payload, **kwargs).to_json()
+    data = text.encode("utf-8")
+    kind = draw(st.sampled_from(["truncate", "flip", "insert", "nest", "utf8"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        new = data[:at]
+    elif kind == "flip":
+        at = min(at, len(data) - 1)
+        new = data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1 :]
+    elif kind == "insert":
+        new = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    elif kind == "utf8":
+        new = data[:at] + draw(st.sampled_from(INVALID_UTF8)) + data[at:]
+    else:
+        doc = json.loads(text)
+        key = draw(st.sampled_from([None, *doc]))
+        depth = draw(st.sampled_from([1, 2, 100, 10_000, 100_000]))
+        open_, close = draw(st.sampled_from([("[", "]"), ('{"k": ', "}")]))
+        if key is None:  # the whole document
+            inner = text
+        else:
+            inner = json.dumps(doc[key])
+            doc[key] = "\0"  # a placeholder no batch holds
+        nested = open_ * depth + inner + close * depth
+        new = (nested if key is None else json.dumps(doc).replace('"\\u0000"', nested)).encode()
+    return payload, data, new
+
+
+@settings(FIXED, max_examples=120)
+@given(mutated_texts())
+def test_mutated_batch_text_exits_0_2_or_3_through_the_cli(case):
+    payload, data, new = case
+    with tempfile.TemporaryDirectory() as tmp:
+        batch, out = Path(tmp) / "batch.json", Path(tmp) / "out.bin"
+        batch.write_bytes(new)
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["decode", "--in", str(batch), "--out", str(out)])
+        assert time.perf_counter() - started < SECONDS_PER_CASE
+        assert code in (0, 2, 3)
+        if new == data:
             assert code == 0 and bits_from_bytes(out.read_bytes()) == payload
