@@ -17,8 +17,6 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _HOMES = {
-    "knuth_balance": "bits",
-    "knuth_unbalance": "bits",
     "binary_entropy": "capacity",
     "cap_fixed_length": "capacity",
     "cap_flexible": "capacity",
@@ -27,11 +25,7 @@ _HOMES = {
     "empirical_cap": "capacity",
     "EncodedBatch": "codec",
     "RateRow": "codec",
-    "balanced_block_decode": "codec",
-    "balanced_block_encode": "codec",
     "balanced_params": "codec",
-    "base_decode": "codec",
-    "base_encode": "codec",
     "decode_payload": "codec",
     "encode_payload": "codec",
     "multisize_rate": "codec",
@@ -52,10 +46,7 @@ _HOMES = {
     "Oligo": "sequence",
     "SupersequenceSpec": "sequence",
     "alternating_prefix": "sequence",
-    "materialize": "sequence",
     "min_cycles_under": "sequence",
-    "offer_gap": "sequence",
-    "synthesis_cycles": "sequence",
 }
 
 __all__ = sorted(_HOMES)

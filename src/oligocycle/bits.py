@@ -117,23 +117,3 @@ def unbalance_word(word: int, f: int) -> int:
     if k > f:
         raise CorruptDataError("flip count exceeds the word length")
     return (word >> (g + 1)) ^ ((1 << f) - (1 << (f - k)))
-
-
-def knuth_balance(word: str) -> str:
-    """Balance a word by flipping a prefix: output is the flipped word, the
-    Gray code of the flip count, and one balance bit, at weight exactly half
-    the (even) output length rounded down."""
-    validate_bits(word)
-    f = len(word)
-    if f < 1:
-        raise DomainError("cannot balance an empty word")
-    return format(balance_word(int(word, 2), f), f"0{f + (f - 1).bit_length() + 1}b")
-
-
-def knuth_unbalance(word: str) -> str:
-    """Invert knuth_balance; raises CorruptDataError on malformed blocks."""
-    validate_bits(word)
-    f = balanced_data_bits(len(word))
-    if f + (f - 1).bit_length() + 1 != len(word):
-        raise DomainError(f"{len(word)} is not a balanced block size")
-    return format(unbalance_word(int(word, 2), f), f"0{f}b")

@@ -1,7 +1,8 @@
 """Command line interface emitting figure-ready CSV and JSON.
 
-Exit codes: 0 on success, 2 for arguments outside an operation's domain,
-3 for corrupt or inconsistent serialized data.
+Exit codes: 0 on success, 2 for arguments outside an operation's domain
+(an integer past float range included) or an unreadable file, 3 for corrupt
+or inconsistent serialized data.
 """
 
 from __future__ import annotations
@@ -314,10 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except CorruptDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -259,28 +259,6 @@ def _base_value(q: int, symbols: Sequence[int]) -> int:
     return value
 
 
-def base_encode(q: int, info: Oligo) -> Oligo:
-    """Re-express info symbols as offer gaps behind one steering symbol.
-
-    Each info symbol g in 1..q makes the output advance exactly g cycles.
-    When the gaps sum past the midpoint (q+1)*len/2 they all flip to their
-    complements q+1-g, signalled by a leading 2 instead of a leading 1, so
-    the greedy cycle count never exceeds floor((q+1)*(len+1)/2).
-    """
-    if q < 2:
-        raise DomainError("base scheme requires alphabet size >= 2")
-    if info.q > q:
-        raise DomainError("info symbols exceed the alphabet")
-    return Oligo(_Digits(q).steer(info.symbols), q)
-
-
-def base_decode(q: int, oligo: Oligo) -> Oligo:
-    """Invert base_encode; raises CorruptDataError on a malformed oligo."""
-    if q < 2:
-        raise DomainError("base scheme requires alphabet size >= 2")
-    return Oligo(tuple(_Digits(q).gaps(_base_value(q, oligo.symbols), len(oligo) - 1)), q)
-
-
 def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
     if q < 2:
         raise DomainError("base scheme requires alphabet size >= 2")
@@ -456,21 +434,6 @@ def _positions(size: int) -> Callable[[int], tuple[int, ...]]:
 
 def _byte_positions(offset: int, byte: int) -> tuple[int, ...]:
     return tuple(offset + b for b in range(1, 9) if byte >> (8 - b) & 1)
-
-
-def balanced_block_encode(q: int, block: str) -> Oligo:
-    """One block of data bits to one strictly ascending constant-weight oligo."""
-    f, size = balanced_params(q)
-    validate_bits(block)
-    if len(block) != f:
-        raise DomainError(f"block must carry exactly {f} bits")
-    return Oligo(_balanced(q).encode_block(int(block, 2)), size)
-
-
-def balanced_block_decode(q: int, oligo: Oligo) -> str:
-    """Invert balanced_block_encode; raises CorruptDataError on bad blocks."""
-    f, _ = balanced_params(q)
-    return format(_balanced(q).decode_block(oligo.symbols), f"0{f}b")
 
 
 # --- window scheme: one alphabet subset per revolution ---
@@ -656,7 +619,7 @@ def decode_payload(batch: EncodedBatch) -> str:
         # base block's cycles at its segment's, balanced and window blocks
         # ascend within one revolution, and rank refuses a lookup block past its window
         values = {block: code.decode_block(block) for block in distinct}
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:  # OverflowError: an int past float range
         raise CorruptDataError(str(exc)) from exc
     if any(v >> width for v in values.values()):
         raise CorruptDataError("decoded block exceeds its bit width")

@@ -43,11 +43,17 @@ class CostParams(_Record):
 
 
 def cost_at_capacity(params: CostParams, q: int, rho: float) -> float:
-    """Total cost of encoding the workload at capacity with ratio rho."""
+    """Total cost of encoding the workload at capacity with ratio rho.
+
+    Raises DomainError when finite prices give a cost past float range.
+    """
     cap = cap_fixed_length(q, rho)
     if cap <= 0.0:
         raise DomainError("rho must give positive capacity")
-    return params.alpha * params.cycles + params.beta * params.payload_bits * (rho / cap)
+    cost = params.alpha * params.cycles + params.beta * params.payload_bits * (rho / cap)
+    if not math.isfinite(cost):
+        raise DomainError("cost overflows a float")
+    return cost
 
 
 def rho_star(q: int) -> float:

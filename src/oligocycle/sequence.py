@@ -5,8 +5,8 @@ symbol per cycle, cycling through the alphabet in the fixed order
 1, 2, ..., q, 1, 2, ...  A strand accepts or skips each offer, so the oligos
 that can be built in C cycles are exactly the subsequences of the length-C
 alternating prefix.  Everything here is exact integer bookkeeping: building
-offer prefixes, costing a single oligo, and embedding oligos into programs
-whose alphabet changes between segments.
+offer prefixes, reading and writing oligos as text, and embedding oligos
+into programs whose alphabet changes between segments.
 """
 
 from __future__ import annotations
@@ -64,15 +64,6 @@ class Oligo(_Record):
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def to_text(self) -> str:
-        """Comma-separated symbol list, e.g. '4,3,2,1'."""
-        return render_oligos((self,))[0]
-
-    @classmethod
-    def from_text(cls, text: str, q: int) -> "Oligo":
-        """Parse the output of to_text.  Empty string means the empty oligo."""
-        return parse_oligos((text,), q)[0]
 
 
 # --- the oligo text format, one batch at a time ---
@@ -153,38 +144,6 @@ def alternating_prefix(q: int, cycles: int) -> tuple[int, ...]:
     if cycles < 0:
         raise DomainError("cycle count must be non-negative")
     return tuple(i % q + 1 for i in range(cycles))
-
-
-def materialize(spec: SupersequenceSpec) -> tuple[int, ...]:
-    """Concatenate each segment's alternating prefix into one offer stream."""
-    out: list[int] = []
-    for q, cycles in spec.segments:
-        out.extend(alternating_prefix(q, cycles))
-    return tuple(out)
-
-
-def offer_gap(current: int, target: int, q: int) -> int:
-    """Cycles the stream needs to go from just after offering *current* to
-    offering *target*, in {1, ..., q}.  A repeat of the same symbol costs a
-    full revolution of q cycles."""
-    if not (1 <= current <= q and 1 <= target <= q):
-        raise DomainError("symbols must lie in 1..q")
-    return (target - current - 1) % q + 1
-
-
-def synthesis_cycles(oligo: Oligo) -> int:
-    """Cycles consumed when the oligo is synthesized greedily from cycle 1.
-
-    The first symbol s costs s cycles (the stream starts at 1), and each
-    following symbol costs offer_gap from its predecessor.
-    """
-    symbols = oligo.symbols
-    if not symbols:
-        return 0
-    total = symbols[0]
-    for prev, cur in zip(symbols, symbols[1:]):
-        total += offer_gap(prev, cur, oligo.q)
-    return total
 
 
 def min_cycles_under(spec: SupersequenceSpec, oligo: Oligo) -> int | None:

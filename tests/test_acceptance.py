@@ -20,22 +20,21 @@ from oligocycle import (
     CostParams,
     Oligo,
     alternating_prefix,
-    balanced_block_encode,
     balanced_params,
-    base_encode,
     cap_fixed_length,
     decode_payload,
     empirical_cap,
     encode_payload,
-    knuth_balance,
     min_cycles_under,
     minimize_over_rho,
     multisize_rate,
     rho_star,
     subsequence_count,
-    synthesis_cycles,
 )
+from oligocycle import codec
+from oligocycle.bits import balance_word
 from oligocycle.cli import main
+from oracles import synthesis_cycles
 
 
 def report(criterion, ok, detail):
@@ -110,10 +109,10 @@ def test_criterion_02_balanced_parameter_table():
 
 
 def test_criterion_03_balancing_worked_example():
-    word = knuth_balance("100")
-    oligo = balanced_block_encode(6, "100")
-    ok = word == "010110" and oligo.symbols == (2, 4, 5)
-    report(3, ok, f"K(100)={word} block={''.join(map(str, oligo.symbols))}")
+    word = format(balance_word(0b100, 3), "06b")
+    block = codec.SCHEMES["balanced"](6).encode_block(0b100)
+    ok = word == "010110" and block == (2, 4, 5)
+    report(3, ok, f"K(100)={word} block={''.join(map(str, block))}")
 
 
 def test_criterion_04_counts_match_brute_force():
@@ -237,7 +236,7 @@ def test_criterion_08_cycle_budget_safety():
         for length in range(0, 6):
             budget = (q + 1) * (length + 1) // 2
             for symbols in itertools.product(range(1, q + 1), repeat=length):
-                if synthesis_cycles(base_encode(q, Oligo(symbols, q))) > budget:
+                if synthesis_cycles(Oligo(codec._Digits(q).steer(symbols), q)) > budget:
                     base_violations += 1
                 base_cases += 1
     elapsed = perf_counter() - start

@@ -656,6 +656,102 @@ def test_non_finite_prices_exit_2(capsys, argv):
     assert code == 2 and out == "" and "error:" in err
 
 
+HUGE = str(10**400)  # an integer past float range
+PAST_FLOAT_RANGE = [
+    ("capacity", "--q", HUGE, "--rho", ".5"),
+    ("cost", "--alpha", "1", "--beta", "1", "--bits", "1e6", "--cycles", "200", "--q", HUGE),
+    ("cost", "--alpha", "1", "--beta", "1", "--bits", "1e6", "--cycles", HUGE, "--q", "4"),
+    ("sweep", "--curve", "rho-star", "--q-list", HUGE),
+    ("sweep", "--curve", "cost-vs-rho", "--q-list", "4", "--cycles", HUGE),
+    ("sweep", "--curve", "empirical-convergence", "--q-list", "4", "--cycles-list", HUGE),
+    ("encode", "--scheme", "base", "--q", HUGE),
+    ("encode", "--scheme", "lookup", "--q", "4", "--rho", ".5", "--depth", HUGE),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", PAST_FLOAT_RANGE, ids=lambda argv: " ".join(argv).replace(HUGE, "10**400")
+)
+def test_integers_past_float_range_exit_2(capsys, tmp_path, argv):
+    batch = tmp_path / "batch.json"
+    if argv[0] == "encode":
+        source = tmp_path / "payload.bin"
+        source.write_bytes(b"hi")
+        argv += ("--in", str(source), "--out", str(batch))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "error:" in err
+    assert not batch.exists()
+
+
+@pytest.mark.parametrize(
+    "encode_args, field, value",
+    [
+        (("--scheme", "base", "--q", "4"), "q", 10**400),
+        (("--scheme", "multisize", "--q", "5", "--rho", "0.45"), "q", 10**400),
+        (("--scheme", "lookup", "--q", "4", "--rho", "0.5", "--depth", "2"), "spec", [[4, 10**400]]),
+    ],
+    ids=["base-q", "multisize-q", "lookup-spec"],
+)
+def test_decode_integer_past_float_range_exits_3(capsys, tmp_path, encode_args, field, value):
+    batch_path = roundtrip(capsys, tmp_path, b"hi", *encode_args)
+    doc = json.loads(batch_path.read_text())
+    doc[field] = value
+    batch_path.write_text(json.dumps(doc))
+    out = tmp_path / "x.bin"
+    code, stdout, err = run_cli(capsys, "decode", "--in", str(batch_path), "--out", str(out))
+    assert code == 3 and stdout == "" and "error:" in err
+    assert not out.exists()
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# extreme finite inputs: prices near the float maximum and the largest alphabet
+# a capacity root accepts; their products overflow
+PRICES = ("--alpha", "1e308", "--beta", "1e308", "--bits", "1e300")
+ZERO_BASE_PRICE = ("--alpha", "1e308", "--beta", "0", "--bits", "1e300", "--cycles", "1")
+JSON_COMMANDS = [
+    ("capacity", "--q", str(2**20), "--rho", "0.5"),
+    ("capacity", "--q", str(2**20), "--flexible"),
+    ("cost", *PRICES, "--cycles", "200", "--q", "4"),
+    ("cost", *PRICES, "--cycles", "200", "--max-q", "16"),
+    ("cost", *ZERO_BASE_PRICE, "--q", "4"),
+    ("cost", *ZERO_BASE_PRICE, "--max-q", "16"),
+    *(
+        ("sweep", "--curve", curve, *SWEEP_CURVES[curve], *PRICES, "--format", "json")
+        for curve in sorted(SWEEP_CURVES)
+    ),
+    ("sweep", "--curve", "cost-vs-rho", "--q-list", "4", *ZERO_BASE_PRICE, "--format", "json"),
+]
+
+
+def test_every_json_document_on_stdout_is_strict_json(capsys, tmp_path):
+    source = tmp_path / "payload.bin"
+    source.write_bytes(b"strict")
+    batch = str(tmp_path / "batch.json")
+    commands = [
+        *JSON_COMMANDS,
+        ("encode", "--scheme", "base", "--q", "4", "--in", str(source), "--out", batch),
+        ("decode", "--in", batch, "--out", str(tmp_path / "restored.bin")),
+    ]
+    exits = []
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        exits.append(code)
+        if code == 0:
+            strict_json(out)
+        else:
+            assert code == 2 and out == "" and "error:" in err, argv
+    # the three overflowing price sheets exit 2; every other command prints
+    assert exits.count(2) == 3 and exits[-2:] == [0, 0]
+
+
 def test_sweep_rejects_bad_grid(capsys):
     code, _, _ = run_cli(
         capsys, "sweep", "--curve", "cap-vs-rho", "--q-list", "4", "--rho-step", "-0.1"

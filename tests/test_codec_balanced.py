@@ -13,16 +13,25 @@ from oligocycle import (
     DomainError,
     EncodedBatch,
     Oligo,
-    balanced_block_decode,
-    balanced_block_encode,
     balanced_params,
     decode_payload,
     encode_payload,
-    knuth_balance,
-    knuth_unbalance,
     min_cycles_under,
-    synthesis_cycles,
 )
+from oligocycle.bits import balance_word, unbalance_word
+from oligocycle.codec import SCHEMES
+from oracles import synthesis_cycles
+
+
+def knuth_balance(word):
+    """balance_word on a '0'/'1' string, written out at its full width."""
+    f = len(word)
+    return format(balance_word(int(word, 2), f), f"0{f + (f - 1).bit_length() + 1}b")
+
+
+def knuth_unbalance(word, f):
+    """unbalance_word on a '0'/'1' string, back to f bits."""
+    return format(unbalance_word(int(word, 2), f), f"0{f}b")
 
 
 def test_params_table():
@@ -51,7 +60,7 @@ def test_params_rejects_unbalanceable_word_sizes():
 
 def test_knuth_balance_worked_example():
     assert knuth_balance("100") == "010110"
-    assert knuth_unbalance("010110") == "100"
+    assert knuth_unbalance("010110", 3) == "100"
 
 
 def test_knuth_balance_exhaustive_small_sizes():
@@ -65,7 +74,7 @@ def test_knuth_balance_exhaustive_small_sizes():
             balanced = knuth_balance(word)
             assert len(balanced) == size
             assert balanced.count("1") == target
-            assert knuth_unbalance(balanced) == word
+            assert knuth_unbalance(balanced, f) == word
             seen.add(balanced)
         assert len(seen) == 1 << f
 
@@ -77,41 +86,39 @@ def test_knuth_balance_large_size_randomized():
         balanced = knuth_balance(word)
         assert len(balanced) == 32
         assert balanced.count("1") == 16
-        assert knuth_unbalance(balanced) == word
+        assert knuth_unbalance(balanced, 26) == word
 
 
 def test_unbalance_rejects_bad_blocks():
-    with pytest.raises(DomainError):
-        knuth_unbalance("10101")  # 5 is not f + ceil(log2 f) + 1 for any f
     with pytest.raises(CorruptDataError):
-        knuth_unbalance("110110")  # weight 4, target 3
+        knuth_unbalance("110110", 3)  # weight 4, target 3
 
 
 def test_block_encode_worked_example():
-    assert balanced_block_encode(6, "100").symbols == (2, 4, 5)
+    assert SCHEMES["balanced"](6).encode_block(0b100) == (2, 4, 5)
 
 
 def test_block_shape_exhaustive_per_alphabet():
     for q in (4, 5, 6, 7, 8, 9, 10, 11, 14, 16):
         f, block_alphabet = balanced_params(q)
         half = block_alphabet // 2
+        code = SCHEMES["balanced"](q)
         for value in range(1 << f):
-            block = format(value, f"0{f}b")
-            oligo = balanced_block_encode(q, block)
-            assert len(oligo) == half
-            assert all(b > a for a, b in zip(oligo.symbols, oligo.symbols[1:]))
+            block = code.encode_block(value)
+            assert len(block) == half
+            assert all(b > a for a, b in zip(block, block[1:]))
             # ascending symbols fit inside one revolution of the block alphabet
-            assert synthesis_cycles(oligo) <= block_alphabet
-            assert balanced_block_decode(q, oligo) == block
+            assert synthesis_cycles(Oligo(block, block_alphabet)) <= block_alphabet
+            assert code.decode_block(block) == value
 
 
 def test_block_decode_rejects_tampering():
-    good = balanced_block_encode(8, "1010")
+    code = SCHEMES["balanced"](8)
+    good = code.encode_block(0b1010)
     with pytest.raises(CorruptDataError):
-        balanced_block_decode(8, Oligo(good.symbols[:-1], good.q))
-    descending = Oligo(tuple(reversed(good.symbols)), good.q)
+        code.decode_block(good[:-1])
     with pytest.raises(CorruptDataError):
-        balanced_block_decode(8, descending)
+        code.decode_block(tuple(reversed(good)))
 
 
 def test_batch_round_trip_and_budget():

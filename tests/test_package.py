@@ -44,6 +44,29 @@ def test_commands_that_never_count_load_no_counting():
     assert "oligocycle.counting" not in loaded
 
 
+PUBLIC_NAMES = [
+    "CorruptDataError", "CostParams", "CountCache", "DomainError", "EncodedBatch", "Oligo",
+    "RateRow", "SupersequenceSpec", "alternating_prefix", "balanced_params", "binary_entropy",
+    "brute_force_count", "cap_fixed_length", "cap_flexible", "capacity_root_fixed",
+    "capacity_root_flexible", "cost_at_capacity", "decode_payload", "empirical_cap",
+    "encode_payload", "min_cycles_under", "minimize_over_alphabet", "minimize_over_rho",
+    "multisize_rate", "optimal_alpha", "rate_table", "rho_star", "subsequence_count",
+    "subsequence_rank", "subsequence_unrank",
+]
+# string-level wrappers of the block codes and test oracles, no longer public
+REMOVED_NAMES = [
+    "balanced_block_decode", "balanced_block_encode", "base_decode", "base_encode",
+    "knuth_balance", "knuth_unbalance", "materialize", "offer_gap", "synthesis_cycles",
+]
+
+
+def test_public_surface_is_pinned():
+    assert oligocycle.__all__ == PUBLIC_NAMES
+    for name in REMOVED_NAMES:
+        with pytest.raises(AttributeError, match=name):
+            getattr(oligocycle, name)
+
+
 def test_every_public_name_resolves_to_its_home_module_object():
     star = {}
     exec("from oligocycle import *", star)
