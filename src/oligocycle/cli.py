@@ -189,7 +189,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = [
             (q, row.rho, row.scheme, row.rate, row.cap) for q in qs for row in rate_table(q, grid)
         ]
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
     elif curve == "rho-star":
         columns = ["q", "rho_lower", "rho_star"]
         rows = [(q, 2.0 / (q + 1), rho_star(q)) for q in qs]

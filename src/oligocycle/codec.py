@@ -34,6 +34,7 @@ import json
 import math
 import re
 import sys
+from bisect import bisect_right
 from contextlib import suppress
 from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
@@ -45,7 +46,7 @@ from .bits import (
     balance_word, balanced_data_bits, flip_layout_complete, unbalance_word, validate_bits
 )
 from .capacity import cap_fixed_length
-from .counting import indexed_count, rank_symbols, subsequence_count, unrank_symbols
+from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
 from .errors import CorruptDataError, DomainError
 from .sequence import (
     Oligo, SupersequenceSpec, _Memo, parse_oligos, render_oligos
@@ -56,8 +57,8 @@ from .sequence import (
 
 # Largest balanced and window alphabet.  Balanced's flip-layout check is cubic
 # in the data bits, and up to q = 256 (247 bits) its slowest case takes about
-# a second; a window rank sums up to q/2 binomials of q, at a cost that grows
-# about as q**3.
+# a second; each window block size has its own suffix table, which at q = 256
+# holds up to 129**2 integers of about 256 bits.
 _MAX_ALPHABET = 256
 # Most symbols in one base block or multisize oligo: a block's value is one
 # integer of that many digits, and converting it is quadratic in its length.
@@ -440,45 +441,32 @@ def _byte_positions(offset: int, byte: int) -> tuple[int, ...]:
 #
 # Subsets rank by size, then lexicographically.  Those of at most ceil(q/2)
 # symbols number at least 2**(q-1) for every q >= 2, so each block has one.
-
-
-def _subset_unrank(q: int, value: int) -> tuple[int, ...]:
-    size = 1
-    while value >= comb(q, size):
-        value -= comb(q, size)
-        size += 1
-    out = []
-    v = 0
-    for slot in range(size - 1, -1, -1):
-        v += 1
-        while value >= comb(q - v, slot):
-            value -= comb(q - v, slot)
-            v += 1
-        out.append(v)
-    return tuple(out)
-
-
-def _subset_rank(q: int, symbols: Sequence[int]) -> int:
-    if any(b <= a for a, b in zip(symbols, symbols[1:])):
-        raise CorruptDataError("subset must be strictly ascending")
-    if symbols and not 1 <= symbols[0] <= symbols[-1] <= q:
-        raise CorruptDataError(f"subset symbols must lie in 1..{q}")
-    # the last rank of this size, less the subsets that come lexicographically after
-    size = len(symbols)
-    last = sum(comb(q, j) for j in range(1, size + 1)) - 1
-    return last - sum(comb(q - c, size - i) for i, c in enumerate(symbols))
+# A size-L subset is an L-symbol oligo of one q-cycle revolution, so each
+# size is ranked by the lookup's coder, after the subsets of smaller sizes.
 
 
 def _window(q: int, **_) -> _BlockCode:
     if not 2 <= q <= _MAX_ALPHABET:
         raise DomainError(f"window scheme requires alphabet size in 2..{_MAX_ALPHABET}")
+    # first[size - 1]: the subsets of fewer than size symbols
+    first = list(accumulate((comb(q, size) for size in range(1, (q + 1) // 2)), initial=0))
+
+    def encode_block(value: int) -> tuple[int, ...]:
+        size = bisect_right(first, value)
+        return unrank_symbols(q, q, size, value - first[size - 1])
+
+    def decode_block(symbols: Sequence[int]) -> int:
+        if any(b <= a for a, b in zip(symbols, symbols[1:])):
+            raise CorruptDataError("subset must be strictly ascending")
+        return first[len(symbols) - 1] + rank_symbols(q, q, symbols)
+
     return _BlockCode(
         rho=0.5,
         lengths=range(1, (q + 1) // 2 + 1),
         program=lambda n: ((q, n * q),),
         codewords=lambda: 1 << (q - 1),
-        encode_block=partial(_subset_unrank, q),
-        decode_block=partial(_subset_rank, q),
+        encode_block=encode_block,
+        decode_block=decode_block,
     )
 
 
@@ -499,8 +487,9 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
 
     Fixed-ratio schemes (base, balanced, window) contribute one row each at
     their natural rho, where their encoder accepts q; lookup and multisize
-    contribute one row per feasible entry of *rhos*.  Lookup windows use the
-    shallowest depth that makes rho*C integral.
+    contribute one row per feasible entry of *rhos*: one whose rated
+    geometry the encoder accepts.  Lookup windows use the shallowest depth
+    that makes rho*C integral.
     """
     if q < 2:
         raise DomainError("rate table requires alphabet size >= 2")
@@ -523,7 +512,10 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
             except DomainError:
                 continue
             # the closed form alone: a rated geometry needs no rank table
-            width = subsequence_count(q, depth * q, length).bit_length() - 1
+            try:
+                width = indexable_count(q, depth * q, length).bit_length() - 1
+            except DomainError:
+                break  # the encoder refuses this window, and deeper ones only grow
             if width >= 1:
                 rows.append(RateRow("lookup", rho, width / (depth * q), cap))
                 break

@@ -131,6 +131,43 @@ def brute_force_count(q: int, cycles: int, length: int) -> int:
     return len(seen)
 
 
+def _row_sizes(q: int, cycles: int, length: int) -> list[int]:
+    """The number of running sums in each row of the geometry's suffix table."""
+    spare = cycles - length
+    return [min(spare, l * (q - 1) + q) + 1 for l in range(length + 1)]
+
+
+def indexable_count(q: int, cycles: int, length: int) -> int:
+    """subsequence_count(q, cycles, length) for a window suffix_table would index.
+
+    Raises DomainError rather than count a window whose table holds over
+    2**20 integers, or could take more than _MAX_CACHED_BYTES.  A table
+    holds at least one integer per row, so a window of 2**20 symbols or
+    more is refused before its rows are sized.  No count N exceeds
+    subsequence_count(q, cycles, length): appending gaps of 1 maps the
+    shorter gap sequences one to one into the counted ones.  So no entry of
+    a row of n sums exceeds n times it.  A row built by appending keeps at
+    most an eighth plus 6 spare slots.
+    """
+    if q < 1:
+        raise DomainError("alphabet size must be at least 1")
+    if not 0 <= length <= cycles:
+        raise DomainError("length must lie in 0..cycles")
+    if (
+        length >= _MAX_TABLE_ENTRIES
+        or sum(sizes := _row_sizes(q, cycles, length)) > _MAX_TABLE_ENTRIES
+    ):
+        raise DomainError(f"a {cycles}-cycle window is too large to index")
+    count = subsequence_count(q, cycles, length)
+    bits = count.bit_length()
+    empty = sys.getsizeof([])
+    if sum(
+        empty + 8 * (n + n // 8 + 6) + n * _int_bytes(bits + n.bit_length()) for n in sizes
+    ) > _MAX_CACHED_BYTES:
+        raise DomainError(f"a {cycles}-cycle window's table is too large to keep")
+    return count
+
+
 def suffix_table(q: int, cycles: int, length: int) -> Table:
     """The suffix table of the (q, cycles, length) geometry, built once per process.
 
@@ -143,30 +180,13 @@ def suffix_table(q: int, cycles: int, length: int) -> Table:
     larger spare then slide down to the row's end, changed by one constant.
     The last step of rows[length] is subsequence_count(q, cycles, length).
 
-    Raises DomainError rather than build a table of over 2**20 integers, or
-    one that could take more than _MAX_CACHED_BYTES.  No count N exceeds
-    subsequence_count(q, cycles, length): appending gaps of 1 maps the
-    shorter gap sequences one to one into the counted ones.  So no entry of
-    a row of n sums exceeds n times it.  A row built by appending keeps at
-    most an eighth plus 6 spare slots.
+    Raises DomainError where indexable_count refuses the window.
     """
-    if q < 1:
-        raise DomainError("alphabet size must be at least 1")
-    if not 0 <= length <= cycles:
-        raise DomainError("length must lie in 0..cycles")
     key = (q, cycles, length)
     rows = _shared_cache._tables.get(key)
     if rows is None:
-        spare = cycles - length
-        sizes = [min(spare, l * (q - 1) + q) + 1 for l in range(length + 1)]
-        if sum(sizes) > _MAX_TABLE_ENTRIES:
-            raise DomainError(f"a {cycles}-cycle window is too large to index")
-        bits = subsequence_count(q, cycles, length).bit_length()
-        empty = sys.getsizeof([])
-        if sum(
-            empty + 8 * (n + n // 8 + 6) + n * _int_bytes(bits + n.bit_length()) for n in sizes
-        ) > _MAX_CACHED_BYTES:
-            raise DomainError(f"a {cycles}-cycle window's table is too large to keep")
+        indexable_count(q, cycles, length)
+        sizes = _row_sizes(q, cycles, length)
         row = list(range(1, sizes[0] + 1))  # S_0(k) = k + 1
         rows = [row]
         for n in sizes[1:]:

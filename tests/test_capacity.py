@@ -404,3 +404,48 @@ def per_halving_flexible_root(q):
 def test_flexible_root_bit_identical_to_per_halving_bisection():
     for q in list(range(1, 65)) + [128, 1024, 4096]:
         assert capacity_root_flexible(q) == per_halving_flexible_root(q), q
+
+
+# --- oracles that share no code with the solver ---
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 24, 32, 48])
+def test_flexible_root_is_the_fixed_point_of_its_halving_map(q):
+    # sum_{i=1..q} x^i = 1 is 2x - 1 = x^(q+1), a contraction near 1/2
+    x = 0.5
+    for _ in range(200):
+        x = (1.0 + x ** (q + 1)) / 2.0
+    assert capacity_root_flexible(q) == pytest.approx(x, rel=1e-15, abs=0.0)
+
+
+def test_flexible_capacity_gap_tends_to_two_to_the_minus_q_over_ln2():
+    # the root is (1 + x^(q+1))/2, so 1 - cap = log2(1 + x^(q+1)) ~ 2^-(q+1) / ln 2
+    for q, tol in ((8, 2e-2), (16, 1e-3), (24, 1e-5), (32, 1e-5)):
+        assert abs((1.0 - cap_flexible(q)) * 2.0 ** (q + 1) * math.log(2) - 1.0) <= tol, q
+    # at q = 48 the gap is 23 ulps of cap, so the float can at best round to it
+    cap = cap_flexible(48)
+    assert abs(cap - (1.0 - 2.0**-49 / math.log(2))) <= math.ulp(cap)
+
+
+def closed_form_root(q, rho):
+    """Oracle: plain bisection on S1 - rho*S2, the geometric sums
+    S1 = sum_i x^i and S2 = sum_i i*x^i in closed form."""
+
+    def positive(x):
+        s1 = x * (1.0 - x**q) / (1.0 - x)
+        s2 = x * (1.0 - (q + 1) * x**q + q * x ** (q + 1)) / (1.0 - x) ** 2
+        return s1 - rho * s2 > 0.0
+
+    lo, hi = 1e-12, 1.0 - 1e-12
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+    return mid
+
+
+def test_fixed_root_matches_bisection_on_the_closed_form_sums():
+    for q in range(2, 65):
+        for k in range(1, 20):
+            rho = k / 20
+            if rho > 2.0 / (q + 1):
+                expected = closed_form_root(q, rho)
+                assert capacity_root_fixed(q, rho) == pytest.approx(expected, rel=1e-12), (q, rho)

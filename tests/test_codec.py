@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from oligocycle import codec
+from oligocycle import codec, counting
 from oligocycle import (
     CorruptDataError,
     DomainError,
@@ -22,6 +22,7 @@ from oligocycle import (
     subsequence_count,
 )
 from oligocycle.bits import bits_from_bytes, bytes_from_bits, gray_decode, gray_encode
+from oligocycle.cli import _rho_grid
 from oligocycle.sequence import render_oligos
 from oracles import synthesis_cycles
 
@@ -308,6 +309,20 @@ def test_window_decode_rejects_tampering():
         )
 
 
+def test_window_blocks_follow_size_then_lexicographic_order():
+    # the order built from itertools alone, sharing no code with counting
+    for q in range(2, 11):
+        order = list(
+            itertools.chain.from_iterable(
+                itertools.combinations(range(1, q + 1), k) for k in range(1, (q + 1) // 2 + 1)
+            )
+        )
+        code = codec.SCHEMES["window"](q)
+        for value in range(1 << (q - 1)):
+            assert code.encode_block(value) == order[value], (q, value)
+            assert code.decode_block(order[value]) == value, (q, value)
+
+
 # --- repeated blocks ---
 
 
@@ -462,6 +477,44 @@ def test_rate_table_rates_window_only_where_it_encodes():
     assert "window" not in {row.scheme for row in rate_table(300, [0.5])}
     with pytest.raises(DomainError):
         encode_payload("window", "1", q=300)
+
+
+# Geometries of the sweep's default rho grid whose shallowest integral depth
+# (20 at q 59..63, 5 at q 1024 and 4096) gives a window the encoder refuses
+UNINDEXABLE = [
+    (59, 0.45), (59, 0.55), (61, 0.45), (61, 0.55),
+    (63, 0.35), (63, 0.45), (63, 0.55), (63, 0.65),
+    (1024, 0.05), (4096, 0.05),
+]
+
+
+def test_rate_table_rates_lookup_only_where_it_encodes():
+    grid = _rho_grid(0.05, 0.95, 0.05)  # the sweep's default
+    for q, rho in UNINDEXABLE:
+        rho = next(r for r in grid if abs(r - rho) < 1e-9)
+        depth = next(d for d in range(1, 65) if abs(rho * d * q - round(rho * d * q)) <= 1e-9)
+        with pytest.raises(DomainError, match="too large"):
+            encode_payload("lookup", "1", q=q, rho=rho, depth=depth)
+        rated = {row.rho for row in rate_table(q, grid) if row.scheme == "lookup"}
+        assert rho not in rated, (q, rho)
+
+
+def test_rate_table_counts_no_window_past_the_entry_bound(monkeypatch):
+    counted = []
+    count = counting.subsequence_count
+
+    def recorded(q, cycles, length):
+        counted.append((q, cycles, length))
+        return count(q, cycles, length)
+
+    monkeypatch.setattr(counting, "subsequence_count", recorded)
+    grid = _rho_grid(0.05, 0.95, 0.05)
+    for q, rhos in ((4, grid), (63, grid), (1024, grid), (4096, grid), (1 << 18, [0.05])):
+        rate_table(q, rhos)
+    assert counted
+    for q, cycles, length in counted:
+        entries = sum(min(cycles - length, l * (q - 1) + q) + 1 for l in range(length + 1))
+        assert entries <= counting._MAX_TABLE_ENTRIES, (q, cycles, length)
 
 
 def test_rate_table_known_rates():

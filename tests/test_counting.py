@@ -5,6 +5,7 @@ and the deletion-ball recursion derives the same counts another way, so any
 agreement is evidence about the closed form, not about itself.
 """
 
+import contextlib
 import itertools
 import operator
 import random
@@ -16,9 +17,12 @@ from math import comb
 import pytest
 
 from oligocycle import (
+    CorruptDataError,
     CountCache,
     DomainError,
+    EncodedBatch,
     Oligo,
+    SupersequenceSpec,
     alternating_prefix,
     brute_force_count,
     decode_payload,
@@ -330,6 +334,20 @@ def test_cache_drops_its_oldest_tables_past_its_bound(fresh_cache):
     assert held_bytes < _MAX_CACHED_BYTES
     assert (4, 4 * 256, 2 * 256) in cache._tables
     assert (4, 4, 2) not in cache._tables
+
+
+def test_a_q256_window_batch_of_every_block_size_stays_within_the_cache_bound(fresh_cache):
+    # one ascending block of each size 1..128 asks for 128 window tables,
+    # more than the cache holds at once
+    blocks = tuple(Oligo(tuple(range(1, size + 1)), 256) for size in range(1, 129))
+    spec = SupersequenceSpec(((256, 128 * 256),))
+    batch = EncodedBatch("window", 256, 0.5, 128 * 255, spec, blocks)
+    start = time.perf_counter()
+    with contextlib.suppress(CorruptDataError):
+        decode_payload(batch)
+    assert time.perf_counter() - start < 2.0
+    assert fresh_cache._bytes <= _MAX_CACHED_BYTES
+    assert len(fresh_cache) < 128  # not vacuous: the oldest tables went
 
 
 def deletion_ball_recursion(q, cycles, deletions, memo):
