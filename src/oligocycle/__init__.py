@@ -23,6 +23,7 @@ _HOMES = {
     "capacity_root_fixed": "capacity",
     "capacity_root_flexible": "capacity",
     "empirical_cap": "capacity",
+    "rho_peak": "capacity",
     "EncodedBatch": "codec",
     "RateRow": "codec",
     "balanced_params": "codec",

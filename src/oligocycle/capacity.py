@@ -226,7 +226,7 @@ def cap_fixed_length(q: int, rho: float) -> float:
     if not 0.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [0, 1]")
     if rho <= 2.0 / (q + 1):
-        return rho * math.log2(q)
+        return 0.0 + rho * math.log2(q)  # 0.0 + turns -0.0, from rho = -0.0, into 0.0
     if rho == 1.0:
         return 0.0
     x = capacity_root_fixed(q, rho)
@@ -261,6 +261,16 @@ def cap_flexible(q: int) -> float:
     """Capacity in bits per cycle when oligo lengths are unconstrained."""
     # 0.0 - log2(x) is -log2(x) for every x < 1, and 0.0, not -0.0, at x = 1
     return 0.0 - math.log2(capacity_root_flexible(q))
+
+
+def rho_peak(q: int) -> float:
+    """The length ratio where cap_fixed_length peaks, at cap_flexible(q).
+
+    At the flexible root x the x^i, i = 1..q, sum to 1: the flexible code
+    spends i cycles on a symbol with probability x^i, so a symbol costs
+    sum_i i x^i cycles on average, and rho_peak is its inverse.
+    """
+    return 1.0 / _horner(range(q, 0, -1), capacity_root_flexible(q))
 
 
 def _log2_int(n: int) -> float:

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from .capacity import binary_entropy, cap_fixed_length, cap_flexible, empirical_cap
+from .capacity import binary_entropy, cap_fixed_length, cap_flexible, empirical_cap, rho_peak
 from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
 from .errors import CorruptDataError, DomainError
 from .sequence import render_oligos
@@ -95,7 +95,12 @@ def _rho_grid(start: float, stop: float, step: float) -> list[float]:
 
 def cmd_capacity(args: argparse.Namespace) -> int:
     if args.flexible:
-        doc = {"q": args.q, "kind": "flexible", "cap": cap_flexible(args.q)}
+        doc = {
+            "q": args.q,
+            "kind": "flexible",
+            "cap": cap_flexible(args.q),
+            "rho_peak": rho_peak(args.q),
+        }
     else:
         doc = {
             "q": args.q,

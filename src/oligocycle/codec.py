@@ -39,7 +39,7 @@ from contextlib import suppress
 from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
 from math import comb
-from operator import getitem
+from operator import getitem, lt
 from typing import Callable, NamedTuple, Sequence
 
 from .bits import (
@@ -49,7 +49,7 @@ from .capacity import cap_fixed_length
 from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
 from .errors import CorruptDataError, DomainError
 from .sequence import (
-    Oligo, SupersequenceSpec, _Memo, parse_oligos, render_oligos
+    Oligo, SupersequenceSpec, _Memo, _oligos, parse_oligos, render_oligos
 )
 
 
@@ -63,17 +63,6 @@ _MAX_ALPHABET = 256
 # Most symbols in one base block or multisize oligo: a block's value is one
 # integer of that many digits, and converting it is quadratic in its length.
 _MAX_BLOCK_SYMBOLS = 2048
-
-
-# --- each distinct input once ---
-
-
-def _each_once(fn: Callable, items: Sequence) -> list:
-    """[fn(x) for x in items], calling fn on the first of each distinct item
-    only, in order, so the item that raises is the one a plain loop would
-    meet first."""
-    done = {item: fn(item) for item in dict.fromkeys(items)}
-    return list(map(done.__getitem__, items))
 
 
 # --- batch container ---
@@ -397,6 +386,7 @@ def _balanced(q: int, **_) -> _BlockCode:
     # a block is the set bits of the balanced word, as ascending positions
     f, size = balanced_params(q)
     positions = _Memo(_positions)  # built by the first encode_block call
+    bit = [1 << (size - v) for v in range(size + 1)]  # bit[v]: position v's bit in the word
 
     def encode_block(value: int) -> tuple[int, ...]:
         return positions[size](balance_word(value, f))
@@ -404,11 +394,11 @@ def _balanced(q: int, **_) -> _BlockCode:
     def decode_block(symbols: Sequence[int]) -> int:
         if len(symbols) != size // 2:
             raise CorruptDataError("block oligo has the wrong length")
-        if any(b <= a for a, b in zip(symbols, symbols[1:])):
+        if not all(map(lt, symbols, symbols[1:])):
             raise CorruptDataError("block oligo must be strictly ascending")
         if symbols and not 1 <= symbols[0] <= symbols[-1] <= size:
             raise CorruptDataError("block oligo symbol out of range")
-        return unbalance_word(sum(1 << (size - v) for v in symbols), f)
+        return unbalance_word(sum(map(bit.__getitem__, symbols)), f)
 
     return _BlockCode(
         rho=size // 2 / size,
@@ -456,7 +446,7 @@ def _window(q: int, **_) -> _BlockCode:
         return unrank_symbols(q, q, size, value - first[size - 1])
 
     def decode_block(symbols: Sequence[int]) -> int:
-        if any(b <= a for a, b in zip(symbols, symbols[1:])):
+        if not all(map(lt, symbols, symbols[1:])):
             raise CorruptDataError("subset must be strictly ascending")
         return first[len(symbols) - 1] + rank_symbols(q, q, symbols)
 
@@ -560,11 +550,14 @@ def encode_payload(
     values = _fields(payload, code.width)
     spec = SupersequenceSpec(code.program(len(values)))
     alphabet = spec.max_alphabet
+    blocks = {value: code.encode_block(value) for value in dict.fromkeys(values)}
+    used = set().union(*blocks.values())
     if code.joined:
-        blocks = _each_once(code.encode_block, values)
-        oligos = (Oligo(tuple(chain.from_iterable(blocks)), alphabet),) if blocks else ()
+        rows = [tuple(chain.from_iterable(map(blocks.__getitem__, values)))] if values else []
+        oligos = tuple(_oligos(rows, alphabet, used))
     else:  # equal blocks share one Oligo
-        oligos = tuple(_each_once(lambda value: Oligo(code.encode_block(value), alphabet), values))
+        made = dict(zip(blocks, _oligos(blocks.values(), alphabet, used)))
+        oligos = tuple(map(made.__getitem__, values))
     return EncodedBatch(scheme, q, code.rho, len(payload), spec, oligos)
 
 

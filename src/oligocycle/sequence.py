@@ -11,7 +11,7 @@ into programs whose alphabet changes between segments.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import DomainError
 
@@ -53,11 +53,14 @@ class Oligo(_Record):
 
     __slots__ = ("symbols", "q")
 
-    def __init__(self, symbols: tuple[int, ...], q: int) -> None:
+    def __init__(self, symbols: Iterable[int], q: int) -> None:
+        symbols = tuple(symbols)
         if q < 1:
             raise DomainError("alphabet size must be at least 1")
-        if symbols and not 1 <= min(symbols) <= max(symbols) <= q:
-            bad = next(s for s in symbols if not 1 <= s <= q)
+        if not _in_alphabet(symbols, q):
+            bad = next(s for s in symbols if type(s) is not int or not 1 <= s <= q)
+            if type(bad) is not int:
+                raise DomainError(f"symbol {bad!r} is not an int")
             raise DomainError(f"symbol {bad} outside alphabet 1..{q}")
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "q", q)
@@ -66,11 +69,35 @@ class Oligo(_Record):
         return len(self.symbols)
 
 
+def _in_alphabet(symbols: Collection[int], q: int) -> bool:
+    """Whether every symbol is an int (not a bool or a float) in 1..q."""
+    if not set(map(type, symbols)) <= {int}:
+        return False
+    return not symbols or 1 <= min(symbols) <= max(symbols) <= q
+
+
+def _oligos(rows: Iterable[tuple[int, ...]], q: int, used: Collection[int]) -> list[Oligo]:
+    """[Oligo(row, q) for row in rows] for tuple rows whose symbols all lie
+    in *used*: one check of *used* stands for the check of every row.  Only
+    when it fails is each row built by Oligo, so the error names the first
+    bad row."""
+    if q < 1 or not _in_alphabet(used, q):
+        return [Oligo(row, q) for row in rows]
+    new, put = object.__new__, object.__setattr__
+    oligos = []
+    for row in rows:
+        oligo = new(Oligo)
+        put(oligo, "symbols", row)
+        put(oligo, "q", q)
+        oligos.append(oligo)
+    return oligos
+
+
 # --- the oligo text format, one batch at a time ---
 #
 # A batch repeats few symbols many times, so each call names each distinct
-# symbol once, converts each distinct token once, and renders or parses each
-# distinct oligo once.
+# symbol once, converts each distinct token once, renders or parses each
+# distinct oligo once, and checks the symbols a parse read once, together.
 
 
 def render_oligos(oligos: Iterable[Oligo]) -> list[str]:
@@ -89,14 +116,15 @@ def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
     symbol before one outside 1..q, so the DomainError raised is the one a
     loop over the texts meets first."""
     symbols = _Memo(int)  # int() takes surrounding spaces, a sign and leading zeros
-    oligos = {}
+    rows = {}
     for text in dict.fromkeys(texts):
         stripped = text.strip()
         try:
-            row = tuple(map(symbols.__getitem__, stripped.split(","))) if stripped else ()
+            rows[text] = tuple(map(symbols.__getitem__, stripped.split(","))) if stripped else ()
         except ValueError as exc:
+            _oligos(rows.values(), q, symbols.values())  # an earlier bad symbol wins
             raise DomainError(f"malformed oligo text {stripped!r}") from exc
-        oligos[text] = Oligo(row, q)
+    oligos = dict(zip(rows, _oligos(rows.values(), q, symbols.values())))
     return list(map(oligos.__getitem__, texts))
 
 

@@ -13,6 +13,7 @@ from oligocycle import (
     capacity_root_fixed,
     capacity_root_flexible,
     empirical_cap,
+    rho_peak,
     rho_star,
 )
 from oligocycle import capacity
@@ -216,6 +217,17 @@ def test_flexible_root_domain():
     for q in (0, _MAX_ROOT_ALPHABET + 1, 10**10):
         with pytest.raises(DomainError):
             capacity_root_flexible(q)
+
+
+def test_fixed_length_capacity_peaks_at_rho_peak_where_it_meets_flexible():
+    assert rho_peak(1) == 1.0
+    for q in range(2, 65):
+        peak = rho_peak(q)
+        assert 2.0 / (q + 1) < peak < 1.0
+        assert cap_fixed_length(q, peak) == pytest.approx(cap_flexible(q), rel=1e-12, abs=0.0)
+    for q in (2, 3, 4, 8, 16, 64):
+        best = cap_fixed_length(q, rho_peak(q))
+        assert all(cap_fixed_length(q, k / 1999) <= best for k in range(2000)), q
 
 
 def test_flexible_dominates_fixed_length():

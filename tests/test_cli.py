@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import oligocycle
-from oligocycle import EncodedBatch, cap_fixed_length, empirical_cap, rho_star, subsequence_count
+from oligocycle import (
+    EncodedBatch, cap_fixed_length, empirical_cap, rho_peak, rho_star, subsequence_count
+)
 from oligocycle import cli
 from oligocycle.cli import main
 
@@ -31,9 +33,13 @@ def test_capacity_command(capsys):
     code, out, _ = run_cli(capsys, "capacity", "--q", "4", "--flexible")
     assert code == 0
     assert json.loads(out)["kind"] == "flexible"
+    assert json.loads(out)["rho_peak"] == rho_peak(4)
     code, out, _ = run_cli(capsys, "capacity", "--q", "1", "--flexible")
     assert code == 0
-    assert out == '{"q": 1, "kind": "flexible", "cap": 0.0}\n'  # not -0.0
+    assert out == '{"q": 1, "kind": "flexible", "cap": 0.0, "rho_peak": 1.0}\n'  # not -0.0
+    code, out, _ = run_cli(capsys, "capacity", "--q", "4", "--rho", "-0.0")
+    assert code == 0
+    assert out == '{"q": 4, "kind": "fixed-length", "rho": -0.0, "cap": 0.0}\n'  # not -0.0
 
 
 def test_capacity_rejects_bad_domain(capsys):

@@ -380,6 +380,69 @@ def test_a_changed_last_balanced_block_among_repeats_is_refused():
         decode_payload(EncodedBatch.from_json(json.dumps(doc)))
 
 
+@pytest.mark.parametrize(
+    "scheme, q, block, error, message",
+    [
+        ("balanced", 16, (1, 2, 3), CorruptDataError, "block oligo has the wrong length"),
+        *(
+            ("balanced", 16, block, CorruptDataError, "block oligo must be strictly ascending")
+            for block in ((1, 2, 2, 3, 4, 5, 6, 7), (8, 7, 6, 5, 4, 3, 2, 1))
+        ),
+        *(
+            ("balanced", 16, block, CorruptDataError, "block oligo symbol out of range")
+            for block in (tuple(range(8)), tuple(range(10, 18)))
+        ),
+        ("window", 6, (2, 2), CorruptDataError, "subset must be strictly ascending"),
+        ("window", 6, (3, 1), CorruptDataError, "subset must be strictly ascending"),
+        ("window", 6, (0, 2), DomainError, "symbols must lie in 1..6"),
+        ("window", 6, (2, 7), DomainError, "symbols must lie in 1..6"),
+    ],
+)
+def test_ascending_block_decoders_name_each_fault(scheme, q, block, error, message):
+    with pytest.raises(error) as caught:
+        codec.SCHEMES[scheme](q).decode_block(block)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("scheme, kwargs", EVERY_SCHEME)
+@pytest.mark.parametrize(
+    "bad_symbol", [lambda q, value: q + 1 + value, lambda q, value: value + 0.5]
+)
+def test_encode_refuses_a_block_outside_the_alphabet_as_oligo_does(
+    monkeypatch, scheme, kwargs, bad_symbol
+):
+    # every third value's block ends in a symbol named by the value, outside
+    # 1..q or not an int: the batch's one check must raise what building
+    # each oligo in turn with Oligo raises first
+    build, made = codec.SCHEMES[scheme], []
+
+    def broken(q, **options):
+        code = build(q, **options)
+        alphabet = SupersequenceSpec(code.program(1)).max_alphabet
+
+        def encode_block(value):
+            block = code.encode_block(value)
+            return block[:-1] + (bad_symbol(alphabet, value),) if value % 3 == 1 else block
+
+        made.append(code._replace(encode_block=encode_block))
+        return made[-1]
+
+    monkeypatch.setitem(codec.SCHEMES, scheme, broken)
+    payload = random_bits(random.Random(3), 600)
+    with pytest.raises(DomainError) as caught:
+        encode_payload(scheme, payload, **kwargs)
+    code = made[0]
+    values = codec._fields(payload, code.width)
+    alphabet = SupersequenceSpec(code.program(len(values))).max_alphabet
+    blocks = list(map(code.encode_block, values))
+    rows = [tuple(itertools.chain.from_iterable(blocks))] if code.joined else blocks
+    with pytest.raises(DomainError) as expected:
+        for row in rows:
+            Oligo(row, alphabet)
+    assert str(caught.value) == str(expected.value)
+    assert str(caught.value).startswith("symbol ")
+
+
 # --- batch JSON ---
 
 

@@ -50,8 +50,8 @@ PUBLIC_NAMES = [
     "brute_force_count", "cap_fixed_length", "cap_flexible", "capacity_root_fixed",
     "capacity_root_flexible", "cost_at_capacity", "decode_payload", "empirical_cap",
     "encode_payload", "min_cycles_under", "minimize_over_alphabet", "minimize_over_rho",
-    "multisize_rate", "optimal_alpha", "rate_table", "rho_star", "subsequence_count",
-    "subsequence_rank", "subsequence_unrank",
+    "multisize_rate", "optimal_alpha", "rate_table", "rho_peak", "rho_star",
+    "subsequence_count", "subsequence_rank", "subsequence_unrank",
 ]
 # string-level wrappers of the block codes and test oracles, no longer public
 REMOVED_NAMES = [

@@ -119,6 +119,21 @@ def test_oligo_validation():
         SupersequenceSpec(((2, -1),))
 
 
+def test_oligo_refuses_symbols_that_are_not_ints():
+    for symbols, bad in (
+        ((1.5, 2), "1.5"), ((2, 1.0), "1.0"), ((True, 2), "True"), (("1",), "'1'")
+    ):
+        with pytest.raises(DomainError, match=f"^symbol {bad} is not an int$"):
+            Oligo(symbols, 4)
+    with pytest.raises(DomainError, match="^symbol 5 outside alphabet 1..4$"):
+        Oligo((5, 1.5), 4)
+    # any iterable of ints is stored as a tuple, so the oligo hashes
+    for symbols in ([1, 2], iter((1, 2)), range(1, 3)):
+        oligo = Oligo(symbols, 4)
+        assert oligo.symbols == (1, 2)
+        assert oligo == Oligo((1, 2), 4) and hash(oligo) == hash(Oligo((1, 2), 4))
+
+
 def test_oligo_text_round_trip():
     oligo = Oligo((4, 1, 3), 4)
     assert render_oligos((oligo,)) == ["4,1,3"]
@@ -169,6 +184,12 @@ def test_batch_parser_raises_for_the_first_bad_oligo_in_batch_order():
         ["1,2", outside, "3", malformed],
         [outside, "1", malformed, outside],
         [" 4", "4", "04", malformed, "+4", malformed],
+        # a text's own outside token comes before its malformed one
+        ["5,x"],
+        ["1", "2,5,x", "3"],
+        # the only outside symbol follows a malformed text
+        ["1,2", malformed, "5"],
+        ["1,x,5", "3"],
     ):
         expected = outcome(parse_one_by_one, texts, 4)
         assert isinstance(expected, tuple)
