@@ -270,7 +270,13 @@ def rho_peak(q: int) -> float:
     spends i cycles on a symbol with probability x^i, so a symbol costs
     sum_i i x^i cycles on average, and rho_peak is its inverse.
     """
-    return 1.0 / _horner(range(q, 0, -1), capacity_root_flexible(q))
+    return _flexible_point(q)[1]
+
+
+def _flexible_point(q: int) -> tuple[float, float]:
+    """(cap_flexible(q), rho_peak(q)) from one solve of the flexible root."""
+    x = capacity_root_flexible(q)
+    return 0.0 - math.log2(x), 1.0 / _horner(range(q, 0, -1), x)
 
 
 def _log2_int(n: int) -> float:

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from .capacity import binary_entropy, cap_fixed_length, cap_flexible, empirical_cap, rho_peak
+from .capacity import _flexible_point, binary_entropy, cap_fixed_length, empirical_cap
 from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
 from .errors import CorruptDataError, DomainError
 from .sequence import render_oligos
@@ -95,12 +95,8 @@ def _rho_grid(start: float, stop: float, step: float) -> list[float]:
 
 def cmd_capacity(args: argparse.Namespace) -> int:
     if args.flexible:
-        doc = {
-            "q": args.q,
-            "kind": "flexible",
-            "cap": cap_flexible(args.q),
-            "rho_peak": rho_peak(args.q),
-        }
+        cap, peak = _flexible_point(args.q)  # one root solve gives both
+        doc = {"q": args.q, "kind": "flexible", "cap": cap, "rho_peak": peak}
     else:
         doc = {
             "q": args.q,

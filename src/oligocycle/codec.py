@@ -25,7 +25,10 @@ others put one in each.  A payload is one integer inside the codec; '0'/'1'
 strings appear only in the public functions.  Batches round-trip through a
 small JSON document.  Every coding step is a pure function of its block, so
 within one call each distinct block is coded, rendered, parsed, checked and
-decoded once.
+decoded once.  Base-coded blocks (base, and both parts of multisize) decode
+a batch at a time, on byte fields of one big integer, up to q = 127; the
+per-block decoder stays the reference, and runs wherever that batch check
+fails, so an error still names the first bad block.
 """
 
 from __future__ import annotations
@@ -150,7 +153,10 @@ class _BlockCode(NamedTuple):
     and raises on a block outside the code, and program(n) is the offer
     program of n blocks, whose largest alphabet the oligos use.  Reading
     width calls codewords, which counts for lookup: the decoder reads it
-    only after its shape checks."""
+    only after its shape checks.  decode_blocks, where a scheme has one,
+    decodes a list of equal-length blocks at once, raising what
+    decode_block raises for the first bad block; without it the decoder
+    maps decode_block."""
 
     rho: float
     lengths: range
@@ -158,6 +164,7 @@ class _BlockCode(NamedTuple):
     codewords: Callable[[], int]
     encode_block: Callable[[int], tuple[int, ...]]
     decode_block: Callable[[Sequence[int]], int]
+    decode_blocks: Callable[[list[Sequence[int]]], list[int]] | None = None
     joined: bool = False  # every block in one oligo, end to end
 
     @property
@@ -249,6 +256,64 @@ def _base_value(q: int, symbols: Sequence[int]) -> int:
     return value
 
 
+_STEERING = bytes.maketrans(b"\0\1", b"\1\2")  # flip False -> steering symbol 1, True -> 2
+
+
+def _base_values(q: int, blocks: Sequence[Sequence[int]]) -> list[int]:
+    """[_base_value(q, block) for block in blocks], for blocks of one length.
+
+    Up to q = 127 the batch decodes at once, on byte fields of a few big
+    integers; when a check fails there, or at a larger q, _base_value runs
+    block by block, so a fault raises the error it names for the first
+    faulty block."""
+    values = _steered_batch(q, blocks) if q < 128 and blocks and blocks[0] else None
+    return [_base_value(q, block) for block in blocks] if values is None else values
+
+
+def _steered_batch(q: int, blocks: Sequence[Sequence[int]]) -> list[int] | None:
+    # One byte field per symbol, blocks end to end, so each step below is one
+    # C-level operation over the batch.  None when some block fails a check,
+    # where _base_value raises, or holds a symbol below 1, which no Oligo does.
+    size = len(blocks[0])
+    try:
+        flat = bytes(chain.from_iterable(blocks))
+    except ValueError:  # a symbol outside 0..255
+        return None
+    steer = flat[::size]
+    if steer.translate(None, b"\1\2") or flat.translate(None, bytes(range(1, q + 1))):
+        return None
+    # field by field, with a symbol a before the symbol b, 128 + b - a - 1
+    # lies in 128-q..126+q, so no field borrows from the next; adding q where
+    # its high bit is clear leaves (b - a - 1) mod q, the digit when unflipped
+    ones = int.from_bytes(b"\1" * len(flat), "big")
+    bias = ones << 7
+    b = int.from_bytes(flat, "big")
+    rise = b + bias - (b >> 8) - ones
+    rise += (ones ^ rise >> 7 & ones) * q - bias
+    # each block's digits without its steering slot; a flipped block's gaps
+    # went out as q+1-g, so each of its digits is q-1 less that field
+    n = size - 1
+    rows = re.findall(b".(.{%d})" % n, rise.to_bytes(len(flat), "big"), re.S)
+    flipped = bytes.maketrans(bytes(range(q)), bytes(range(q - 1, -1, -1)))
+    rows = list(map(bytes.translate, rows, map([None, None, flipped].__getitem__, steer)))
+    # the encoder flips exactly when the digits total more than (q-1)n/2
+    limit = (q - 1) * n // 2
+    if steer != bytes(map(limit.__lt__, map(sum, rows))).translate(_STEERING):
+        return None
+    # each block left-padded with zero digits to 2**r fields, then pairs of
+    # fields merge by Horner, high * q**(fields it spans) + low, r times
+    span = 1 << (n - 1).bit_length()
+    pad = b"\0" * (span - n)
+    value = int.from_bytes(pad + pad.join(rows), "big")
+    total, width, unit = span * len(rows), 1, q
+    while width < span:
+        mask = int.from_bytes((b"\0" * width + b"\xff" * width) * (total // (2 * width)), "big")
+        value = (value >> 8 * width & mask) * unit + (value & mask)
+        width, unit = 2 * width, unit * unit
+    fields = re.findall(b".{%d}" % span, value.to_bytes(total, "big"), re.S)
+    return list(map(int.from_bytes, fields, repeat("big")))
+
+
 def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
     if q < 2:
         raise DomainError("base scheme requires alphabet size >= 2")
@@ -264,6 +329,7 @@ def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
         codewords=lambda: q**size,
         encode_block=lambda value: tables[q].steered(value, size),
         decode_block=partial(_base_value, q),
+        decode_blocks=partial(_base_values, q),
     )
 
 
@@ -351,6 +417,17 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
         high = _base_value(s + 1, rest) if tail else 0
         return high * low_values + (_base_value(s, head) if coded else 0)
 
+    def decode_blocks(blocks: list[Sequence[int]]) -> list[int]:
+        heads = [block[:run] for block in blocks]
+        if coded or set(heads) <= {(1,) * run}:
+            with suppress(CorruptDataError):
+                zeros = [0] * len(blocks)
+                highs = _base_values(s + 1, [block[run:] for block in blocks]) if tail else zeros
+                lows = _base_values(s, heads) if coded else zeros
+                return [high * low_values + low for high, low in zip(highs, lows)]
+        # some block is bad: decode_block names the first, its tail before its head
+        return list(map(decode_block, blocks))
+
     return _BlockCode(
         rho=rho,
         lengths=range(length, length + 1),
@@ -358,6 +435,7 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
         codewords=lambda: low_values * (s + 1) ** max(tail - 1, 0),
         encode_block=encode_block,
         decode_block=decode_block,
+        decode_blocks=decode_blocks,
     )
 
 
@@ -595,7 +673,7 @@ def decode_payload(batch: EncodedBatch) -> str:
         distinct = dict.fromkeys(blocks)
         if batch.spec.segments != code.program(len(blocks)):
             raise CorruptDataError("program does not match the oligo shape and count")
-        if any(len(block) not in code.lengths for block in distinct):
+        if not set(map(len, distinct)).issubset(code.lengths):
             raise CorruptDataError("oligo length does not match the program")
         width = code.width
         if len(blocks) != -(-batch.payload_bits // width):
@@ -603,11 +681,12 @@ def decode_payload(batch: EncodedBatch) -> str:
         # a block that decodes fits its share of the program: steering caps a
         # base block's cycles at its segment's, balanced and window blocks
         # ascend within one revolution, and rank refuses a lookup block past its window
-        values = {block: code.decode_block(block) for block in distinct}
+        decode = code.decode_blocks or partial(map, code.decode_block)
+        values = dict(zip(distinct, decode(list(distinct))))
     except (DomainError, OverflowError) as exc:  # OverflowError: an int past float range
         raise CorruptDataError(str(exc)) from exc
     if any(v >> width for v in values.values()):
         raise CorruptDataError("decoded block exceeds its bit width")
     form = f"0{width}b"
-    text = {block: format(v, form) for block, v in values.items()}
+    text = dict(zip(values, map(format, values.values(), repeat(form))))
     return "".join(map(text.__getitem__, blocks))[: batch.payload_bits]

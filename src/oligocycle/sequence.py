@@ -55,6 +55,8 @@ class Oligo(_Record):
 
     def __init__(self, symbols: Iterable[int], q: int) -> None:
         symbols = tuple(symbols)
+        if type(q) is not int:
+            raise DomainError(f"alphabet size {q!r} is not an int")
         if q < 1:
             raise DomainError("alphabet size must be at least 1")
         if not _in_alphabet(symbols, q):
@@ -81,7 +83,7 @@ def _oligos(rows: Iterable[tuple[int, ...]], q: int, used: Collection[int]) -> l
     in *used*: one check of *used* stands for the check of every row.  Only
     when it fails is each row built by Oligo, so the error names the first
     bad row."""
-    if q < 1 or not _in_alphabet(used, q):
+    if type(q) is not int or q < 1 or not _in_alphabet(used, q):
         return [Oligo(row, q) for row in rows]
     new, put = object.__new__, object.__setattr__
     oligos = []
@@ -150,6 +152,10 @@ class SupersequenceSpec(_Record):
 
     def __init__(self, segments: tuple[tuple[int, int], ...]) -> None:
         for q, cycles in segments:
+            if type(q) is not int:
+                raise DomainError(f"segment alphabet size {q!r} is not an int")
+            if type(cycles) is not int:
+                raise DomainError(f"segment cycle count {cycles!r} is not an int")
             if q < 1:
                 raise DomainError("segment alphabet size must be at least 1")
             if cycles < 0:
@@ -167,6 +173,8 @@ class SupersequenceSpec(_Record):
 
 def alternating_prefix(q: int, cycles: int) -> tuple[int, ...]:
     """First *cycles* symbols of the alternating offer stream over 1..q."""
+    if type(q) is not int:
+        raise DomainError(f"alphabet size {q!r} is not an int")
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
     if cycles < 0:

@@ -42,6 +42,21 @@ def test_capacity_command(capsys):
     assert out == '{"q": 4, "kind": "fixed-length", "rho": -0.0, "cap": 0.0}\n'  # not -0.0
 
 
+def test_capacity_flexible_solves_its_root_once(capsys, monkeypatch):
+    from oligocycle import capacity
+
+    solve, calls = capacity.capacity_root_flexible, []
+    monkeypatch.setattr(
+        capacity, "capacity_root_flexible", lambda q: calls.append(q) or solve(q)
+    )
+    for q in (1, 2, 4, 64):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "capacity", "--q", str(q), "--flexible")
+        assert code == 0 and calls == [q]
+        doc = json.loads(out)
+        assert (doc["cap"], doc["rho_peak"]) == (capacity.cap_flexible(q), rho_peak(q))
+
+
 def test_capacity_rejects_bad_domain(capsys):
     code, _, err = run_cli(capsys, "capacity", "--q", "4", "--rho", "1.5")
     assert code == 2

@@ -16,6 +16,7 @@ from oligocycle import (
     RateRow,
     SupersequenceSpec,
     alternating_prefix,
+    encode_payload,
     min_cycles_under,
 )
 from oligocycle.sequence import parse_oligos, render_oligos
@@ -132,6 +133,26 @@ def test_oligo_refuses_symbols_that_are_not_ints():
         oligo = Oligo(symbols, 4)
         assert oligo.symbols == (1, 2)
         assert oligo == Oligo((1, 2), 4) and hash(oligo) == hash(Oligo((1, 2), 4))
+
+
+def test_alphabet_sizes_and_cycle_counts_must_be_ints():
+    for bad, text in ((2.5, "2.5"), (4.0, "4.0"), (True, "True"), ("4", "'4'")):
+        with pytest.raises(DomainError, match=f"^alphabet size {text} is not an int$"):
+            Oligo((1, 2), bad)
+        with pytest.raises(DomainError, match=f"^alphabet size {text} is not an int$"):
+            alternating_prefix(bad, 3)  # 2.5 gave (1.0, 2.0, 3.0)
+        with pytest.raises(DomainError, match=f"^segment alphabet size {text} is not an int$"):
+            SupersequenceSpec(((4, 9), (bad, 3)))
+        with pytest.raises(DomainError, match=f"^segment cycle count {text} is not an int$"):
+            SupersequenceSpec(((4, 9), (2, bad)))
+    # a batch read from JSON keeps its own messages for the same values
+    batch = json.loads(encode_payload("base", "1011", q=4).to_json())
+    for spec in ([[2.5, 3]], [[2, 3.0]], [[True, 3]], [["4", 3]]):
+        with pytest.raises(CorruptDataError, match="^field 'spec' must be a list of"):
+            EncodedBatch.from_json(json.dumps({**batch, "spec": spec}))
+    for q in (2.5, True, "4"):
+        with pytest.raises(CorruptDataError, match="^field 'q' must be a positive integer$"):
+            EncodedBatch.from_json(json.dumps({**batch, "q": q}))
 
 
 def test_oligo_text_round_trip():
