@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 if TYPE_CHECKING:
     from .counting import CountCache
@@ -200,6 +200,7 @@ def capacity_root_fixed(q: int, rho: float) -> float:
     lies left of the root.  The estimate only narrows where bisection
     evaluates: the result is that of evaluating at every halving.
     """
+    require_int(q)
     if not 2 <= q <= _MAX_ROOT_ALPHABET:
         raise DomainError(f"fixed-length root requires alphabet size in 2..{_MAX_ROOT_ALPHABET}")
     if not 2.0 / (q + 1) < rho < 1.0:
@@ -221,6 +222,7 @@ def capacity_root_fixed(q: int, rho: float) -> float:
 
 def cap_fixed_length(q: int, rho: float) -> float:
     """Capacity in bits per cycle at length ratio rho."""
+    require_int(q)
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
     if not 0.0 <= rho <= 1.0:
@@ -249,6 +251,7 @@ def capacity_root_flexible(q: int) -> float:
     sum_{i=1}^{q} 2^-i < 1.  The alphabet bound is the fixed-length root's:
     a solve holds q coefficients and passes over them about 10 times.
     """
+    require_int(q)
     if not 1 <= q <= _MAX_ROOT_ALPHABET:
         raise DomainError(f"flexible root requires alphabet size in 1..{_MAX_ROOT_ALPHABET}")
     if q == 1:
@@ -293,6 +296,7 @@ def empirical_cap(q: int, cycles: int, rho: float, cache: CountCache | None = No
 
     Converges to cap_fixed_length from below as cycles grows.
     """
+    require_int(q)
     if cycles < 1:
         raise DomainError("cycle count must be at least 1")
     if not 0.0 <= rho <= 1.0:

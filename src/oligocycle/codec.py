@@ -25,10 +25,11 @@ others put one in each.  A payload is one integer inside the codec; '0'/'1'
 strings appear only in the public functions.  Batches round-trip through a
 small JSON document.  Every coding step is a pure function of its block, so
 within one call each distinct block is coded, rendered, parsed, checked and
-decoded once.  Base-coded blocks (base, and both parts of multisize) decode
-a batch at a time, on byte fields of one big integer, up to q = 127; the
-per-block decoder stays the reference, and runs wherever that batch check
-fails, so an error still names the first bad block.
+decoded once.  Base-coded blocks (base, and both parts of multisize) encode
+and decode a batch at a time, on byte fields of one big integer, up to
+q = 127.  The per-block coders stay the reference and run past that bound;
+the per-block decoder also runs wherever the batch check fails, so an error
+still names the first bad block.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import sys
 from bisect import bisect_right
 from contextlib import suppress
 from functools import lru_cache, partial
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, repeat
 from math import comb
 from operator import getitem, lt
 from typing import Callable, NamedTuple, Sequence
@@ -50,7 +51,7 @@ from .bits import (
 )
 from .capacity import cap_fixed_length
 from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
-from .errors import CorruptDataError, DomainError
+from .errors import CorruptDataError, DomainError, require_int
 from .sequence import (
     Oligo, SupersequenceSpec, _Memo, _oligos, parse_oligos, render_oligos
 )
@@ -153,10 +154,11 @@ class _BlockCode(NamedTuple):
     and raises on a block outside the code, and program(n) is the offer
     program of n blocks, whose largest alphabet the oligos use.  Reading
     width calls codewords, which counts for lookup: the decoder reads it
-    only after its shape checks.  decode_blocks, where a scheme has one,
-    decodes a list of equal-length blocks at once, raising what
-    decode_block raises for the first bad block; without it the decoder
-    maps decode_block."""
+    only after its shape checks.  Where a scheme has them, encode_blocks
+    maps a list of values to their blocks at once, as encode_block would
+    one by one, and decode_blocks decodes a list of equal-length blocks at
+    once, raising what decode_block raises for the first bad block; without
+    them the coders map encode_block and decode_block."""
 
     rho: float
     lengths: range
@@ -164,6 +166,7 @@ class _BlockCode(NamedTuple):
     codewords: Callable[[], int]
     encode_block: Callable[[int], tuple[int, ...]]
     decode_block: Callable[[Sequence[int]], int]
+    encode_blocks: Callable[[list[int]], list[tuple[int, ...]]] | None = None
     decode_blocks: Callable[[list[Sequence[int]]], list[int]] | None = None
     joined: bool = False  # every block in one oligo, end to end
 
@@ -184,55 +187,108 @@ def _fields(payload: str, width: int) -> list[int]:
 
 # --- base scheme: one steering symbol per oligo ---
 #
-# Encoding looks up what it would otherwise compute symbol by symbol.  A
-# value splits into chunks of k base-q digits, k the largest with
-# q**k <= 1024, one divmod per chunk, and each chunk becomes its k gaps by
-# one lookup.  Symbol i is 1 + (s0 + g1 + ... + gi) mod q, where s0 is the
-# steering symbol less one, so the symbols are one accumulate over the gaps
-# and one lookup per running sum; a flip to q+1-g is one more lookup per
-# gap.  A scheme record builds its tables on its first encode_block call,
-# so they live for one encode_payload call and decoding builds none.
+# A block's n base-q digits, most significant first and each plus one, are
+# its gaps.  Symbol i is 1 + (s0 + g1 + ... + gi) mod q, where s0 is the
+# steering symbol less one; a flipped block sends each gap g as q+1-g.
+# _Digits codes one block at a time and is the reference.  _base_blocks
+# codes a batch at once up to q = 127, on byte fields of one big integer,
+# the inverse of _steered_batch, and builds its masks inside the call, so
+# decoding builds none.
 
 
 class _Digits:
-    """Base-q digits as gaps, and gaps steered into symbols, by lookup.  Up
-    to q = 1024 the chunk table is built whole, in C; past it a chunk is one
-    digit and, like the other tables at every q, the table is a memo that
-    holds only what a payload uses."""
+    """Base-q digits as gaps, and gaps steered into symbols, one block at a time."""
 
     def __init__(self, q: int) -> None:
-        k, unit = 1, q
-        while unit * q <= 1024:
-            k, unit = k + 1, unit * q
-        self.q, self.k, self.unit = q, k, unit
-        self.chunk_gaps = (
-            list(product(range(1, q + 1), repeat=k)) if unit <= 1024 else _Memo(lambda c: (c + 1,))
-        )
-        self.flipped = _Memo((q + 1).__sub__)
-        self.symbol = _Memo(lambda total: total % q + 1)
+        self.q = q
 
     def gaps(self, value: int, count: int) -> list[int]:
         """The low *count* base-q digits of *value*, each plus one, most significant first."""
-        unit, table = self.unit, self.chunk_gaps
-        chunks = []
-        for _ in range(-(-count // self.k)):
-            value, chunk = divmod(value, unit)
-            chunks.append(table[chunk])
-        chunks.reverse()
-        gaps = list(chain.from_iterable(chunks))
-        return gaps[len(gaps) - count :]
+        gaps = []
+        for _ in range(count):
+            value, digit = divmod(value, self.q)
+            gaps.append(digit + 1)
+        gaps.reverse()
+        return gaps
 
     def steer(self, gaps: Sequence[int]) -> tuple[int, ...]:
         """The steering symbol, then a symbol *gaps[i]* cycles after the one
         before, or q+1-gaps[i] when the gaps pass the midpoint."""
-        flip = 2 * sum(gaps) > (self.q + 1) * len(gaps)
+        q = self.q
+        flip = 2 * sum(gaps) > (q + 1) * len(gaps)
         if flip:
-            gaps = map(self.flipped.__getitem__, gaps)
-        return tuple(map(self.symbol.__getitem__, accumulate(gaps, initial=int(flip))))
+            gaps = map((q + 1).__sub__, gaps)
+        return tuple(total % q + 1 for total in accumulate(gaps, initial=int(flip)))
 
     def steered(self, value: int, count: int) -> tuple[int, ...]:
         """The low *count* base-q digits of *value*, as gaps behind a steering symbol."""
         return self.steer(self.gaps(value, count))
+
+
+def _base_blocks(q: int, values: Sequence[int], n: int) -> list[tuple[int, ...]]:
+    """[_Digits(q).steered(value, n) for value in values], for values below q**n.
+
+    Up to q = 127 the batch codes at once, each step one C-level operation
+    over byte fields of a big integer; at a larger q, _Digits runs block by
+    block."""
+    if q >= 128:
+        steered = _Digits(q).steered
+        return [steered(value, n) for value in values]
+    # Digits.  Each value fills a big-endian field of span = 2**r >= n bytes,
+    # and each round splits every field of 2w bytes, x < q**(2w), into
+    # x // q**w above x % q**w, w bytes each, until a byte is a digit.  The
+    # quotient is x * m >> t with m = ceil(2**t / q**w) and 2**t > q**(3w):
+    # m * q**w - 2**t < q**w, so x times that error stays below 2**t.  Even
+    # and odd fields go apart, so each lies below 2w empty bytes, and
+    # x * m < q**w * 2**t + q**(2w) <= 2 q**(4w) + q**(2w) < 2**(28w + 2)
+    # fits the pair's 32w bits for q < 128.  The quotient lies below bit 8w
+    # of the pair, the next pair's product shifts in from bit 32w - t >= 11w.
+    span = 1 << (n - 1).bit_length()
+    size = span * len(values)
+    packed = b"".join(map(int.to_bytes, values, repeat(span), repeat("big")))
+    value = int.from_bytes(packed, "big")
+    field = int.from_bytes((b"\0" * span + b"\xff" * span) * -(-len(values) // 2), "big")
+    width = span
+    while width > 1:
+        w = width // 2
+        unit = q**w
+        t = (unit**3).bit_length()
+        m = -(-(1 << t) // unit)
+        low = field & field >> 8 * w  # the low w bytes of each pair
+        quotients = (value & field) * m >> t & low
+        quotients |= ((value >> 8 * width & field) * m >> t & low) << 8 * width
+        value += quotients * ((1 << 8 * w) - unit)  # x + h * that is h above x - h * q**w
+        field = low | low << 8 * width
+        width = w
+    rows = re.findall(b".{%d}(.{%d})" % (span - n, n), value.to_bytes(size, "big"), re.S)
+    # Steering.  As the decoder checks, a block flips when its digits total
+    # more than (q-1)n/2; its gaps are then q-d, else d+1, both mod q.
+    flips = bytes(map(((q - 1) * n // 2).__lt__, map(sum, rows)))
+    digits = bytes(range(q))
+    tables = [
+        bytes.maketrans(digits, digits[1:] + b"\0"),
+        bytes.maketrans(digits, digits[:1] + digits[:0:-1]),
+    ]
+    gaps = map(bytes.translate, rows, map(tables.__getitem__, flips))
+    slots = map([b"\0", b"\1"].__getitem__, flips)
+    # Symbols.  Behind its steering slot each row's running sums mod q come
+    # by doubling: add the field 2**k places before under a per-row mask,
+    # then take q off where the sum, biased by 128 - q, reaches bit 7.  Each
+    # field stays below 2q - 1 + 128 - q < 256, so none carries into the next.
+    size = n + 1
+    length = size * len(values)
+    ones = int.from_bytes(b"\1" * length, "big")
+    bias = ones * (128 - q)
+    total = int.from_bytes(b"".join(map(bytes.__add__, slots, gaps)), "big")
+    keep = int.from_bytes((b"\0" + b"\xff" * n) * len(values), "big")
+    step = 1
+    while step < size:
+        total += (total >> 8 * step & keep) + bias
+        total -= (total >> 7 & ones) * q + bias
+        keep &= keep >> 8 * step  # each row's first 2 * step fields cleared
+        step *= 2
+    symbols = (total + ones).to_bytes(length, "big")
+    return list(map(tuple, re.findall(b".{%d}" % size, symbols, re.S)))
 
 
 def _base_value(q: int, symbols: Sequence[int]) -> int:
@@ -321,14 +377,14 @@ def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
     if not 1 <= size <= _MAX_BLOCK_SYMBOLS:
         raise DomainError(f"block must carry 1..{_MAX_BLOCK_SYMBOLS} symbols")
     budget = (q + 1) * (size + 1) // 2
-    tables = _Memo(_Digits)  # built by the first encode_block call
     return _BlockCode(
         rho=2.0 / (q + 1),
         lengths=range(size + 1, size + 2),
         program=lambda n: ((q, budget if n else 0),),
         codewords=lambda: q**size,
-        encode_block=lambda value: tables[q].steered(value, size),
+        encode_block=lambda value: _Digits(q).steered(value, size),
         decode_block=partial(_base_value, q),
+        encode_blocks=lambda values: _base_blocks(q, values, size),
         decode_blocks=partial(_base_values, q),
     )
 
@@ -369,6 +425,7 @@ def optimal_alpha(q: int, rho: float) -> tuple[int, float]:
     which pins s = floor(2/rho - 1) (clamped to q-1) and the fraction
     s + 2 - 2/rho.
     """
+    require_int(q)
     if q < 2:
         raise DomainError("multisize scheme requires alphabet size >= 2")
     low = 2.0 / (q + 1)
@@ -403,12 +460,17 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
     coded = run if s >= 2 else 0
     low_values = s ** max(coded - 1, 0)
     program = ((s, (s + 1) * run // 2),) * (run > 0) + ((s + 1, (s + 2) * tail // 2),) * (tail > 0)
-    tables = _Memo(_Digits)  # one per sub-alphabet, built by the first encode_block call
 
     def encode_block(value: int) -> tuple[int, ...]:
         high, low = divmod(value, low_values)
-        head = tables[s].steered(low, run - 1) if coded else (1,) * run
-        return head + (tables[s + 1].steered(high, tail - 1) if tail else ())
+        head = _Digits(s).steered(low, run - 1) if coded else (1,) * run
+        return head + (_Digits(s + 1).steered(high, tail - 1) if tail else ())
+
+    def encode_blocks(values: list[int]) -> list[tuple[int, ...]]:
+        highs, lows = zip(*map(divmod, values, repeat(low_values))) if values else ((), ())
+        heads = _base_blocks(s, lows, run - 1) if coded else [(1,) * run] * len(values)
+        tails = _base_blocks(s + 1, highs, tail - 1) if tail else [()] * len(values)
+        return list(map(tuple.__add__, heads, tails))
 
     def decode_block(symbols: Sequence[int]) -> int:
         head, rest = symbols[:run], symbols[run:]
@@ -435,13 +497,14 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
         codewords=lambda: low_values * (s + 1) ** max(tail - 1, 0),
         encode_block=encode_block,
         decode_block=decode_block,
+        encode_blocks=encode_blocks,
         decode_blocks=decode_blocks,
     )
 
 
 # --- balanced scheme: weight-balanced blocks over an ascending alphabet ---
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not find 4's entry
 def balanced_params(q: int) -> tuple[int, int]:
     """(data bits, block alphabet) for the balanced scheme at alphabet q.
 
@@ -450,6 +513,7 @@ def balanced_params(q: int) -> tuple[int, int]:
     layout cannot balance every f-bit word (some alphabet sizes land on
     such f).
     """
+    require_int(q)
     if not 4 <= q <= _MAX_ALPHABET:
         raise DomainError(f"balanced scheme requires alphabet size in 4..{_MAX_ALPHABET}")
     f = balanced_data_bits(q)
@@ -559,6 +623,7 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
     geometry the encoder accepts.  Lookup windows use the shallowest depth
     that makes rho*C integral.
     """
+    require_int(q)
     if q < 2:
         raise DomainError("rate table requires alphabet size >= 2")
     rows = []
@@ -622,13 +687,20 @@ def encode_payload(
     validate_bits(payload)
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
+    require_int(q)
+    sizes = {"depth": depth, "oligo length": oligo_length, "block symbol count": block_symbols}
+    for name, size in sizes.items():
+        if size is not None:
+            require_int(size, name)
     code = SCHEMES[scheme](
         q, rho=rho, depth=depth, oligo_length=oligo_length, block_symbols=block_symbols
     )
     values = _fields(payload, code.width)
     spec = SupersequenceSpec(code.program(len(values)))
     alphabet = spec.max_alphabet
-    blocks = {value: code.encode_block(value) for value in dict.fromkeys(values)}
+    distinct = list(dict.fromkeys(values))
+    encode = code.encode_blocks or partial(map, code.encode_block)
+    blocks = dict(zip(distinct, encode(distinct)))
     used = set().union(*blocks.values())
     if code.joined:
         rows = [tuple(chain.from_iterable(map(blocks.__getitem__, values)))] if values else []

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .capacity import _bisect, binary_entropy, cap_fixed_length
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .sequence import _Record
 
 
@@ -63,6 +63,7 @@ def rho_star(q: int) -> float:
     code; beyond rho_star it exceeds the 1/log2(q) achieved by trivial
     coding, so no minimizer lives to the right of it.
     """
+    require_int(q)
     if q < 2:
         raise DomainError("alphabet size must be at least 2")
     target = 1.0 / math.log2(q)
@@ -76,6 +77,7 @@ def minimize_over_rho(params: CostParams, q: int) -> tuple[float, float]:
     concave cap(q, .), which never rises with rho, so the smallest rho of
     the interval is optimal: returns (2/(q+1), its cost).
     """
+    require_int(q)
     if q < 2:
         raise DomainError("alphabet size must be at least 2")
     rho = 2.0 / (q + 1)
@@ -89,6 +91,7 @@ def minimize_over_alphabet(params: CostParams, max_q: int) -> tuple[int, float, 
     binds and the search reduces to minimize_over_rho at q = max_q.  Returns
     (q, rho, cost).
     """
+    require_int(max_q, "alphabet bound")
     if max_q < 2:
         raise DomainError("alphabet bound must be at least 2")
     rho, value = minimize_over_rho(params, max_q)

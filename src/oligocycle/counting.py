@@ -35,7 +35,7 @@ from operator import sub
 from threading import Lock
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .sequence import Oligo, alternating_prefix
 
 # Largest suffix table built, in stored integers.  It is checked first: the
@@ -105,6 +105,7 @@ def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None
     The closed form memoizes nothing; *cache* is accepted and ignored,
     because the perfbench suite still passes one positionally.
     """
+    require_int(q)
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
     if not 0 <= length <= cycles:
@@ -118,6 +119,7 @@ def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None
 
 def brute_force_count(q: int, cycles: int, length: int) -> int:
     """Reference implementation by explicit enumeration (cycles capped at 20)."""
+    require_int(q)
     if cycles > 20:
         raise DomainError("brute force enumeration is capped at 20 cycles")
     if not 0 <= length <= cycles:
@@ -149,6 +151,7 @@ def indexable_count(q: int, cycles: int, length: int) -> int:
     a row of n sums exceeds n times it.  A row built by appending keeps at
     most an eighth plus 6 spare slots.
     """
+    require_int(q)
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
     if not 0 <= length <= cycles:
@@ -280,6 +283,7 @@ def subsequence_rank(q: int, cycles: int, oligo: Oligo) -> int:
 
     Raises DomainError when the oligo does not embed in the offer prefix.
     """
+    require_int(q)
     if oligo.q > q:
         raise DomainError("oligo alphabet exceeds the stream alphabet")
     return rank_symbols(q, cycles, oligo.symbols)
@@ -287,4 +291,5 @@ def subsequence_rank(q: int, cycles: int, oligo: Oligo) -> int:
 
 def subsequence_unrank(q: int, cycles: int, length: int, index: int) -> Oligo:
     """Inverse of subsequence_rank: the oligo at *index* in lexicographic order."""
+    require_int(q)
     return Oligo(unrank_symbols(q, cycles, length, index), q)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 
 class _Record:
@@ -55,8 +55,7 @@ class Oligo(_Record):
 
     def __init__(self, symbols: Iterable[int], q: int) -> None:
         symbols = tuple(symbols)
-        if type(q) is not int:
-            raise DomainError(f"alphabet size {q!r} is not an int")
+        require_int(q)
         if q < 1:
             raise DomainError("alphabet size must be at least 1")
         if not _in_alphabet(symbols, q):
@@ -152,10 +151,8 @@ class SupersequenceSpec(_Record):
 
     def __init__(self, segments: tuple[tuple[int, int], ...]) -> None:
         for q, cycles in segments:
-            if type(q) is not int:
-                raise DomainError(f"segment alphabet size {q!r} is not an int")
-            if type(cycles) is not int:
-                raise DomainError(f"segment cycle count {cycles!r} is not an int")
+            require_int(q, "segment alphabet size")
+            require_int(cycles, "segment cycle count")
             if q < 1:
                 raise DomainError("segment alphabet size must be at least 1")
             if cycles < 0:
@@ -173,8 +170,7 @@ class SupersequenceSpec(_Record):
 
 def alternating_prefix(q: int, cycles: int) -> tuple[int, ...]:
     """First *cycles* symbols of the alternating offer stream over 1..q."""
-    if type(q) is not int:
-        raise DomainError(f"alphabet size {q!r} is not an int")
+    require_int(q)
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
     if cycles < 0:

@@ -461,3 +461,18 @@ def test_fixed_root_matches_bisection_on_the_closed_form_sums():
             if rho > 2.0 / (q + 1):
                 expected = closed_form_root(q, rho)
                 assert capacity_root_fixed(q, rho) == pytest.approx(expected, rel=1e-12), (q, rho)
+
+
+@pytest.mark.parametrize("bad, text", ((2.5, "2.5"), (4.0, "4.0"), (True, "True"), ("4", "'4'")))
+def test_capacity_refuses_an_alphabet_size_that_is_not_an_int(bad, text):
+    calls = [
+        lambda: cap_fixed_length(bad, 0.5),  # 4.0 raised TypeError
+        lambda: capacity_root_fixed(bad, 0.5),
+        lambda: cap_flexible(bad),
+        lambda: capacity_root_flexible(bad),
+        lambda: rho_peak(bad),
+        lambda: empirical_cap(bad, 8, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^alphabet size {text} is not an int$"):
+            call()

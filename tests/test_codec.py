@@ -412,19 +412,29 @@ def test_encode_refuses_a_block_outside_the_alphabet_as_oligo_does(
     monkeypatch, scheme, kwargs, bad_symbol
 ):
     # every third value's block ends in a symbol named by the value, outside
-    # 1..q or not an int: the batch's one check must raise what building
-    # each oligo in turn with Oligo raises first
+    # 1..q or not an int, from the per-block and the batch encoder alike:
+    # the batch's one check must raise what building each oligo in turn
+    # with Oligo raises first
     build, made = codec.SCHEMES[scheme], []
 
     def broken(q, **options):
         code = build(q, **options)
         alphabet = SupersequenceSpec(code.program(1)).max_alphabet
 
-        def encode_block(value):
-            block = code.encode_block(value)
+        def corrupt(value, block):
             return block[:-1] + (bad_symbol(alphabet, value),) if value % 3 == 1 else block
 
-        made.append(code._replace(encode_block=encode_block))
+        def encode_block(value):
+            return corrupt(value, code.encode_block(value))
+
+        def encode_blocks(values):
+            return list(map(corrupt, values, code.encode_blocks(values)))
+
+        made.append(
+            code._replace(
+                encode_block=encode_block, encode_blocks=code.encode_blocks and encode_blocks
+            )
+        )
         return made[-1]
 
     monkeypatch.setitem(codec.SCHEMES, scheme, broken)
@@ -615,3 +625,24 @@ def test_encode_payload_validates_arguments():
         encode_payload("mystery", "101", q=4)
     with pytest.raises(DomainError):
         encode_payload("base", "abc", q=4)
+
+
+@pytest.mark.parametrize("bad, text", ((2.5, "2.5"), (4.0, "4.0"), (True, "True"), ("4", "'4'")))
+def test_codec_refuses_a_size_that_is_not_an_int(bad, text):
+    def refused(name, call):
+        with pytest.raises(DomainError, match=f"^{name} {text} is not an int$"):
+            call()
+
+    # each scheme's alphabet size; balanced 16.0 failed with AttributeError
+    for scheme, kwargs in EVERY_SCHEME:
+        refused("alphabet size", lambda: encode_payload(scheme, "10110100", **{**kwargs, "q": bad}))
+    refused("alphabet size", lambda: rate_table(bad, [0.5]))
+    refused("alphabet size", lambda: codec.optimal_alpha(bad, 0.5))
+    refused("alphabet size", lambda: codec.multisize_rate(bad, 0.5))
+    refused("alphabet size", lambda: codec.balanced_params(bad))
+    # and the size parameters, each of which reached a TypeError
+    refused("depth", lambda: encode_payload("lookup", "1011", q=4, rho=0.5, depth=bad))
+    refused(
+        "oligo length", lambda: encode_payload("multisize", "1011", q=5, rho=0.45, oligo_length=bad)
+    )
+    refused("block symbol count", lambda: encode_payload("base", "1011", q=4, block_symbols=bad))

@@ -1,0 +1,121 @@
+"""The batch base-q encoder against the per-block one.
+
+codec._base_blocks steers a list of values into blocks at once on byte
+fields of big integers, and runs codec._Digits block by block at q >= 128.
+The base and multisize records expose it as encode_blocks next to the
+per-block encode_block, which is the reference: every batch must equal
+[encode_block(v) for v in values].
+"""
+
+import random
+
+import pytest
+
+from oligocycle import codec, encode_payload
+from oligocycle.bits import bits_from_bytes
+
+
+def per_block(code, values):
+    return [code.encode_block(v) for v in values]
+
+
+def base_case(q, n, values):
+    """The batch and the per-block blocks of values, through the base record."""
+    code = codec.SCHEMES["base"](q, block_symbols=n)
+    return code.encode_blocks(values), per_block(code, values)
+
+
+def test_batch_equals_per_block_for_every_value_of_small_blocks():
+    for q in range(2, 7):
+        for n in range(1, 7):
+            values = list(range(q**n))
+            batch, expected = base_case(q, n, values)
+            assert batch == expected, (q, n)
+            # both steering symbols occur, and no two values share a block
+            assert {b[0] for b in batch} == {1, 2}
+            assert len(set(batch)) == len(values)
+
+
+def test_batch_equals_per_block_on_seeded_values_around_each_power_of_two():
+    rng = random.Random(2001)
+    # n digits pad to 2**r byte fields, so test either side of each power of two
+    edges = [n for k in range(12) for n in (2**k - 1, 2**k, 2**k + 1)]
+    sizes = sorted({n for n in edges if 1 <= n <= codec._MAX_BLOCK_SYMBOLS})
+    assert codec._MAX_BLOCK_SYMBOLS in sizes
+    # every size at three alphabets, and every alphabet at a short size
+    cases = [(q, n) for n in sizes for q in rng.sample(range(7, 128), 3)]
+    cases += [(q, rng.randint(1, 64)) for q in range(7, 128)]
+    for q, n in cases:
+        count = 3 if n > 256 else 12
+        values = [0, q**n - 1, *(rng.randrange(q**n) for _ in range(count))]
+        batch, expected = base_case(q, n, values)
+        assert batch == expected, (q, n)
+
+
+def test_all_top_digits_at_the_largest_batch_alphabet():
+    # every digit q - 1 fills each field to its bound, and the block flips
+    # each gap q to 1: the symbols climb by one from the steering symbol 2
+    for n in (1, 2, 3, 31, 32, 33, 1024, 2047, 2048):
+        values = [127**n - 1, 127**n - 2, 127 ** (n - 1)]
+        batch, expected = base_case(127, n, values)
+        assert batch == expected, n
+        assert batch[0] == tuple(i % 127 + 1 for i in range(1, n + 2))
+
+
+def test_batch_alphabet_bound_falls_back_to_the_per_block_encoder(monkeypatch):
+    rng = random.Random(2002)
+    built = []
+    digits = codec._Digits
+    monkeypatch.setattr(codec, "_Digits", lambda q: built.append(q) or digits(q))
+    for q in (127, 128):
+        values = [0, q**9 - 1, *(rng.randrange(q**9) for _ in range(20))]
+        expected = [digits(q).steered(v, 9) for v in values]
+        assert codec._base_blocks(q, values, 9) == expected
+    assert built == [128]
+    assert codec._base_blocks(5, [], 9) == []
+
+
+def test_a_block_of_no_digits_is_its_steering_symbol():
+    assert codec._base_blocks(5, [0, 0], 0) == [(1,), (1,)]
+
+
+@pytest.mark.parametrize(
+    "q, rho, length",
+    [
+        (5, 0.45, 48),  # two base-coded parts, s = 3 and 4
+        (5, 0.8, 12),  # s = 1: the run is uncoded 1s
+        (5, 0.5, 12),  # fraction 1: no tail
+        (6, 0.5, 2),  # one symbol per part: each is its steering symbol
+        (200, 0.012, 40),  # s = 165: both parts past the batch alphabet bound
+        (300, 0.0157, 64),  # s = 126: both parts batched, the tail at the bound
+        (300, 0.01556, 64),  # s = 127: the head batched at the bound, the tail not
+    ],
+)
+def test_multisize_batch_equals_per_block(q, rho, length):
+    code = codec.SCHEMES["multisize"](q, rho=rho, oligo_length=length)
+    rng = random.Random(2003)
+    top = (1 << code.width) - 1
+    values = [0, top, *(rng.randrange(top + 1) for _ in range(40))]
+    assert code.encode_blocks(values) == per_block(code, values)
+    assert code.encode_blocks([]) == []
+
+
+@pytest.mark.parametrize(
+    "scheme, kwargs",
+    [
+        ("base", dict(q=4)),
+        ("base", dict(q=127, block_symbols=33)),
+        ("base", dict(q=128, block_symbols=7)),
+        ("multisize", dict(q=5, rho=0.45)),
+        ("multisize", dict(q=5, rho=0.8, oligo_length=12)),
+    ],
+)
+def test_payload_batches_equal_those_of_the_per_block_encoder(monkeypatch, scheme, kwargs):
+    payload = bits_from_bytes(random.Random(2004).randbytes(700))
+    batched = encode_payload(scheme, payload, **kwargs).to_json()
+    build = codec.SCHEMES[scheme]
+    monkeypatch.setitem(
+        codec.SCHEMES, scheme, lambda q, **options: build(q, **options)._replace(encode_blocks=None)
+    )
+    assert encode_payload(scheme, payload, **kwargs).to_json() == batched
+    assert encode_payload(scheme, "", **kwargs).oligos == ()

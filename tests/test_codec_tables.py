@@ -1,9 +1,9 @@
-"""Encoding by lookup against the loops it replaced.
+"""Encoding against the loops it replaced.
 
-The block encoders take base digits a chunk at a time, steer through
-running-sum tables, read balanced positions a byte at a time and split the
-payload with one regex pass.  The plain loops below are the reference: every
-block, position list and field must come out equal.
+The base-coded encoders take a batch's digits, steering and running sums on
+byte fields of one big integer, balanced positions are read a byte at a
+time and the payload splits with one regex pass.  The plain loops below are
+the reference: every block, position list and field must come out equal.
 """
 
 import random
@@ -77,12 +77,14 @@ def test_base_blocks_equal_the_digit_and_steering_loops(q):
     for size in block_sizes(q):
         code = codec.SCHEMES["base"](q, block_symbols=size)
         steering = set()
-        for value in block_values(q, size, rng):
+        values = block_values(q, size, rng)
+        for value in values:
             block = code.encode_block(value)
             assert block == steer(q, digits(value, q, size)), (q, size, value)
             steering.add(block[0])
         # value 0 keeps every gap, the largest value flips every one
         assert steering == {1, 2}
+        assert code.encode_blocks(values) == [steer(q, digits(v, q, size)) for v in values]
 
 
 @pytest.mark.parametrize("q", ALPHABETS)
@@ -114,8 +116,10 @@ def test_multisize_blocks_equal_the_loops(q, rho, length):
 
     rng = random.Random(length)
     top = (1 << code.width) - 1
-    for value in (0, top, *(rng.randrange(top + 1) for _ in range(20))):
+    values = [0, top, *(rng.randrange(top + 1) for _ in range(20))]
+    for value in values:
         assert code.encode_block(value) == reference(value)
+    assert code.encode_blocks(values) == list(map(reference, values))
 
 
 # --- balanced ---
@@ -158,7 +162,7 @@ def test_fields_equal_the_slice_loop():
             assert codec._fields(payload, width) == fields(payload, width), (width, length)
 
 
-# --- the tables are the encoder's alone ---
+# --- the tables and masks are the encoder's alone ---
 
 EVERY_SCHEME = [
     ("base", dict(q=4)),
@@ -177,6 +181,7 @@ def test_decode_builds_no_encode_table(monkeypatch):
         raise AssertionError("an encode table was built")
 
     monkeypatch.setattr(codec, "_Digits", refuse)
+    monkeypatch.setattr(codec, "_base_blocks", refuse)
     monkeypatch.setattr(codec, "_positions", refuse)
     for scheme, kw in EVERY_SCHEME:
         assert decode_payload(EncodedBatch.from_json(texts[scheme])) == payload

@@ -136,3 +136,15 @@ def test_large_alphabet_cost_floor():
     q, _, cost_opt = minimize_over_alphabet(PARAMS, 256)
     floor = PARAMS.alpha * PARAMS.cycles + PARAMS.beta * PARAMS.payload_bits / 8.0
     assert cost_opt == pytest.approx(floor, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad, text", ((2.5, "2.5"), (4.0, "4.0"), (True, "True"), ("4", "'4'")))
+def test_cost_refuses_an_alphabet_size_that_is_not_an_int(bad, text):
+    # rho_star(4.0) and minimize_over_rho(PARAMS, 4.0) returned a value
+    for call in (lambda: rho_star(bad), lambda: minimize_over_rho(PARAMS, bad)):
+        with pytest.raises(DomainError, match=f"^alphabet size {text} is not an int$"):
+            call()
+    with pytest.raises(DomainError, match=f"^alphabet size {text} is not an int$"):
+        cost_at_capacity(PARAMS, bad, 0.5)
+    with pytest.raises(DomainError, match=f"^alphabet bound {text} is not an int$"):
+        minimize_over_alphabet(PARAMS, bad)

@@ -408,3 +408,20 @@ def test_depth_256_lookup_round_trip_is_fast():
     batch = encode_payload("lookup", payload, q=4, rho=0.5, depth=256)
     assert decode_payload(batch) == payload
     assert time.perf_counter() - start < 5.0
+
+
+NOT_INTS = ((2.5, "2.5"), (4.0, "4.0"), (True, "True"), ("4", "'4'"))
+
+
+@pytest.mark.parametrize("bad, text", NOT_INTS)
+def test_counting_refuses_an_alphabet_size_that_is_not_an_int(bad, text):
+    calls = [
+        lambda: subsequence_count(bad, 6, 3),  # 2.5 raised TypeError
+        lambda: brute_force_count(bad, 6, 3),
+        lambda: counting.indexable_count(bad, 6, 3),
+        lambda: subsequence_rank(bad, 6, Oligo((1, 2), 2)),
+        lambda: subsequence_unrank(bad, 6, 3, 0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^alphabet size {text} is not an int$"):
+            call()
