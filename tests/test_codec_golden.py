@@ -30,6 +30,9 @@ PAYLOADS = {
     "empty": b"",
     "one": b"\xa7",
     "seeded": random.Random(3).randbytes(37),
+    # realistic sizes: lookup d2 repeats rows, balanced q16 is one oligo of
+    # thousands of two-digit symbols, window mixes lengths
+    "2k": random.Random(2048).randbytes(2048),
 }
 
 DIGESTS = {
@@ -63,6 +66,16 @@ DIGESTS = {
     ("window-q2", "empty"): "73d7317b63ef8fde175be17eea59c0900e186865a58c9b5efcf5ae2636d047c6",
     ("window-q2", "one"): "feff17e59b0bc28e87e96a66c1d0958e287aa44130cfe4624d917e9b7a1daa49",
     ("window-q2", "seeded"): "09ff8306fac4b6a4e20bcb0dfa49728e78b7d22ca18e825302d1a087a6ed6a8e",
+    ("base-q4-b32", "2k"): "ccdfa05ab5cae4d8fbf200626008eb721e865f10c2b964883016a924c7042291",
+    ("base-q5-b7", "2k"): "d1bba7f732f98e90eb0896e629ed188cd7fbf83c31225eaa8cfd06dbcf66fa24",
+    ("lookup-q4-d2", "2k"): "25c5ae09846e16698a7fa19ed8220aea26a73777ce6f8bae60f5de5e236a3206",
+    ("lookup-q4-d16", "2k"): "4a285f974cf25d3d6b0e98d420dbfd1d8ca5769478644a386868347f0bf32d48",
+    ("multisize-q5-45", "2k"): "6c80528c64ede225fd76c902f0af15bd0ec1d438689532dea8e02a82a11b9ecb",
+    ("multisize-q4-80", "2k"): "5d7f9545ef6c3d53111f2301dfe7387dd88c478a127c0060222d5f567c197b32",
+    ("balanced-q16", "2k"): "5cf1b080b68c91bf5bc52e8f9827a253ab572c7f69ca9e8d4c3c626e0c0db1e6",
+    ("balanced-q8", "2k"): "4924486daab55095b5cfe2cda9ccad0c3999d33a2931f7d1715b0f9eca48f364",
+    ("window-q6", "2k"): "83e344601ed29c80ee166499e8a711bd4549fe36c7890e845028ad420b9981ee",
+    ("window-q2", "2k"): "8d9e0676aa503bdcf23b98196e07d5ccfc6ee982e30c664ba284d4458e16e4ef",
 }
 
 
