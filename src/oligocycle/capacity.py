@@ -297,6 +297,7 @@ def empirical_cap(q: int, cycles: int, rho: float, cache: CountCache | None = No
     Converges to cap_fixed_length from below as cycles grows.
     """
     require_int(q)
+    require_int(cycles, "cycle count")
     if cycles < 1:
         raise DomainError("cycle count must be at least 1")
     if not 0.0 <= rho <= 1.0:

@@ -715,6 +715,10 @@ def decode_payload(batch: EncodedBatch) -> str:
     """Recover the bit payload from an EncodedBatch; shape checks run before any counting."""
     if batch.scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {batch.scheme!r}")
+    # from_json checks these; an in-process batch may carry any value
+    for value, name in ((batch.q, "alphabet size"), (batch.payload_bits, "payload bit count")):
+        if type(value) is not int:
+            raise CorruptDataError(f"{name} {value!r} is not an int")
     oligos = batch.oligos
     if not oligos:
         if batch.payload_bits:

@@ -34,6 +34,7 @@ class CostParams(_Record):
             raise DomainError("unit costs must be non-negative and finite")
         if not 0 <= payload_bits < math.inf:
             raise DomainError("payload size must be non-negative and finite")
+        require_int(cycles, "cycle count")
         if cycles < 1:
             raise DomainError("cycle count must be at least 1")
         object.__setattr__(self, "alpha", alpha)

@@ -105,7 +105,7 @@ def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None
     The closed form memoizes nothing; *cache* is accepted and ignored,
     because the perfbench suite still passes one positionally.
     """
-    require_int(q)
+    _require_sizes(q, cycles, length)
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
     if not 0 <= length <= cycles:
@@ -119,7 +119,7 @@ def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None
 
 def brute_force_count(q: int, cycles: int, length: int) -> int:
     """Reference implementation by explicit enumeration (cycles capped at 20)."""
-    require_int(q)
+    _require_sizes(q, cycles, length)
     if cycles > 20:
         raise DomainError("brute force enumeration is capped at 20 cycles")
     if not 0 <= length <= cycles:
@@ -131,6 +131,13 @@ def brute_force_count(q: int, cycles: int, length: int) -> int:
             continue
         seen.add(tuple(stream[i] for i in range(cycles) if mask >> i & 1))
     return len(seen)
+
+
+def _require_sizes(q: object, cycles: object, length: object) -> None:
+    """Raise DomainError unless the alphabet size, cycle count and length are ints."""
+    require_int(q)
+    require_int(cycles, "cycle count")
+    require_int(length, "length")
 
 
 def _row_sizes(q: int, cycles: int, length: int) -> list[int]:
@@ -151,7 +158,7 @@ def indexable_count(q: int, cycles: int, length: int) -> int:
     a row of n sums exceeds n times it.  A row built by appending keeps at
     most an eighth plus 6 spare slots.
     """
-    require_int(q)
+    _require_sizes(q, cycles, length)
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
     if not 0 <= length <= cycles:
@@ -284,6 +291,7 @@ def subsequence_rank(q: int, cycles: int, oligo: Oligo) -> int:
     Raises DomainError when the oligo does not embed in the offer prefix.
     """
     require_int(q)
+    require_int(cycles, "cycle count")
     if oligo.q > q:
         raise DomainError("oligo alphabet exceeds the stream alphabet")
     return rank_symbols(q, cycles, oligo.symbols)
@@ -291,5 +299,6 @@ def subsequence_rank(q: int, cycles: int, oligo: Oligo) -> int:
 
 def subsequence_unrank(q: int, cycles: int, length: int, index: int) -> Oligo:
     """Inverse of subsequence_rank: the oligo at *index* in lexicographic order."""
-    require_int(q)
+    _require_sizes(q, cycles, length)
+    require_int(index, "index")
     return Oligo(unrank_symbols(q, cycles, length, index), q)

@@ -96,18 +96,57 @@ def _oligos(rows: Iterable[tuple[int, ...]], q: int, used: Collection[int]) -> l
 
 # --- the oligo text format, one batch at a time ---
 #
-# A batch repeats few symbols many times, so each call names each distinct
-# symbol once, converts each distinct token once, renders or parses each
-# distinct oligo once, and checks the symbols a parse read once, together.
+# A batch repeats few rows many times, so each call renders each distinct row
+# once and parses each distinct text once.  Where a batch allows, it does the
+# rest in a few C-level bytes operations over the whole batch: render writes
+# the symbols of every distinct row up to 255 as fixed digit fields of one
+# bytearray, and parse reads canonical text over 1..q, q <= 9 ("d,d,...,d",
+# one length for every text), by slicing one bytes of all of it.  Any other
+# batch takes the per-symbol path: render joins str() of each distinct symbol,
+# and parse converts each distinct token once with int() and checks the
+# symbols it read once, together.
+
+_SEPARATORS = b"\n" + b"," * 255  # a field's last byte: a 0 sentinel ends its row
+# each byte's ASCII digit at a place value, or a 0 filler left of its first digit
+_DIGIT_PLANES = {
+    place: bytes(48 + v // place % 10 if v >= place else 0 for v in range(256))
+    for place in (1, 10, 100)
+}
+_DIGIT_VALUES = bytes.maketrans(b"123456789", bytes(range(1, 10)))
 
 
 def render_oligos(oligos: Iterable[Oligo]) -> list[str]:
     """Each oligo as its comma-separated symbol list, e.g. '4,3,2,1'."""
     rows = [o.symbols for o in oligos]
-    distinct = set(rows)
-    names = {s: str(s) for s in set().union(*distinct)}
-    text = {row: ",".join(map(names.__getitem__, row)) for row in distinct}
+    distinct = list(set(rows))
+    try:
+        texts = _render_bytes(distinct)
+    except ValueError:  # a symbol above 255
+        names = {s: str(s) for s in set().union(*distinct)}
+        texts = [",".join(map(names.__getitem__, row)) for row in distinct]
+    text = dict(zip(distinct, texts))
     return list(map(text.__getitem__, rows))
+
+
+def _render_bytes(rows: list[tuple[int, ...]]) -> list[str]:
+    """[",".join(map(str, row)) for row in rows], for symbols in 1..255.
+
+    Each symbol, and the 0 that ends each row, becomes a field of d digit
+    bytes and one separator, where d is the digit count of the largest
+    symbol; a digit left of a symbol's first, and every digit of a 0, is a
+    0 filler byte, deleted at the end, as is the comma before each row's
+    newline.  bytes() raises ValueError past 255."""
+    flat = b"\0".join(map(bytes, rows)) + b"\0"
+    digits = 1 + bool(flat.translate(None, bytes(range(10)))) + bool(
+        flat.translate(None, bytes(range(100)))
+    )
+    step = digits + 1
+    out = bytearray(len(flat) * step)
+    for k in range(digits):
+        out[k::step] = flat.translate(_DIGIT_PLANES[10 ** (digits - 1 - k)])
+    out[digits::step] = flat.translate(_SEPARATORS)
+    text = out.translate(None, b"\0").replace(b",\n", b"\n").decode("ascii")
+    return text.split("\n")[:-1]
 
 
 def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
@@ -116,9 +155,14 @@ def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
     each symbol.  Texts are checked in batch order, each for a malformed
     symbol before one outside 1..q, so the DomainError raised is the one a
     loop over the texts meets first."""
+    distinct = list(dict.fromkeys(texts))
+    canonical = _canonical_rows(distinct, q)
+    if canonical is not None:
+        oligos = dict(zip(distinct, _oligos(canonical, q, range(1, q + 1))))
+        return list(map(oligos.__getitem__, texts))
     symbols = _Memo(int)  # int() takes surrounding spaces, a sign and leading zeros
     rows = {}
-    for text in dict.fromkeys(texts):
+    for text in distinct:
         stripped = text.strip()
         try:
             rows[text] = tuple(map(symbols.__getitem__, stripped.split(","))) if stripped else ()
@@ -127,6 +171,28 @@ def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
             raise DomainError(f"malformed oligo text {stripped!r}") from exc
     oligos = dict(zip(rows, _oligos(rows.values(), q, symbols.values())))
     return list(map(oligos.__getitem__, texts))
+
+
+def _canonical_rows(texts: list[str], q: int) -> list[tuple[int, ...]] | None:
+    """The symbol rows of *texts* when every text is 'd,d,...,d' of one
+    length, in ASCII digits 1..q with q <= 9; None for any other batch.
+
+    Joined by newlines, such texts alternate a digit with a separator, a
+    comma within a text and a newline between two; a newline inside a text
+    would break that pattern, so every text has the first one's length."""
+    if type(q) is not int or not 1 <= q <= 9 or not texts:
+        return None
+    joined = "\n".join(texts)
+    size = (len(texts[0]) + 1) // 2  # symbols per text
+    if not joined.isascii() or len(joined) != 2 * size * len(texts) - 1:
+        return None
+    data = joined.encode("ascii")
+    if data[1::2] != (b"," * (size - 1) + b"\n") * (len(texts) - 1) + b"," * (size - 1):
+        return None
+    digits = data[::2]
+    if digits.translate(None, b"123456789"[:q]):
+        return None
+    return list(zip(*[iter(digits.translate(_DIGIT_VALUES))] * size))
 
 
 class _Memo(dict):

@@ -476,3 +476,10 @@ def test_capacity_refuses_an_alphabet_size_that_is_not_an_int(bad, text):
     for call in calls:
         with pytest.raises(DomainError, match=f"^alphabet size {text} is not an int$"):
             call()
+
+
+@pytest.mark.parametrize("bad, text", ((2.5, "2.5"), (8.0, "8.0"), (True, "True"), ("8", "'8'")))
+def test_empirical_cap_refuses_a_cycle_count_that_is_not_an_int(bad, text):
+    # 8.0 raised TypeError
+    with pytest.raises(DomainError, match=f"^cycle count {text} is not an int$"):
+        empirical_cap(4, bad, 0.5)

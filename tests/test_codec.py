@@ -646,3 +646,17 @@ def test_codec_refuses_a_size_that_is_not_an_int(bad, text):
         "oligo length", lambda: encode_payload("multisize", "1011", q=5, rho=0.45, oligo_length=bad)
     )
     refused("block symbol count", lambda: encode_payload("base", "1011", q=4, block_symbols=bad))
+
+
+@pytest.mark.parametrize("scheme, kwargs", EVERY_SCHEME)
+def test_decode_refuses_an_in_process_batch_whose_sizes_are_not_ints(scheme, kwargs):
+    # from_json checks both fields; q=4.0 in process raised AttributeError for
+    # base and TypeError for lookup and window
+    batch = encode_payload(scheme, "1100101011110000", **kwargs)
+    for bad, text in ((float(batch.q), f"{batch.q}.0"), (2.5, "2.5"), (True, "True"), ("4", "'4'")):
+        with pytest.raises(CorruptDataError, match=f"^alphabet size {text} is not an int$"):
+            decode_payload(batch._replace(q=bad))
+    for bad, text in ((16.0, "16.0"), (2.5, "2.5"), (True, "True"), ("16", "'16'")):
+        with pytest.raises(CorruptDataError, match=f"^payload bit count {text} is not an int$"):
+            decode_payload(batch._replace(payload_bits=bad))
+    assert decode_payload(batch) == "1100101011110000"

@@ -148,3 +148,10 @@ def test_cost_refuses_an_alphabet_size_that_is_not_an_int(bad, text):
         cost_at_capacity(PARAMS, bad, 0.5)
     with pytest.raises(DomainError, match=f"^alphabet bound {text} is not an int$"):
         minimize_over_alphabet(PARAMS, bad)
+
+
+@pytest.mark.parametrize("bad, text", ((2.5, "2.5"), (200.0, "200.0"), (True, "True"), ("200", "'200'")))
+def test_cost_params_refuse_a_cycle_count_that_is_not_an_int(bad, text):
+    # 200.0 was stored as given
+    with pytest.raises(DomainError, match=f"^cycle count {text} is not an int$"):
+        CostParams(alpha=1.0, beta=0.01, payload_bits=1e6, cycles=bad)

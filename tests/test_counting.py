@@ -425,3 +425,22 @@ def test_counting_refuses_an_alphabet_size_that_is_not_an_int(bad, text):
     for call in calls:
         with pytest.raises(DomainError, match=f"^alphabet size {text} is not an int$"):
             call()
+
+
+@pytest.mark.parametrize("bad, text", NOT_INTS)
+def test_counting_refuses_a_cycle_count_or_length_that_is_not_an_int(bad, text):
+    calls = [
+        ("cycle count", lambda: subsequence_count(4, bad, 3)),  # 6.0 raised TypeError
+        ("length", lambda: subsequence_count(4, 6, bad)),
+        ("cycle count", lambda: brute_force_count(4, bad, 3)),
+        ("length", lambda: brute_force_count(4, 6, bad)),
+        ("cycle count", lambda: counting.indexable_count(4, bad, 3)),
+        ("length", lambda: counting.indexable_count(4, 6, bad)),
+        ("cycle count", lambda: subsequence_rank(4, bad, Oligo((1, 2), 2))),
+        ("cycle count", lambda: subsequence_unrank(4, bad, 4, 0)),
+        ("length", lambda: subsequence_unrank(4, 8, bad, 0)),
+        ("index", lambda: subsequence_unrank(4, 8, 4, bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(DomainError, match=f"^{name} {text} is not an int$"):
+            call()

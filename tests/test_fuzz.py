@@ -9,8 +9,10 @@ payload exactly, and a case that decodes must have every oligo embed in
 its program.  A mutated oligo can be another valid codeword, so a
 changed batch may decode to another payload: only a digest could tell.
 The raw text of a batch file is fuzzed too: truncated, with bytes flipped
-or inserted, with a value wrapped in deep nesting, or with invalid UTF-8,
-and decoded through the CLI, which must exit 0, 2 or 3.
+or inserted, with a value wrapped in deep nesting, with invalid UTF-8, or
+with one digit of one oligo of a batch over at most 9 symbols respelled
+(so the parser leaves its canonical-text path), and decoded through the
+CLI, which must exit 0, 2 or 3.
 The examples are fixed so the gate is deterministic.
 """
 
@@ -164,13 +166,25 @@ INVALID_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf8\
 @st.composite
 def mutated_texts(draw):
     """(payload, original batch file bytes, mutated bytes)."""
-    scheme, kwargs = draw(st.sampled_from(SETUPS))
+    kind = draw(st.sampled_from(["truncate", "flip", "insert", "nest", "utf8", "oligo"]))
+    setups = [s for s in SETUPS if s[1]["q"] <= 9] if kind == "oligo" else SETUPS
+    scheme, kwargs = draw(st.sampled_from(setups))
     payload = bits_from_bytes(draw(st.binary(min_size=1, max_size=4)))
     text = encode_payload(scheme, payload, **kwargs).to_json()
     data = text.encode("utf-8")
-    kind = draw(st.sampled_from(["truncate", "flip", "insert", "nest", "utf8"]))
     at = draw(st.integers(0, len(data)))
-    if kind == "truncate":
+    if kind == "oligo":  # one digit becomes a comma, a space, a full-width digit or q+1
+        doc = json.loads(text)
+        i = draw(st.sampled_from([i for i, o in enumerate(doc["oligos"]) if o] or [None]))
+        if i is None:  # every oligo is empty: nothing to respell
+            return payload, data, data
+        oligo = doc["oligos"][i]
+        j = 2 * draw(st.integers(0, len(oligo) // 2))
+        digit = oligo[j]
+        spelling = draw(st.sampled_from([",", " ", chr(0xFF10 + int(digit)), str(doc["q"] + 1)]))
+        doc["oligos"][i] = oligo[:j] + spelling + oligo[j + 1 :]
+        new = json.dumps(doc, indent=2, ensure_ascii=False).encode("utf-8")
+    elif kind == "truncate":
         new = data[:at]
     elif kind == "flip":
         at = min(at, len(data) - 1)

@@ -229,15 +229,68 @@ def test_batch_parser_raises_for_the_first_bad_oligo_in_batch_order():
 
 def test_batch_renderer_matches_per_oligo_join():
     rng = random.Random(10)
-    for q in (2, 4, 16, 300):
+    for q in (2, 4, 9, 10, 16, 99, 100, 255, 256, 300):
         rows = [tuple(rng.randint(1, q) for _ in range(rng.randrange(6))) for _ in range(8)]
+        rows += [(), (q,) * 5, (1,) * 5, (q, 1, q), (min(q, 9), min(q, 10), min(q, 100))]
         pool = [Oligo(row, q) for row in rows]
-        oligos = [rng.choice(pool) for _ in range(40)]
-        texts = render_oligos(oligos)
-        assert texts == [",".join(map(str, o.symbols)) for o in oligos]
-        assert [render_oligos((o,))[0] for o in oligos] == texts
-        assert parse_oligos(texts, q) == oligos
+        for oligos in (pool, [rng.choice(pool) for _ in range(40)], pool[-2:-1] * 3, [pool[8]] * 2):
+            texts = render_oligos(oligos)
+            assert texts == [",".join(map(str, o.symbols)) for o in oligos]
+            assert [render_oligos((o,))[0] for o in oligos] == texts
+            assert parse_oligos(texts, q) == oligos
     assert render_oligos([]) == []
+    assert render_oligos([Oligo((), 4)] * 3) == ["", "", ""]
+
+
+def canonical_batch(rng, q, size, count):
+    """*count* texts of *size* random symbols in 1..q, some of them repeated."""
+    pool = [",".join(str(rng.randint(1, q)) for _ in range(size)) for _ in range(count)]
+    return [rng.choice(pool) for _ in range(2 * count)]
+
+
+def near_canonical(text, q, rng):
+    """Single edits of one canonical text, most of which leave the batch
+    non-canonical, so the parser must fall back to its per-token path."""
+    at = 2 * rng.randrange((len(text) + 1) // 2)  # a digit's position
+    return [
+        text[:at] + " " + text[at:],
+        text[:at] + "\n" + text[at + 1 :],
+        text.replace(",", "\n", 1),
+        text.replace(",", "1", 1),
+        text[:at] + "0" + text[at + 1 :],
+        text[:at] + str(q + 1) + text[at + 1 :],
+        text + ",",
+        text[:-1],
+        text[:at] + "\uff11" + text[at + 1 :],  # full-width 1, which int() reads
+        text[:at] + "\u0661" + text[at + 1 :],  # Arabic-Indic 1, which int() reads
+        text[:at] + "," + text[at + 1 :],
+    ]
+
+
+@pytest.mark.parametrize("q", [1, 4, 9, 10])
+def test_batch_parser_matches_per_oligo_oracle_on_canonical_batches(q):
+    rng = random.Random(q)
+    for size in (1, 2, 7, 33):
+        texts = canonical_batch(rng, q, size, 12)
+        assert outcome(parse_oligos, texts, q) == outcome(parse_one_by_one, texts, q)
+        assert parse_oligos(texts, q) == parse_one_by_one(texts, q)
+        for i in (0, 5, len(texts) - 1):
+            for mutant in near_canonical(texts[i], q, rng):
+                batch = texts[:i] + [mutant] + texts[i + 1 :]
+                assert outcome(parse_oligos, batch, q) == outcome(parse_one_by_one, batch, q)
+                # a bad oligo after this one changes nothing: the first names the error
+                later = batch + ["1,x", str(q + 1)]
+                assert outcome(parse_oligos, later, q) == outcome(parse_one_by_one, later, q)
+    # a canonical batch parsed against a smaller alphabet
+    texts = canonical_batch(rng, 9, 5, 6)
+    for smaller in (1, 8):
+        assert outcome(parse_oligos, texts, smaller) == outcome(parse_one_by_one, texts, smaller)
+    assert parse_oligos([], q) == []
+
+
+def test_batch_parser_keeps_texts_apart_that_join_like_a_canonical_batch():
+    for texts in (["1,2\n3,4"], ["1", "2\n3"], ["1,2", "3,4\n", "1,2"], ["1,2\n", "3"], ["\n1"]):
+        assert outcome(parse_oligos, texts, 4) == outcome(parse_one_by_one, texts, 4)
 
 
 def test_records_are_immutable_and_compare_by_fields():
