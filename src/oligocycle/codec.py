@@ -25,11 +25,14 @@ others put one in each.  A payload is one integer inside the codec; '0'/'1'
 strings appear only in the public functions.  Batches round-trip through a
 small JSON document.  Every coding step is a pure function of its block, so
 within one call each distinct block is coded, rendered, parsed, checked and
-decoded once.  Base-coded blocks (base, and both parts of multisize) encode
-and decode a batch at a time, on byte fields of one big integer, up to
-q = 127.  The per-block coders stay the reference and run past that bound;
-the per-block decoder also runs wherever the batch check fails, so an error
-still names the first bad block.
+decoded once.  Base-coded blocks (base, and both parts of multisize, up to
+q = 127) and balanced blocks (up to block size 255, where a position fits a
+byte) encode and decode a batch at a time, on byte fields of one big
+integer.  The per-block coders stay the reference and run past those
+bounds; the per-block decoder also runs wherever a batch check fails, so an
+error still names the first bad block.  A payload splits into blocks of up
+to 64 bits by strided byte transposes into 1-, 2-, 4- or 8-byte fields of
+one integer.
 """
 
 from __future__ import annotations
@@ -38,16 +41,18 @@ import json
 import math
 import re
 import sys
+from array import array
 from bisect import bisect_right
 from contextlib import suppress
 from functools import lru_cache, partial
 from itertools import accumulate, chain, repeat
 from math import comb
-from operator import getitem, lt
+from operator import and_, getitem, lt, rshift, xor
 from typing import Callable, NamedTuple, Sequence
 
 from .bits import (
-    balance_word, balanced_data_bits, flip_layout_complete, unbalance_word, validate_bits
+    balance_word, balanced_data_bits, flip_layout_complete, gray_decode, gray_encode,
+    unbalance_word, validate_bits,
 )
 from .capacity import cap_fixed_length
 from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
@@ -86,8 +91,9 @@ class EncodedBatch(NamedTuple):
         """The batch as json.dumps(doc, indent=2) writes it.
 
         With an indent, json encodes in pure Python, one step per item, so
-        the oligo list, nearly all of the text, goes through the C encoder
-        with the indent spelled into its item separator.
+        the oligo list, nearly all of the text, is written by one join: a
+        rendered oligo holds only ASCII digits and commas, which JSON
+        writes as they are.
         """
         head = {
             "scheme": self.scheme,
@@ -97,8 +103,7 @@ class EncodedBatch(NamedTuple):
             "spec": [[q, cycles] for q, cycles in self.spec.segments],
         }
         texts = render_oligos(self.oligos)
-        oligos = json.dumps(texts, separators=(",\n    ", ": "))[1:-1]
-        oligos = f"[\n    {oligos}\n  ]" if texts else "[]"
+        oligos = '[\n    "' + '",\n    "'.join(texts) + '"\n  ]' if texts else "[]"
         return f'{json.dumps(head, indent=2)[:-2]},\n  "oligos": {oligos}\n}}'
 
     @classmethod
@@ -124,8 +129,7 @@ class EncodedBatch(NamedTuple):
             raise CorruptDataError("field 'q' must be a positive integer")
         if type(bits) is not int or bits < 0:
             raise CorruptDataError("field 'payload_bits' must be a non-negative integer")
-        # json reads NaN and Infinity; this bound also fails on them
-        if type(rho) not in (int, float) or not abs(rho) <= sys.float_info.max:
+        if not _finite(rho):
             raise CorruptDataError("field 'rho' must be a finite number")
         raw_spec = doc["spec"]
         if not isinstance(raw_spec, list) or not all(
@@ -143,6 +147,12 @@ class EncodedBatch(NamedTuple):
         except DomainError as exc:
             raise CorruptDataError(str(exc)) from exc
         return cls(scheme, q, float(rho), bits, spec, oligos)
+
+
+def _finite(value: object) -> bool:
+    """Whether value is a finite int or float: not a bool, a str or None.
+    json reads NaN and Infinity, and the bound fails on them."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 # --- the scheme record ---
@@ -180,9 +190,56 @@ class _BlockCode(NamedTuple):
 
 
 def _fields(payload: str, width: int) -> list[int]:
-    """The payload, zero-padded to whole width-bit blocks, as one integer per block."""
+    """The payload, zero-padded to whole width-bit blocks, as one integer per block.
+
+    Up to 64 bits a block's bits are moved, one strided slice per bit, to
+    the low end of a field of span = 1, 2, 4 or 8 bytes, and the fields are
+    read from one int() of all of them; wider blocks are read one int() each."""
     padded = payload + "0" * (-len(payload) % width)
-    return list(map(int, re.findall(f".{{{width}}}", padded), repeat(2)))
+    if width > 64 or not padded:
+        return list(map(int, re.findall(f".{{{width}}}", padded), repeat(2)))
+    count = len(padded) // width
+    span = _span(width)
+    out = padded.encode("ascii")
+    if width < 8 * span:
+        src, out = out, bytearray(b"0" * (8 * span * count))
+        for j in range(width):
+            out[8 * span - width + j :: 8 * span] = src[j::width]
+    return _read_fields(int(out, 2).to_bytes(span * count, "big"), span)
+
+
+def _span(bits: int) -> int:
+    """Bytes per field for bits-bit values: a power of two up to 8 bytes, so
+    that an array reads the fields, else the bytes the value needs."""
+    size = -(-bits // 8)
+    return 1 << (size - 1).bit_length() if size <= 8 else size
+
+
+def _read_fields(data: bytes, span: int) -> list[int]:
+    """The big-endian span-byte fields of data, as integers."""
+    if span > 8:
+        return list(map(int.from_bytes, re.findall(b".{%d}" % span, data, re.S), repeat("big")))
+    fields = _field_array(span)
+    fields.frombytes(data)
+    if sys.byteorder == "little":
+        fields.byteswap()
+    return fields.tolist()
+
+
+def _write_fields(values: Sequence[int], span: int) -> bytes:
+    """The inverse of _read_fields, for values below 2**(8 * span)."""
+    if span > 8:
+        return b"".join(map(int.to_bytes, values, repeat(span), repeat("big")))
+    fields = _field_array(span)
+    fields.extend(values)
+    if sys.byteorder == "little":
+        fields.byteswap()
+    return fields.tobytes()
+
+
+def _field_array(span: int) -> array:
+    """An empty array of unsigned span-byte items, for span 1, 2, 4 or 8."""
+    return array(next(code for code in "BHILQ" if array(code).itemsize == span))
 
 
 # --- base scheme: one steering symbol per oligo ---
@@ -525,7 +582,8 @@ def balanced_params(q: int) -> tuple[int, int]:
 
 
 def _balanced(q: int, **_) -> _BlockCode:
-    # a block is the set bits of the balanced word, as ascending positions
+    # a block is the set bits of the balanced word, as ascending positions;
+    # up to size 255, where a position fits a byte, blocks code a batch at once
     f, size = balanced_params(q)
     positions = _Memo(_positions)  # built by the first encode_block call
     bit = [1 << (size - v) for v in range(size + 1)]  # bit[v]: position v's bit in the word
@@ -542,6 +600,15 @@ def _balanced(q: int, **_) -> _BlockCode:
             raise CorruptDataError("block oligo symbol out of range")
         return unbalance_word(sum(map(bit.__getitem__, symbols)), f)
 
+    def encode_blocks(values: list[int]) -> list[tuple[int, ...]]:
+        blocks = _balanced_blocks(f, size, values)
+        return list(map(encode_block, values)) if blocks is None else blocks
+
+    def decode_blocks(blocks: list[Sequence[int]]) -> list[int]:
+        values = _balanced_values(f, size, blocks)
+        return list(map(decode_block, blocks)) if values is None else values
+
+    batch = size < 256
     return _BlockCode(
         rho=size // 2 / size,
         lengths=range(size // 2, size // 2 + 1),
@@ -549,8 +616,118 @@ def _balanced(q: int, **_) -> _BlockCode:
         codewords=lambda: 1 << f,
         encode_block=encode_block,
         decode_block=decode_block,
+        encode_blocks=encode_blocks if batch else None,
+        decode_blocks=decode_blocks if batch else None,
         joined=True,
     )
+
+
+def _balanced_blocks(f: int, size: int, values: Sequence[int]) -> list[tuple[int, ...]] | None:
+    """The positions of balance_word(value, f) for each value, for size <= 255;
+    None when some value has no balancing flip count, where balance_word raises.
+
+    Knuth's scan runs over all values at once, with each value's weight after
+    k flips in a byte field of one integer, and each position of the words
+    is one byte plane: the data bits, flipped where k passes them, the Gray
+    code of k and the balance bit."""
+    count = len(values)
+    if not count:
+        return []
+    g = (f - 1).bit_length()
+    half = size // 2
+    last = min(f, (1 << g) - 1)  # the largest flip count
+    # planes[j]: data bit j of each value, top bit first, an ASCII '0' or '1' per byte
+    span = _span(f)
+    text = format(int.from_bytes(_write_fields(values, span), "big"), f"0{8 * span * count}b")
+    text = text.encode("ascii")
+    planes = [int.from_bytes(text[8 * span - f + j :: 8 * span], "big") for j in range(f)]
+    ones = int.from_bytes(b"\1" * count, "big")
+    weights = int.from_bytes(bytes(map(int.bit_count, values)), "big")
+    left = ones  # a 1 in the field of each value whose flip count is not yet found
+    flips = balance = 0
+    for k in range(last + 1):
+        # a word balances at k when its weight after k flips, the Gray code's
+        # weight and the balance bit sum to half; the test marks a weight that
+        # balances with balance bit 0 by 1, and with balance bit 1 by 2
+        need = half - gray_encode(k).bit_count()
+        test = bytearray(256)
+        test[need] = 1
+        if need:
+            test[need - 1] = 2
+        hits = int.from_bytes(weights.to_bytes(count, "big").translate(test), "big")
+        found = (hits | hits >> 1) & left
+        flips += found * k
+        balance |= hits >> 1 & left
+        left ^= found
+        if not left:
+            break
+        if k < f:  # flipping bit k moves a weight by 1 - 2 * bit, and an ASCII bit is 48 + bit
+            weights += 97 * ones - 2 * planes[k]
+    if left:
+        return None
+    flips = flips.to_bytes(count, "big")
+    out = bytearray(count * size)  # each word's positions, or 0 where its bit is clear
+    for j in range(f):
+        flipped = int.from_bytes(flips.translate(bytes(j + 1) + b"\1" * (255 - j)), "big")
+        bits = (planes[j] ^ flipped).to_bytes(count, "big")
+        out[j::size] = bits.translate(bytes.maketrans(b"01", bytes((0, j + 1))))
+    for b in range(g):
+        p = f + 1 + b
+        gray = bytes(p * (gray_encode(k) >> (g - 1 - b) & 1) for k in range(last + 1))
+        out[p - 1 :: size] = flips.translate(gray + bytes(255 - last))
+    out[size - 1 :: size] = (balance * size).to_bytes(count, "big")
+    # every word has half set bits, so the positions split into equal blocks
+    return list(zip(*[iter(out.translate(None, b"\0"))] * half))
+
+
+def _balanced_values(f: int, size: int, blocks: Sequence[Sequence[int]]) -> list[int] | None:
+    """[decode_block(block) for block in blocks] for size <= 255; None when
+    some block fails a check of decode_block's, which then names it.
+
+    The blocks' positions lie end to end, a byte each: one translate checks
+    their range and one field subtraction their ascent, and the words come
+    as sums of one-hot bytes, a column of the blocks at a time."""
+    half = size // 2
+    try:
+        flat = bytes(chain.from_iterable(blocks))
+    except ValueError:  # a symbol outside 0..255
+        return None
+    count = len(blocks)
+    if len(flat) != half * count or flat.translate(None, bytes(range(1, size + 1))):
+        return None
+    # with each symbol in a 16-bit field and the symbol before shifted under
+    # it, 256 + b - a - 1 lies in 1..510 and reaches 256 just when b > a; a
+    # block's first field meets the block before, so only the others count
+    wide = bytearray(2 * len(flat))
+    wide[1::2] = flat
+    ones = int.from_bytes(b"\0\1" * len(flat), "big")
+    x = int.from_bytes(wide, "big")
+    rises = (x + (ones << 8) - (x >> 16) - ones) >> 8 & ones
+    inner = int.from_bytes((b"\0\0" + b"\0\1" * (half - 1)) * count, "big")
+    if rises & inner != inner:
+        return None
+    # the words, left-aligned in span bytes: byte i holds positions 8i+1..8i+8,
+    # which column j, ascending within 1..size, holds only from j = 8i+half-size
+    columns = [flat[j::half] for j in range(half)]
+    span = _span(size)
+    out = bytearray(span * count)
+    for i in range(-(-size // 8)):
+        table = (bytes(8 * i + 1) + bytes((128, 64, 32, 16, 8, 4, 2, 1)) + bytes(256))[:256]
+        byte = sum(
+            int.from_bytes(column.translate(table), "big")
+            for column in columns[max(0, 8 * i + half - size) : 8 * i + 8]
+        )
+        out[i::span] = byte.to_bytes(count, "big")
+    words = _read_fields(out, span)
+    # each Gray code gives its flip count k, and k the mask of the first k data bits
+    g = (f - 1).bit_length()
+    low = 8 * span - size + 1  # the Gray code's lowest bit
+    table = [(1 << f) - (1 << (f - k)) if k <= f else None for k in map(gray_decode, range(1 << g))]
+    codes = map(and_, map(rshift, words, repeat(low)), repeat((1 << g) - 1))
+    masks = list(map(table.__getitem__, codes))
+    if None in masks:  # a flip count past f
+        return None
+    return list(map(xor, map(rshift, words, repeat(low + g)), masks))
 
 
 def _positions(size: int) -> Callable[[int], tuple[int, ...]]:
@@ -719,6 +896,8 @@ def decode_payload(batch: EncodedBatch) -> str:
     for value, name in ((batch.q, "alphabet size"), (batch.payload_bits, "payload bit count")):
         if type(value) is not int:
             raise CorruptDataError(f"{name} {value!r} is not an int")
+    if not _finite(batch.rho):
+        raise CorruptDataError(f"rho {batch.rho!r} is not a finite number")
     oligos = batch.oligos
     if not oligos:
         if batch.payload_bits:

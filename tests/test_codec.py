@@ -660,3 +660,25 @@ def test_decode_refuses_an_in_process_batch_whose_sizes_are_not_ints(scheme, kwa
         with pytest.raises(CorruptDataError, match=f"^payload bit count {text} is not an int$"):
             decode_payload(batch._replace(payload_bits=bad))
     assert decode_payload(batch) == "1100101011110000"
+
+
+@pytest.mark.parametrize("scheme, kwargs", EVERY_SCHEME)
+def test_decode_refuses_an_in_process_batch_whose_rho_is_not_a_finite_number(scheme, kwargs):
+    # from_json checks rho; in process "0.5" raised TypeError for lookup and
+    # multisize, and base, window and balanced decoded even a NaN
+    batch = encode_payload(scheme, "1100101011110000", **kwargs)
+    bad = (("0.5", "'0.5'"), (None, "None"), (True, "True"), (float("nan"), "nan"))
+    bad += ((float("inf"), "inf"), (float("-inf"), "-inf"))
+    for rho, text in bad:
+        with pytest.raises(CorruptDataError, match=f"^rho {text} is not a finite number$"):
+            decode_payload(batch._replace(rho=rho))
+    # an int rho is read as its float: the same payload or the same refusal
+    for rho in (0, 1):
+        outcomes = []
+        for value in (rho, float(rho)):
+            try:
+                outcomes.append(decode_payload(batch._replace(rho=value)))
+            except (CorruptDataError, DomainError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+    assert decode_payload(batch) == "1100101011110000"

@@ -4,6 +4,7 @@ The exhaustive checks double as completeness proofs for the small word
 sizes: every word must come back from its balanced form, at exact weight.
 """
 
+import itertools
 import random
 
 import pytest
@@ -13,12 +14,14 @@ from oligocycle import (
     DomainError,
     EncodedBatch,
     Oligo,
+    SupersequenceSpec,
     balanced_params,
     decode_payload,
     encode_payload,
     min_cycles_under,
 )
-from oligocycle.bits import balance_word, unbalance_word
+from oligocycle import codec
+from oligocycle.bits import balance_word, balanced_data_bits, gray_encode, unbalance_word
 from oligocycle.codec import SCHEMES
 from oracles import synthesis_cycles
 
@@ -157,3 +160,112 @@ def test_batch_decode_rejects_ragged_length():
         decode_payload(
             EncodedBatch(batch.scheme, batch.q, batch.rho, batch.payload_bits, batch.spec, clipped)
         )
+
+
+# --- the batch coders against the per-block ones ---
+
+
+def test_batch_coders_equal_the_block_coders_on_every_value_up_to_q16():
+    for q in range(4, 17):
+        try:
+            f, _ = balanced_params(q)
+        except DomainError:
+            continue
+        code = SCHEMES["balanced"](q)
+        values = list(range(1 << f))
+        blocks = list(map(code.encode_block, values))
+        assert code.encode_blocks(values) == blocks, q
+        assert code.decode_blocks(blocks) == values, q
+    assert SCHEMES["balanced"](16).encode_blocks([]) == []
+    assert SCHEMES["balanced"](16).decode_blocks([]) == []
+
+
+def word_positions(word, size):
+    return tuple(v for v in range(1, size + 1) if word >> (size - v) & 1)
+
+
+def test_batch_coders_equal_the_word_coders_at_every_block_size():
+    # every q in 4..255, whether or not its flip layout is complete (checking
+    # that for every q takes half a minute): where balance_word raises for
+    # some value, the batch encoder hands the values back to it with None
+    rng = random.Random(41)
+    for q in range(4, 256):
+        f = balanced_data_bits(q)
+        size = f + (f - 1).bit_length() + 1
+        ones = (1 << f) - 1
+        alternating = int("10" * f, 2) >> f
+        values = [0, ones, alternating, ones ^ alternating]
+        values += [rng.getrandbits(f) for _ in range(40)]
+        try:
+            words = [balance_word(value, f) for value in values]
+        except DomainError:
+            assert codec._balanced_blocks(f, size, values) is None, q
+            continue
+        blocks = [word_positions(word, size) for word in words]
+        assert codec._balanced_blocks(f, size, values) == blocks, q
+        assert codec._balanced_values(f, size, blocks) == values, q
+        assert [unbalance_word(word, f) for word in words] == values
+
+
+def gray_past_f_block(f, size):
+    """Ascending positions of a word of half weight whose Gray code counts past f flips."""
+    g = (f - 1).bit_length()
+    k = f + 1
+    assert k < 1 << g
+    head = (1 << (size // 2 - gray_encode(k).bit_count())) - 1
+    return word_positions(head << (size - f) | gray_encode(k) << 1, size)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda block, size: block[:2] + (block[3], block[2]) + block[4:], "strictly ascending"),
+        (lambda block, size: block[:2] + (block[1],) + block[3:], "strictly ascending"),
+        (lambda block, size: block[:-1] + (size + 1,), "symbol out of range"),
+        (lambda block, size: gray_past_f_block(*balanced_params(16)), "flip count exceeds"),
+    ],
+    ids=["descent", "repeat", "size+1", "gray-past-f"],
+)
+def test_batch_decoder_names_the_first_bad_block(fault, message):
+    f, size = balanced_params(16)
+    code = SCHEMES["balanced"](16)
+    blocks = code.encode_blocks(list(range(0, 2048, 97)))
+    bad = fault(blocks[5], size)
+    with pytest.raises(CorruptDataError) as expected:
+        code.decode_block(bad)
+    assert message in str(expected.value)
+    # a different fault later on must not win over the first one
+    later = blocks[9][:-1] + (0,) if message != "symbol out of range" else blocks[9][::-1]
+    for batch in (blocks[:5] + [bad] + blocks[5:], blocks[:5] + [bad, later] + blocks[5:]):
+        with pytest.raises(CorruptDataError) as caught:
+            code.decode_blocks(batch)
+        assert str(caught.value) == str(expected.value)
+    # and through a whole batch, joined into one oligo
+    values = list(range(0, 2048, 97))
+    batch = encode_payload("balanced", "".join(format(v, "011b") for v in values), q=16)
+    symbols = batch.oligos[0].symbols
+    oligo = symbols[: 5 * (size // 2)] + bad + symbols[5 * (size // 2) :]
+    broken = batch._replace(
+        payload_bits=batch.payload_bits + f,
+        spec=SupersequenceSpec(((size, (len(values) + 1) * size),)),
+        oligos=(Oligo(oligo, size + 1 if max(bad) > size else size),),
+    )
+    with pytest.raises(CorruptDataError) as caught:
+        decode_payload(broken)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_size_256_blocks_code_one_at_a_time(monkeypatch):
+    # q = 256 has no complete flip layout, so the layout is granted here to
+    # reach the one block size whose position 256 does not fit a byte
+    rng = random.Random(43)
+    values = [rng.getrandbits(247) for _ in range(12)]
+    monkeypatch.setattr(codec, "balanced_params", lambda q: (247, 256))
+    code = SCHEMES["balanced"](256)
+    assert code.encode_blocks is None and code.decode_blocks is None
+    blocks = list(map(code.encode_block, values))
+    assert any(256 in block for block in blocks)
+    bits = "".join(format(value, "0247b") for value in values)
+    batch = encode_payload("balanced", bits, q=256)
+    assert batch.oligos[0].symbols == tuple(itertools.chain.from_iterable(blocks))
+    assert decode_payload(EncodedBatch.from_json(batch.to_json())) == bits

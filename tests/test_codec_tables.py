@@ -2,11 +2,13 @@
 
 The base-coded encoders take a batch's digits, steering and running sums on
 byte fields of one big integer, balanced positions are read a byte at a
-time and the payload splits with one regex pass.  The plain loops below are
-the reference: every block, position list and field must come out equal.
+time and the payload splits by strided byte transposes.  The plain loops
+below are the reference: every block, position list and field must come out
+equal.
 """
 
 import random
+import re
 
 import pytest
 
@@ -162,6 +164,20 @@ def test_fields_equal_the_slice_loop():
             assert codec._fields(payload, width) == fields(payload, width), (width, length)
 
 
+def test_fields_equal_a_regex_read_at_every_width_and_length():
+    # up to 64 bits the fields come from strided byte transposes into 1-, 2-,
+    # 4- and 8-byte fields; past 64 from one int() per block; 8, 16 and 64
+    # fill their fields, 9, 17 and 65 start the next span
+    rng = random.Random(11)
+    for width in range(1, 301):
+        bits = "".join(rng.choice("01") for _ in range(3 * width + 1))
+        for length in range(3 * width + 2):
+            payload = bits[:length]
+            padded = payload + "0" * (-length % width)
+            expected = [int(block, 2) for block in re.findall(f".{{{width}}}", padded)]
+            assert codec._fields(payload, width) == expected, (width, length)
+
+
 # --- the tables and masks are the encoder's alone ---
 
 EVERY_SCHEME = [
@@ -183,6 +199,7 @@ def test_decode_builds_no_encode_table(monkeypatch):
     monkeypatch.setattr(codec, "_Digits", refuse)
     monkeypatch.setattr(codec, "_base_blocks", refuse)
     monkeypatch.setattr(codec, "_positions", refuse)
+    monkeypatch.setattr(codec, "_balanced_blocks", refuse)
     for scheme, kw in EVERY_SCHEME:
         assert decode_payload(EncodedBatch.from_json(texts[scheme])) == payload
         if scheme in ("base", "multisize", "balanced"):
