@@ -26,13 +26,13 @@ strings appear only in the public functions.  Batches round-trip through a
 small JSON document.  Every coding step is a pure function of its block, so
 within one call each distinct block is coded, rendered, parsed, checked and
 decoded once.  Base-coded blocks (base, and both parts of multisize, up to
-q = 127) and balanced blocks (up to block size 255, where a position fits a
-byte) encode and decode a batch at a time, on byte fields of one big
-integer.  The per-block coders stay the reference and run past those
-bounds; the per-block decoder also runs wherever a batch check fails, so an
-error still names the first bad block.  A payload splits into blocks of up
-to 64 bits by strided byte transposes into 1-, 2-, 4- or 8-byte fields of
-one integer.
+q = 127) and balanced blocks encode and decode a batch at a time, on byte
+fields of one big integer.  A batch coder returns the whole batch or None
+when it cannot code it; then, and for schemes without one, the generic
+codec maps the per-block coder, the reference, over the distinct blocks.
+That is the codec's one per-block fallback, so an error still names the
+first bad block.  A payload splits into blocks of up to 64 bits by strided
+byte transposes into 1-, 2-, 4- or 8-byte fields of one integer.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from contextlib import suppress
 from functools import lru_cache, partial
 from itertools import accumulate, chain, repeat
 from math import comb
-from operator import and_, getitem, lt, rshift, xor
+from operator import and_, lt, rshift, xor
 from typing import Callable, NamedTuple, Sequence
 
 from .bits import (
@@ -58,7 +58,7 @@ from .capacity import cap_fixed_length
 from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
 from .errors import CorruptDataError, DomainError, require_int
 from .sequence import (
-    Oligo, SupersequenceSpec, _Memo, _oligos, parse_oligos, render_oligos
+    Oligo, SupersequenceSpec, _oligos, parse_oligos, render_oligos
 )
 
 
@@ -155,6 +155,11 @@ def _finite(value: object) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def _require_rho(rho: object) -> None:
+    if not _finite(rho):
+        raise DomainError(f"rho {rho!r} is not a finite number")
+
+
 # --- the scheme record ---
 
 
@@ -165,10 +170,11 @@ class _BlockCode(NamedTuple):
     program of n blocks, whose largest alphabet the oligos use.  Reading
     width calls codewords, which counts for lookup: the decoder reads it
     only after its shape checks.  Where a scheme has them, encode_blocks
-    maps a list of values to their blocks at once, as encode_block would
-    one by one, and decode_blocks decodes a list of equal-length blocks at
-    once, raising what decode_block raises for the first bad block; without
-    them the coders map encode_block and decode_block."""
+    maps a list of values to their blocks at once, and decode_blocks a list
+    of equal-length blocks to their values, each exactly as the per-block
+    coder would, or returns None when it cannot code the batch: past its
+    alphabet bound, or where the per-block coder would raise.  _coded, the
+    one per-block fallback, then maps encode_block or decode_block."""
 
     rho: float
     lengths: range
@@ -176,8 +182,8 @@ class _BlockCode(NamedTuple):
     codewords: Callable[[], int]
     encode_block: Callable[[int], tuple[int, ...]]
     decode_block: Callable[[Sequence[int]], int]
-    encode_blocks: Callable[[list[int]], list[tuple[int, ...]]] | None = None
-    decode_blocks: Callable[[list[Sequence[int]]], list[int]] | None = None
+    encode_blocks: Callable[[list[int]], list[tuple[int, ...]] | None] | None = None
+    decode_blocks: Callable[[list[Sequence[int]]], list[int] | None] | None = None
     joined: bool = False  # every block in one oligo, end to end
 
     @property
@@ -247,10 +253,10 @@ def _field_array(span: int) -> array:
 # A block's n base-q digits, most significant first and each plus one, are
 # its gaps.  Symbol i is 1 + (s0 + g1 + ... + gi) mod q, where s0 is the
 # steering symbol less one; a flipped block sends each gap g as q+1-g.
-# _Digits codes one block at a time and is the reference.  _base_blocks
-# codes a batch at once up to q = 127, on byte fields of one big integer,
-# the inverse of _steered_batch, and builds its masks inside the call, so
-# decoding builds none.
+# _Digits and _base_value code one block at a time and are the reference.
+# _base_blocks and its inverse _steered_batch code a batch at once up to
+# q = 127, on byte fields of one big integer, and build their masks inside
+# the call, so decoding builds no encoder's.
 
 
 class _Digits:
@@ -282,15 +288,12 @@ class _Digits:
         return self.steer(self.gaps(value, count))
 
 
-def _base_blocks(q: int, values: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    """[_Digits(q).steered(value, n) for value in values], for values below q**n.
-
-    Up to q = 127 the batch codes at once, each step one C-level operation
-    over byte fields of a big integer; at a larger q, _Digits runs block by
-    block."""
+def _base_blocks(q: int, values: Sequence[int], n: int) -> list[tuple[int, ...]] | None:
+    """[_Digits(q).steered(value, n) for value in values], for values below
+    q**n, each step one C-level operation over byte fields of a big
+    integer; None past q = 127."""
     if q >= 128:
-        steered = _Digits(q).steered
-        return [steered(value, n) for value in values]
+        return None
     # Digits.  Each value fills a big-endian field of span = 2**r >= n bytes,
     # and each round splits every field of 2w bytes, x < q**(2w), into
     # x // q**w above x % q**w, w bytes each, until a byte is a digit.  The
@@ -302,8 +305,7 @@ def _base_blocks(q: int, values: Sequence[int], n: int) -> list[tuple[int, ...]]
     # of the pair, the next pair's product shifts in from bit 32w - t >= 11w.
     span = 1 << (n - 1).bit_length()
     size = span * len(values)
-    packed = b"".join(map(int.to_bytes, values, repeat(span), repeat("big")))
-    value = int.from_bytes(packed, "big")
+    value = int.from_bytes(_write_fields(values, span), "big")
     field = int.from_bytes((b"\0" * span + b"\xff" * span) * -(-len(values) // 2), "big")
     width = span
     while width > 1:
@@ -372,28 +374,30 @@ def _base_value(q: int, symbols: Sequence[int]) -> int:
 _STEERING = bytes.maketrans(b"\0\1", b"\1\2")  # flip False -> steering symbol 1, True -> 2
 
 
-def _base_values(q: int, blocks: Sequence[Sequence[int]]) -> list[int]:
-    """[_base_value(q, block) for block in blocks], for blocks of one length.
-
-    Up to q = 127 the batch decodes at once, on byte fields of a few big
-    integers; when a check fails there, or at a larger q, _base_value runs
-    block by block, so a fault raises the error it names for the first
-    faulty block."""
-    values = _steered_batch(q, blocks) if q < 128 and blocks and blocks[0] else None
-    return [_base_value(q, block) for block in blocks] if values is None else values
-
-
-def _steered_batch(q: int, blocks: Sequence[Sequence[int]]) -> list[int] | None:
-    # One byte field per symbol, blocks end to end, so each step below is one
-    # C-level operation over the batch.  None when some block fails a check,
-    # where _base_value raises, or holds a symbol below 1, which no Oligo does.
-    size = len(blocks[0])
+def _flat(blocks: Sequence[Sequence[int]], top: int) -> bytes | None:
+    """The blocks' symbols end to end, a byte each, for top <= 255; None
+    when a symbol lies outside 1..top."""
     try:
         flat = bytes(chain.from_iterable(blocks))
     except ValueError:  # a symbol outside 0..255
         return None
+    return None if flat.translate(None, bytes(range(1, top + 1))) else flat
+
+
+def _steered_batch(q: int, blocks: Sequence[Sequence[int]]) -> list[int] | None:
+    """[_base_value(q, block) for block in blocks], for blocks of one length,
+    on byte fields of a few big integers; None past q = 127, on no blocks or
+    empty ones, and where some block fails a check of _base_value's."""
+    # One byte field per symbol, blocks end to end, so each step below is one
+    # C-level operation over the batch.
+    if q >= 128 or not blocks or not blocks[0]:
+        return None
+    size = len(blocks[0])
+    flat = _flat(blocks, q)
+    if flat is None:
+        return None
     steer = flat[::size]
-    if steer.translate(None, b"\1\2") or flat.translate(None, bytes(range(1, q + 1))):
+    if steer.translate(None, b"\1\2"):
         return None
     # field by field, with a symbol a before the symbol b, 128 + b - a - 1
     # lies in 128-q..126+q, so no field borrows from the next; adding q where
@@ -423,8 +427,7 @@ def _steered_batch(q: int, blocks: Sequence[Sequence[int]]) -> list[int] | None:
         mask = int.from_bytes((b"\0" * width + b"\xff" * width) * (total // (2 * width)), "big")
         value = (value >> 8 * width & mask) * unit + (value & mask)
         width, unit = 2 * width, unit * unit
-    fields = re.findall(b".{%d}" % span, value.to_bytes(total, "big"), re.S)
-    return list(map(int.from_bytes, fields, repeat("big")))
+    return _read_fields(value.to_bytes(total, "big"), span)
 
 
 def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
@@ -442,7 +445,7 @@ def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
         encode_block=lambda value: _Digits(q).steered(value, size),
         decode_block=partial(_base_value, q),
         encode_blocks=lambda values: _base_blocks(q, values, size),
-        decode_blocks=partial(_base_values, q),
+        decode_blocks=partial(_steered_batch, q),
     )
 
 
@@ -485,6 +488,7 @@ def optimal_alpha(q: int, rho: float) -> tuple[int, float]:
     require_int(q)
     if q < 2:
         raise DomainError("multisize scheme requires alphabet size >= 2")
+    _require_rho(rho)
     low = 2.0 / (q + 1)
     if not low - 1e-12 <= rho <= 1.0 + 1e-12:  # written so that NaN fails too
         raise DomainError(f"rho must lie in [{low:.6g}, 1]")
@@ -523,11 +527,11 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
         head = _Digits(s).steered(low, run - 1) if coded else (1,) * run
         return head + (_Digits(s + 1).steered(high, tail - 1) if tail else ())
 
-    def encode_blocks(values: list[int]) -> list[tuple[int, ...]]:
+    def encode_blocks(values: list[int]) -> list[tuple[int, ...]] | None:
         highs, lows = zip(*map(divmod, values, repeat(low_values))) if values else ((), ())
         heads = _base_blocks(s, lows, run - 1) if coded else [(1,) * run] * len(values)
         tails = _base_blocks(s + 1, highs, tail - 1) if tail else [()] * len(values)
-        return list(map(tuple.__add__, heads, tails))
+        return None if heads is None or tails is None else list(map(tuple.__add__, heads, tails))
 
     def decode_block(symbols: Sequence[int]) -> int:
         head, rest = symbols[:run], symbols[run:]
@@ -536,16 +540,17 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
         high = _base_value(s + 1, rest) if tail else 0
         return high * low_values + (_base_value(s, head) if coded else 0)
 
-    def decode_blocks(blocks: list[Sequence[int]]) -> list[int]:
+    def decode_blocks(blocks: list[Sequence[int]]) -> list[int] | None:
         heads = [block[:run] for block in blocks]
-        if coded or set(heads) <= {(1,) * run}:
-            with suppress(CorruptDataError):
-                zeros = [0] * len(blocks)
-                highs = _base_values(s + 1, [block[run:] for block in blocks]) if tail else zeros
-                lows = _base_values(s, heads) if coded else zeros
-                return [high * low_values + low for high, low in zip(highs, lows)]
-        # some block is bad: decode_block names the first, its tail before its head
-        return list(map(decode_block, blocks))
+        zeros = [0] * len(blocks)
+        if coded:
+            lows = _steered_batch(s, heads)
+        else:
+            lows = zeros if set(heads) <= {(1,) * run} else None
+        highs = _steered_batch(s + 1, [block[run:] for block in blocks]) if tail else zeros
+        if lows is None or highs is None:
+            return None
+        return [high * low_values + low for high, low in zip(highs, lows)]
 
     return _BlockCode(
         rho=rho,
@@ -583,13 +588,13 @@ def balanced_params(q: int) -> tuple[int, int]:
 
 def _balanced(q: int, **_) -> _BlockCode:
     # a block is the set bits of the balanced word, as ascending positions;
-    # up to size 255, where a position fits a byte, blocks code a batch at once
+    # the size is at most q < 256, so a position fits a byte
     f, size = balanced_params(q)
-    positions = _Memo(_positions)  # built by the first encode_block call
     bit = [1 << (size - v) for v in range(size + 1)]  # bit[v]: position v's bit in the word
 
     def encode_block(value: int) -> tuple[int, ...]:
-        return positions[size](balance_word(value, f))
+        word = balance_word(value, f)
+        return tuple(v for v in range(1, size + 1) if word & bit[v])
 
     def decode_block(symbols: Sequence[int]) -> int:
         if len(symbols) != size // 2:
@@ -600,15 +605,6 @@ def _balanced(q: int, **_) -> _BlockCode:
             raise CorruptDataError("block oligo symbol out of range")
         return unbalance_word(sum(map(bit.__getitem__, symbols)), f)
 
-    def encode_blocks(values: list[int]) -> list[tuple[int, ...]]:
-        blocks = _balanced_blocks(f, size, values)
-        return list(map(encode_block, values)) if blocks is None else blocks
-
-    def decode_blocks(blocks: list[Sequence[int]]) -> list[int]:
-        values = _balanced_values(f, size, blocks)
-        return list(map(decode_block, blocks)) if values is None else values
-
-    batch = size < 256
     return _BlockCode(
         rho=size // 2 / size,
         lengths=range(size // 2, size // 2 + 1),
@@ -616,8 +612,8 @@ def _balanced(q: int, **_) -> _BlockCode:
         codewords=lambda: 1 << f,
         encode_block=encode_block,
         decode_block=decode_block,
-        encode_blocks=encode_blocks if batch else None,
-        decode_blocks=decode_blocks if batch else None,
+        encode_blocks=partial(_balanced_blocks, f, size),
+        decode_blocks=partial(_balanced_values, f, size),
         joined=True,
     )
 
@@ -688,12 +684,9 @@ def _balanced_values(f: int, size: int, blocks: Sequence[Sequence[int]]) -> list
     their range and one field subtraction their ascent, and the words come
     as sums of one-hot bytes, a column of the blocks at a time."""
     half = size // 2
-    try:
-        flat = bytes(chain.from_iterable(blocks))
-    except ValueError:  # a symbol outside 0..255
-        return None
+    flat = _flat(blocks, size)
     count = len(blocks)
-    if len(flat) != half * count or flat.translate(None, bytes(range(1, size + 1))):
+    if flat is None or len(flat) != half * count:
         return None
     # with each symbol in a 16-bit field and the symbol before shifted under
     # it, 256 + b - a - 1 lies in 1..510 and reaches 256 just when b > a; a
@@ -728,22 +721,6 @@ def _balanced_values(f: int, size: int, blocks: Sequence[Sequence[int]]) -> list
     if None in masks:  # a flip count past f
         return None
     return list(map(xor, map(rshift, words, repeat(low + g)), masks))
-
-
-def _positions(size: int) -> Callable[[int], tuple[int, ...]]:
-    """The positions of a size-bit word's set bits, counted from 1 at its top
-    bit: the word, left-aligned in whole bytes, is read a byte at a time,
-    through one memo per byte offset."""
-    nbytes = -(-size // 8)
-    shift = 8 * nbytes - size
-    tables = [_Memo(partial(_byte_positions, 8 * i)) for i in range(nbytes)]
-    return lambda word: tuple(
-        chain.from_iterable(map(getitem, tables, (word << shift).to_bytes(nbytes, "big")))
-    )
-
-
-def _byte_positions(offset: int, byte: int) -> tuple[int, ...]:
-    return tuple(offset + b for b in range(1, 9) if byte >> (8 - b) & 1)
 
 
 # --- window scheme: one alphabet subset per revolution ---
@@ -813,6 +790,7 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
         rho = size // 2 / size
         rows.append(RateRow("balanced", rho, f / size, cap_fixed_length(size, rho)))
     for rho in rhos:
+        _require_rho(rho)
         if not 0.0 <= rho <= 1.0:
             raise DomainError("rho grid entries must lie in [0, 1]")
         cap = cap_fixed_length(q, rho)  # one root solve for both rows
@@ -846,6 +824,14 @@ SCHEMES: dict[str, Callable[..., _BlockCode]] = {
 }
 
 
+def _coded(batch: Callable | None, block: Callable, items: list) -> list:
+    """batch(items), or where there is no batch coder or it returns None,
+    block mapped over items in order, so a fault raises for the first bad
+    item.  The codec's one per-block fallback."""
+    out = batch(items) if batch else None
+    return list(map(block, items)) if out is None else out
+
+
 def encode_payload(
     scheme: str,
     payload: str,
@@ -865,6 +851,8 @@ def encode_payload(
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
     require_int(q)
+    if rho is not None:
+        _require_rho(rho)
     sizes = {"depth": depth, "oligo length": oligo_length, "block symbol count": block_symbols}
     for name, size in sizes.items():
         if size is not None:
@@ -876,8 +864,7 @@ def encode_payload(
     spec = SupersequenceSpec(code.program(len(values)))
     alphabet = spec.max_alphabet
     distinct = list(dict.fromkeys(values))
-    encode = code.encode_blocks or partial(map, code.encode_block)
-    blocks = dict(zip(distinct, encode(distinct)))
+    blocks = dict(zip(distinct, _coded(code.encode_blocks, code.encode_block, distinct)))
     used = set().union(*blocks.values())
     if code.joined:
         rows = [tuple(chain.from_iterable(map(blocks.__getitem__, values)))] if values else []
@@ -936,8 +923,7 @@ def decode_payload(batch: EncodedBatch) -> str:
         # a block that decodes fits its share of the program: steering caps a
         # base block's cycles at its segment's, balanced and window blocks
         # ascend within one revolution, and rank refuses a lookup block past its window
-        decode = code.decode_blocks or partial(map, code.decode_block)
-        values = dict(zip(distinct, decode(list(distinct))))
+        values = dict(zip(distinct, _coded(code.decode_blocks, code.decode_block, list(distinct))))
     except (DomainError, OverflowError) as exc:  # OverflowError: an int past float range
         raise CorruptDataError(str(exc)) from exc
     if any(v >> width for v in values.values()):

@@ -3,7 +3,9 @@
 import itertools
 import json
 import random
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -682,3 +684,37 @@ def test_decode_refuses_an_in_process_batch_whose_rho_is_not_a_finite_number(sch
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
     assert decode_payload(batch) == "1100101011110000"
+
+
+NOT_FINITE_RHOS = (
+    ("0.5", "'0.5'"), (Fraction(1, 2), "Fraction(1, 2)"), (True, "True"),
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+)
+
+
+def not_finite(text):
+    return f"^{re.escape(f'rho {text} is not a finite number')}$"
+
+
+@pytest.mark.parametrize("scheme, kwargs", EVERY_SCHEME)
+def test_encode_refuses_a_rho_that_is_not_a_finite_number(scheme, kwargs):
+    # "0.5" raised TypeError, a Fraction built a multisize batch whose to_json
+    # raised TypeError, and base, window and balanced took any rho unchecked
+    kwargs = {key: value for key, value in kwargs.items() if key != "rho"}
+    for rho, text in NOT_FINITE_RHOS:
+        with pytest.raises(DomainError, match=not_finite(text)):
+            encode_payload(scheme, "1100101011110000", rho=rho, **kwargs)
+    if scheme in ("lookup", "multisize"):  # these two require rho
+        with pytest.raises(DomainError, match="requires"):
+            encode_payload(scheme, "1100101011110000", rho=None, **kwargs)
+    else:
+        assert encode_payload(scheme, "1100101011110000", rho=None, **kwargs).oligos
+
+
+def test_rates_refuse_a_rho_that_is_not_a_finite_number():
+    # each raised a raw TypeError on a str or None
+    rates = (codec.optimal_alpha, codec.multisize_rate, lambda q, rho: rate_table(q, [0.5, rho]))
+    for rho, text in NOT_FINITE_RHOS + ((None, "None"),):
+        for rate in rates:
+            with pytest.raises(DomainError, match=not_finite(text)):
+                rate(4, rho)

@@ -4,7 +4,6 @@ The exhaustive checks double as completeness proofs for the small word
 sizes: every word must come back from its balanced form, at exact weight.
 """
 
-import itertools
 import random
 
 import pytest
@@ -59,6 +58,16 @@ def test_params_rejects_unbalanceable_word_sizes():
     for q in (12, 13, 20, 21, 22):
         with pytest.raises(DomainError):
             balanced_params(q)
+
+
+def test_every_accepted_block_size_fits_a_byte():
+    # the batch coders hold a position in a byte: every block size of
+    # q = 4..256 is at most q, and q = 256, whose size would be 256, is refused
+    for q in range(4, 257):
+        f = balanced_data_bits(q)
+        assert f + (f - 1).bit_length() + 1 <= q, q
+    with pytest.raises(DomainError):
+        balanced_params(256)
 
 
 def test_knuth_balance_worked_example():
@@ -237,8 +246,9 @@ def test_batch_decoder_names_the_first_bad_block(fault, message):
     # a different fault later on must not win over the first one
     later = blocks[9][:-1] + (0,) if message != "symbol out of range" else blocks[9][::-1]
     for batch in (blocks[:5] + [bad] + blocks[5:], blocks[:5] + [bad, later] + blocks[5:]):
+        assert code.decode_blocks(batch) is None
         with pytest.raises(CorruptDataError) as caught:
-            code.decode_blocks(batch)
+            codec._coded(code.decode_blocks, code.decode_block, batch)
         assert str(caught.value) == str(expected.value)
     # and through a whole batch, joined into one oligo
     values = list(range(0, 2048, 97))
@@ -253,19 +263,3 @@ def test_batch_decoder_names_the_first_bad_block(fault, message):
     with pytest.raises(CorruptDataError) as caught:
         decode_payload(broken)
     assert str(caught.value) == str(expected.value)
-
-
-def test_size_256_blocks_code_one_at_a_time(monkeypatch):
-    # q = 256 has no complete flip layout, so the layout is granted here to
-    # reach the one block size whose position 256 does not fit a byte
-    rng = random.Random(43)
-    values = [rng.getrandbits(247) for _ in range(12)]
-    monkeypatch.setattr(codec, "balanced_params", lambda q: (247, 256))
-    code = SCHEMES["balanced"](256)
-    assert code.encode_blocks is None and code.decode_blocks is None
-    blocks = list(map(code.encode_block, values))
-    assert any(256 in block for block in blocks)
-    bits = "".join(format(value, "0247b") for value in values)
-    batch = encode_payload("balanced", bits, q=256)
-    assert batch.oligos[0].symbols == tuple(itertools.chain.from_iterable(blocks))
-    assert decode_payload(EncodedBatch.from_json(batch.to_json())) == bits

@@ -1,13 +1,14 @@
 """The batch base-q decoder against the per-block one.
 
-codec._base_values decodes a list of equal-length steered blocks at once on
-byte fields of big integers (codec._steered_batch), and falls back to
-codec._base_value, block by block, at q >= 128 or when any block is bad.
-The per-block decoder is the reference: the batch must return its values,
-and must give up on exactly the batches where some block makes it raise.
+codec._steered_batch decodes a list of equal-length steered blocks at once
+on byte fields of big integers, and returns None at q >= 128 or when any
+block is bad; codec._coded then runs codec._base_value block by block.  The
+per-block decoder is the reference: the batch must return its values, and
+must give up on exactly the batches where some block makes it raise.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -29,7 +30,9 @@ def one_by_one(q, blocks):
 
 
 def batched(q, blocks):
-    return first_fault(lambda b: codec._base_values(q, b), blocks)
+    """The batch decoder with the codec's per-block fallback."""
+    decode = partial(codec._coded, partial(codec._steered_batch, q), partial(codec._base_value, q))
+    return first_fault(decode, blocks)
 
 
 def steered(q, n, values):
@@ -44,7 +47,7 @@ def test_batch_equals_per_block_for_every_value_of_small_blocks():
             blocks = steered(q, n, values)
             assert one_by_one(q, blocks) == values
             assert codec._steered_batch(q, blocks) == values, (q, n)
-            assert codec._base_values(q, blocks) == values
+            assert batched(q, blocks) == values
 
 
 def test_batch_equals_per_block_on_seeded_blocks_up_to_the_symbol_bound():
@@ -84,22 +87,19 @@ def test_batch_gives_up_exactly_where_a_block_raises_and_the_same_error_wins():
                 for i in rng.sample(range(8), rng.randint(0, 3)):
                     blocks[i] = corrupt(rng, q, blocks[i])
                 expected = one_by_one(q, blocks)
+                batch = codec._steered_batch(q, blocks)
                 if q < 128:
-                    batch = codec._steered_batch(q, blocks)
                     assert (batch is None) == isinstance(expected, str), (q, blocks)
+                else:
+                    assert batch is None
                 assert batched(q, blocks) == expected, (q, blocks)
                 # a fault is named for the first bad block: the blocks before it decode
                 k = next((i for i in range(8) if isinstance(one_by_one(q, blocks[: i + 1]), str)), 8)
                 assert batched(q, blocks[:k]) == one_by_one(q, blocks[:k])
 
 
-def test_batch_alphabet_bound_falls_back_to_the_per_block_decoder(monkeypatch):
+def test_batch_alphabet_bound_falls_back_to_the_per_block_decoder():
     rng = random.Random(1903)
-    calls = []
-    steered_batch = codec._steered_batch
-    monkeypatch.setattr(
-        codec, "_steered_batch", lambda q, blocks: calls.append(q) or steered_batch(q, blocks)
-    )
     for q in (127, 128):
         values = [rng.randrange(q**9) for _ in range(20)]
         blocks = steered(q, 9, values)
@@ -107,10 +107,12 @@ def test_batch_alphabet_bound_falls_back_to_the_per_block_decoder(monkeypatch):
         blocks.append(codec._Digits(q).steer((q - 1,) + (1,) * 8))
         values.append(codec._base_value(q, blocks[-1]))
         assert blocks[-1][1] == q
-        assert codec._base_values(q, blocks) == values
+        # the batch decodes at 127 and gives the blocks back at 128
+        assert codec._steered_batch(q, blocks) == (values if q == 127 else None)
+        assert batched(q, blocks) == values
         assert batched(q, [(q,) + blocks[0][1:]]) == "steering symbol must be 1 or 2"
-    assert set(calls) == {127}
-    assert codec._base_values(5, []) == []
+    assert codec._steered_batch(5, []) is None
+    assert batched(5, []) == []
 
 
 def test_empty_and_steering_only_blocks_match_the_per_block_decoder():
@@ -134,10 +136,13 @@ def test_multisize_bulk_decoder_matches_per_block_values_and_first_fault(q, rho,
     run = int(fraction * length + 1e-9)  # the head's symbols, as the scheme splits them
     rng = random.Random(1904)
     top = 1 << code.width
+    decode = partial(codec._coded, code.decode_blocks, code.decode_block)
     for _ in range(40):
         values = [rng.randrange(top) for _ in range(10)]
         blocks = [code.encode_block(v) for v in values]
-        assert code.decode_blocks(blocks) == values
+        # s = 165 is past the batch alphabet bound: the batch gives the blocks back
+        assert code.decode_blocks(blocks) == (None if q == 200 else values)
+        assert decode(blocks) == values
         for i in rng.sample(range(10), rng.randint(1, 3)):
             # a fault in the head or the tail, so both orders between blocks occur
             j = rng.randrange(run) if run and rng.random() < 0.5 else rng.randrange(length)
@@ -145,7 +150,10 @@ def test_multisize_bulk_decoder_matches_per_block_values_and_first_fault(q, rho,
             block[j] = rng.randint(1, s + 2 if j >= run else s + 1)
             blocks[i] = tuple(block)
         expected = first_fault(lambda b: [code.decode_block(x) for x in b], blocks)
-        assert first_fault(code.decode_blocks, blocks) == expected
+        # the batch gives up exactly where a block raises
+        batch = code.decode_blocks(blocks)
+        assert batch is None if q == 200 or isinstance(expected, str) else batch == expected
+        assert first_fault(decode, blocks) == expected
 
 
 def test_multisize_with_an_uncoded_run_and_an_empty_tail_round_trip():

@@ -1,10 +1,10 @@
 """The batch base-q encoder against the per-block one.
 
 codec._base_blocks steers a list of values into blocks at once on byte
-fields of big integers, and runs codec._Digits block by block at q >= 128.
-The base and multisize records expose it as encode_blocks next to the
-per-block encode_block, which is the reference: every batch must equal
-[encode_block(v) for v in values].
+fields of big integers, and returns None at q >= 128, where codec._coded
+runs codec._Digits block by block.  The base and multisize records expose
+it as encode_blocks next to the per-block encode_block, which is the
+reference: every batch must equal [encode_block(v) for v in values].
 """
 
 import random
@@ -17,6 +17,11 @@ from oligocycle.bits import bits_from_bytes
 
 def per_block(code, values):
     return [code.encode_block(v) for v in values]
+
+
+def coded(code, values):
+    """The record's batch encoder with the codec's per-block fallback."""
+    return codec._coded(code.encode_blocks, code.encode_block, values)
 
 
 def base_case(q, n, values):
@@ -70,8 +75,9 @@ def test_batch_alphabet_bound_falls_back_to_the_per_block_encoder(monkeypatch):
     for q in (127, 128):
         values = [0, q**9 - 1, *(rng.randrange(q**9) for _ in range(20))]
         expected = [digits(q).steered(v, 9) for v in values]
-        assert codec._base_blocks(q, values, 9) == expected
-    assert built == [128]
+        assert codec._base_blocks(q, values, 9) == (expected if q == 127 else None)
+        assert coded(codec.SCHEMES["base"](q, block_symbols=9), values) == expected
+    assert set(built) == {128}
     assert codec._base_blocks(5, [], 9) == []
 
 
@@ -96,8 +102,14 @@ def test_multisize_batch_equals_per_block(q, rho, length):
     rng = random.Random(2003)
     top = (1 << code.width) - 1
     values = [0, top, *(rng.randrange(top + 1) for _ in range(40))]
-    assert code.encode_blocks(values) == per_block(code, values)
-    assert code.encode_blocks([]) == []
+    s, _ = codec.optimal_alpha(q, rho)
+    batched = code.encode_blocks(values)
+    if s + 1 >= 128:  # a part past the batch alphabet bound: the batch gives the values back
+        assert batched is None
+    else:
+        assert batched == per_block(code, values)
+    assert coded(code, values) == per_block(code, values)
+    assert coded(code, []) == []
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Encoding against the loops it replaced.
 
 The base-coded encoders take a batch's digits, steering and running sums on
-byte fields of one big integer, balanced positions are read a byte at a
-time and the payload splits by strided byte transposes.  The plain loops
+byte fields of one big integer, the balanced encoder reads its positions
+off a plain bit scan and the payload splits by strided byte transposes.  The plain loops
 below are the reference: every block, position list and field must come out
 equal.
 """
@@ -20,7 +20,7 @@ from oligocycle import (
     encode_payload,
     optimal_alpha,
 )
-from oligocycle.bits import balance_word, balanced_data_bits, bits_from_bytes
+from oligocycle.bits import balance_word, bits_from_bytes
 
 
 # --- reference loops ---
@@ -86,7 +86,8 @@ def test_base_blocks_equal_the_digit_and_steering_loops(q):
             steering.add(block[0])
         # value 0 keeps every gap, the largest value flips every one
         assert steering == {1, 2}
-        assert code.encode_blocks(values) == [steer(q, digits(v, q, size)) for v in values]
+        batched = codec._coded(code.encode_blocks, code.encode_block, values)
+        assert batched == [steer(q, digits(v, q, size)) for v in values]
 
 
 @pytest.mark.parametrize("q", ALPHABETS)
@@ -125,20 +126,6 @@ def test_multisize_blocks_equal_the_loops(q, rho, length):
 
 
 # --- balanced ---
-
-
-def test_balanced_positions_equal_the_bit_scan_at_every_block_size():
-    # every block size of q = 4..256, so every q whose flip layout is complete
-    rng = random.Random(7)
-    sizes = set()
-    for q in range(4, 257):
-        f = balanced_data_bits(q)
-        sizes.add(f + (f - 1).bit_length() + 1)
-    for size in sorted(sizes):
-        read = codec._positions(size)
-        words = (0, (1 << size) - 1, 1, 1 << (size - 1), *(rng.getrandbits(size) for _ in range(40)))
-        for word in words:
-            assert read(word) == positions(word, size), (size, word)
 
 
 def test_balanced_blocks_equal_the_bit_scan():
@@ -198,7 +185,6 @@ def test_decode_builds_no_encode_table(monkeypatch):
 
     monkeypatch.setattr(codec, "_Digits", refuse)
     monkeypatch.setattr(codec, "_base_blocks", refuse)
-    monkeypatch.setattr(codec, "_positions", refuse)
     monkeypatch.setattr(codec, "_balanced_blocks", refuse)
     for scheme, kw in EVERY_SCHEME:
         assert decode_payload(EncodedBatch.from_json(texts[scheme])) == payload
