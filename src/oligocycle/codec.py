@@ -24,15 +24,18 @@ checks embedding.  Balanced joins its blocks end to end in one oligo, the
 others put one in each.  A payload is one integer inside the codec; '0'/'1'
 strings appear only in the public functions.  Batches round-trip through a
 small JSON document.  Every coding step is a pure function of its block, so
-within one call each distinct block is coded, rendered, parsed, checked and
-decoded once.  Base-coded blocks (base, and both parts of multisize, up to
-q = 127) and balanced blocks encode and decode a batch at a time, on byte
-fields of one big integer.  A batch coder returns the whole batch or None
-when it cannot code it; then, and for schemes without one, the generic
-codec maps the per-block coder, the reference, over the distinct blocks.
-That is the codec's one per-block fallback, so an error still names the
-first bad block.  A payload splits into blocks of up to 64 bits by strided
-byte transposes into 1-, 2-, 4- or 8-byte fields of one integer.
+within one call each distinct block is encoded, rendered and parsed once.
+Base-coded blocks (base, and both parts of multisize, up to q = 127) and
+balanced blocks encode and decode a batch at a time, on byte fields of one
+big integer; a batch decoder reads one flat buffer, a byte per symbol, and
+decodes every block.  A batch coder returns the whole batch or None when it
+cannot code it; then, for a symbol above 255, and for schemes without one,
+the generic codec maps the per-block coder, the reference, over the
+distinct blocks: only this path dedupes on decode.  It is the codec's one
+per-block fallback, so an error still names the first bad block.  A
+payload splits into blocks of up to 64 bits, and decoded values join back
+into one, by strided byte transposes between its bits and 1-, 2-, 4- or
+8-byte fields of one integer.
 """
 
 from __future__ import annotations
@@ -170,11 +173,13 @@ class _BlockCode(NamedTuple):
     program of n blocks, whose largest alphabet the oligos use.  Reading
     width calls codewords, which counts for lookup: the decoder reads it
     only after its shape checks.  Where a scheme has them, encode_blocks
-    maps a list of values to their blocks at once, and decode_blocks a list
-    of equal-length blocks to their values, each exactly as the per-block
-    coder would, or returns None when it cannot code the batch: past its
-    alphabet bound, or where the per-block coder would raise.  _coded, the
-    one per-block fallback, then maps encode_block or decode_block."""
+    maps a list of values to their blocks at once, and decode_blocks(flat,
+    size) reads one flat buffer, the symbols of every size-symbol block end
+    to end a byte each, and gives the value of every block in batch order,
+    each exactly as the per-block coder would.  Either returns None when it
+    cannot code the batch: past its alphabet bound, or where the per-block
+    coder would raise.  _coded, the one per-block fallback, then maps
+    encode_block or decode_block over the distinct values or blocks."""
 
     rho: float
     lengths: range
@@ -183,7 +188,7 @@ class _BlockCode(NamedTuple):
     encode_block: Callable[[int], tuple[int, ...]]
     decode_block: Callable[[Sequence[int]], int]
     encode_blocks: Callable[[list[int]], list[tuple[int, ...]] | None] | None = None
-    decode_blocks: Callable[[list[Sequence[int]]], list[int] | None] | None = None
+    decode_blocks: Callable[[bytes, int], list[int] | None] | None = None
     joined: bool = False  # every block in one oligo, end to end
 
     @property
@@ -212,6 +217,25 @@ def _fields(payload: str, width: int) -> list[int]:
         for j in range(width):
             out[8 * span - width + j :: 8 * span] = src[j::width]
     return _read_fields(int(out, 2).to_bytes(span * count, "big"), span)
+
+
+def _bits(values: Sequence[int], width: int) -> str:
+    """The inverse of _fields: each value, below 2**width, as width bits.
+
+    Up to 64 bits the values fill fields of span = 1, 2, 4 or 8 bytes, one
+    format writes all of them, and each bit of a block moves, one strided
+    slice per bit, out of the low end of its field; wider values are
+    formatted one each."""
+    if width > 64 or not values:
+        return "".join(map(format, values, repeat(f"0{width}b")))
+    span = _span(width)
+    text = format(int.from_bytes(_write_fields(values, span), "big"), f"0{8 * span * len(values)}b")
+    if width == 8 * span:
+        return text
+    src, out = text.encode("ascii"), bytearray(width * len(values))
+    for j in range(width):
+        out[j::width] = src[8 * span - width + j :: 8 * span]
+    return out.decode("ascii")
 
 
 def _span(bits: int) -> int:
@@ -374,27 +398,14 @@ def _base_value(q: int, symbols: Sequence[int]) -> int:
 _STEERING = bytes.maketrans(b"\0\1", b"\1\2")  # flip False -> steering symbol 1, True -> 2
 
 
-def _flat(blocks: Sequence[Sequence[int]], top: int) -> bytes | None:
-    """The blocks' symbols end to end, a byte each, for top <= 255; None
-    when a symbol lies outside 1..top."""
-    try:
-        flat = bytes(chain.from_iterable(blocks))
-    except ValueError:  # a symbol outside 0..255
-        return None
-    return None if flat.translate(None, bytes(range(1, top + 1))) else flat
-
-
-def _steered_batch(q: int, blocks: Sequence[Sequence[int]]) -> list[int] | None:
-    """[_base_value(q, block) for block in blocks], for blocks of one length,
-    on byte fields of a few big integers; None past q = 127, on no blocks or
-    empty ones, and where some block fails a check of _base_value's."""
-    # One byte field per symbol, blocks end to end, so each step below is one
-    # C-level operation over the batch.
-    if q >= 128 or not blocks or not blocks[0]:
-        return None
-    size = len(blocks[0])
-    flat = _flat(blocks, q)
-    if flat is None:
+def _steered_batch(q: int, flat: bytes, size: int) -> list[int] | None:
+    """[_base_value(q, block) for each size-symbol block of flat], its
+    symbols end to end a byte each, on byte fields of a few big integers;
+    None past q = 127, on no blocks or empty ones, and where some block
+    fails a check of _base_value's."""
+    # One byte field per symbol, so each step below is one C-level operation
+    # over the batch.
+    if q >= 128 or not flat or flat.translate(None, bytes(range(1, q + 1))):
         return None
     steer = flat[::size]
     if steer.translate(None, b"\1\2"):
@@ -540,14 +551,19 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
         high = _base_value(s + 1, rest) if tail else 0
         return high * low_values + (_base_value(s, head) if coded else 0)
 
-    def decode_blocks(blocks: list[Sequence[int]]) -> list[int] | None:
-        heads = [block[:run] for block in blocks]
-        zeros = [0] * len(blocks)
+    def decode_blocks(flat: bytes, size: int) -> list[int] | None:
+        count = len(flat) // size
+        heads, tails = bytearray(run * count), bytearray(tail * count)
+        for j in range(run):
+            heads[j::run] = flat[j::size]
+        for j in range(tail):
+            tails[j::tail] = flat[run + j :: size]
+        zeros = [0] * count
         if coded:
-            lows = _steered_batch(s, heads)
+            lows = _steered_batch(s, heads, run)
         else:
-            lows = zeros if set(heads) <= {(1,) * run} else None
-        highs = _steered_batch(s + 1, [block[run:] for block in blocks]) if tail else zeros
+            lows = None if heads.translate(None, b"\1") else zeros
+        highs = _steered_batch(s + 1, tails, tail) if tail else zeros
         if lows is None or highs is None:
             return None
         return [high * low_values + low for high, low in zip(highs, lows)]
@@ -676,18 +692,17 @@ def _balanced_blocks(f: int, size: int, values: Sequence[int]) -> list[tuple[int
     return list(zip(*[iter(out.translate(None, b"\0"))] * half))
 
 
-def _balanced_values(f: int, size: int, blocks: Sequence[Sequence[int]]) -> list[int] | None:
-    """[decode_block(block) for block in blocks] for size <= 255; None when
-    some block fails a check of decode_block's, which then names it.
+def _balanced_values(f: int, size: int, flat: bytes, half: int) -> list[int] | None:
+    """[decode_block(block) for each half-symbol block of flat], half =
+    size // 2 and size <= 255; None when some block fails a check of
+    decode_block's, which then names it.
 
     The blocks' positions lie end to end, a byte each: one translate checks
     their range and one field subtraction their ascent, and the words come
     as sums of one-hot bytes, a column of the blocks at a time."""
-    half = size // 2
-    flat = _flat(blocks, size)
-    count = len(blocks)
-    if flat is None or len(flat) != half * count:
+    if flat.translate(None, bytes(range(1, size + 1))):
         return None
+    count = len(flat) // half
     # with each symbol in a 16-bit field and the symbol before shifted under
     # it, 256 + b - a - 1 lies in 1..510 and reaches 256 just when b > a; a
     # block's first field meets the block before, so only the others count
@@ -848,7 +863,7 @@ def encode_payload(
     oligo_length (default 48); base accepts block_symbols (default 32).
     """
     validate_bits(payload)
-    if scheme not in SCHEMES:
+    if not isinstance(scheme, str) or scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
     require_int(q)
     if rho is not None:
@@ -877,7 +892,7 @@ def encode_payload(
 
 def decode_payload(batch: EncodedBatch) -> str:
     """Recover the bit payload from an EncodedBatch; shape checks run before any counting."""
-    if batch.scheme not in SCHEMES:
+    if not isinstance(batch.scheme, str) or batch.scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {batch.scheme!r}")
     # from_json checks these; an in-process batch may carry any value
     for value, name in ((batch.q, "alphabet size"), (batch.payload_bits, "payload bit count")):
@@ -885,7 +900,14 @@ def decode_payload(batch: EncodedBatch) -> str:
             raise CorruptDataError(f"{name} {value!r} is not an int")
     if not _finite(batch.rho):
         raise CorruptDataError(f"rho {batch.rho!r} is not a finite number")
+    if not isinstance(batch.spec, SupersequenceSpec):
+        raise CorruptDataError(f"spec {batch.spec!r} is not a SupersequenceSpec")
     oligos = batch.oligos
+    # one set of types checks every oligo
+    if not isinstance(oligos, (tuple, list)) or not all(
+        issubclass(kind, Oligo) for kind in set(map(type, oligos))
+    ):
+        raise CorruptDataError("oligos must be a tuple or list of Oligo")
     if not oligos:
         if batch.payload_bits:
             raise CorruptDataError("payload bits declared but no oligos present")
@@ -905,29 +927,43 @@ def decode_payload(batch: EncodedBatch) -> str:
             oligo_length=length,
             block_symbols=length - 1,
         )
-        blocks = [o.symbols for o in oligos]
+        rows = [o.symbols for o in oligos]
+        size, count = length, len(rows)
         if code.joined:
             size = code.lengths[0]
-            if len(oligos) > 1 or length % size:
+            if count > 1 or length % size:
                 raise CorruptDataError(f"{batch.scheme} batches carry one oligo of whole blocks")
-            blocks = list(zip(*[iter(blocks[0])] * size))
-        # each per-block check and decode below runs once per distinct block
-        distinct = dict.fromkeys(blocks)
-        if batch.spec.segments != code.program(len(blocks)):
+            count = length // size
+        if batch.spec.segments != code.program(count):
             raise CorruptDataError("program does not match the oligo shape and count")
-        if not set(map(len, distinct)).issubset(code.lengths):
+        # a batch decoder reads every block; lookup and window, which have
+        # none, check and decode each distinct oligo once
+        distinct = None if code.decode_blocks or code.joined else list(dict.fromkeys(rows))
+        if not code.joined and not set(map(len, distinct or rows)).issubset(code.lengths):
             raise CorruptDataError("oligo length does not match the program")
         width = code.width
-        if len(blocks) != -(-batch.payload_bits // width):
+        if count != -(-batch.payload_bits // width):
             raise CorruptDataError("block count does not match the payload bit count")
         # a block that decodes fits its share of the program: steering caps a
         # base block's cycles at its segment's, balanced and window blocks
         # ascend within one revolution, and rank refuses a lookup block past its window
-        values = dict(zip(distinct, _coded(code.decode_blocks, code.decode_block, list(distinct))))
+        values = None
+        if code.decode_blocks:
+            try:
+                flat = b"".join(map(bytes, rows))
+            except ValueError:  # a symbol above 255
+                pass
+            else:
+                values = code.decode_blocks(flat, size)
+        if values is None:  # the batch decoder has run, if there is one
+            blocks = list(zip(*[iter(rows[0])] * size)) if code.joined else rows
+            distinct = distinct or list(dict.fromkeys(blocks))
+            values = _coded(None, code.decode_block, distinct)
     except (DomainError, OverflowError) as exc:  # OverflowError: an int past float range
         raise CorruptDataError(str(exc)) from exc
-    if any(v >> width for v in values.values()):
+    if max(values, default=0) >> width:
         raise CorruptDataError("decoded block exceeds its bit width")
-    form = f"0{width}b"
-    text = dict(zip(values, map(format, values.values(), repeat(form))))
+    if distinct is None:  # a value for every block, from the batch decoder
+        return _bits(values, width)[: batch.payload_bits]
+    text = dict(zip(distinct, map(format, values, repeat(f"0{width}b"))))
     return "".join(map(text.__getitem__, blocks))[: batch.payload_bits]

@@ -686,6 +686,54 @@ def test_decode_refuses_an_in_process_batch_whose_rho_is_not_a_finite_number(sch
     assert decode_payload(batch) == "1100101011110000"
 
 
+def test_codec_refuses_a_scheme_that_is_not_a_str():
+    # a list or dict scheme raised TypeError: unhashable type
+    batch = encode_payload("base", "1100101011110000", q=4)
+    for bad in ([], {}, ["base"], None, 4):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'unknown scheme {bad!r}')}$"):
+            encode_payload(bad, "1100101011110000", q=4)
+        with pytest.raises(DomainError, match=f"^{re.escape(f'unknown scheme {bad!r}')}$"):
+            decode_payload(batch._replace(scheme=bad))
+
+
+@pytest.mark.parametrize("scheme, kwargs", EVERY_SCHEME)
+def test_decode_refuses_an_in_process_batch_whose_spec_is_not_a_supersequence_spec(scheme, kwargs):
+    # each raised AttributeError on the first spec field it read
+    batch = encode_payload(scheme, "1100101011110000", **kwargs)
+    for bad in (batch.spec.segments, [list(seg) for seg in batch.spec.segments], None, "spec"):
+        with pytest.raises(CorruptDataError, match=f"^{re.escape(f'spec {bad!r} is not a SupersequenceSpec')}$"):
+            decode_payload(batch._replace(spec=bad))
+    assert decode_payload(batch) == "1100101011110000"
+
+
+class TaggedOligo(Oligo):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("scheme, kwargs", EVERY_SCHEME)
+def test_decode_refuses_an_in_process_batch_whose_oligos_are_not_oligos(scheme, kwargs):
+    # bare symbol tuples raised AttributeError, and the flat batch path would
+    # read them as symbols
+    batch = encode_payload(scheme, "1100101011110000", **kwargs)
+    rows = [oligo.symbols for oligo in batch.oligos]
+    bad = (
+        tuple(rows),
+        batch.oligos[:-1] + (rows[-1],),
+        (None,) + batch.oligos[1:],
+        iter(batch.oligos),
+        {oligo: None for oligo in batch.oligos},
+        "1,2,3",
+        None,
+    )
+    for oligos in bad:
+        with pytest.raises(CorruptDataError, match="^oligos must be a tuple or list of Oligo$"):
+            decode_payload(batch._replace(oligos=oligos))
+    # a list and a subclass of Oligo are read as the tuple of Oligo they hold
+    tagged = tuple(TaggedOligo(oligo.symbols, oligo.q) for oligo in batch.oligos)
+    for oligos in (list(batch.oligos), tagged, list(tagged)):
+        assert decode_payload(batch._replace(oligos=oligos)) == "1100101011110000"
+
+
 NOT_FINITE_RHOS = (
     ("0.5", "'0.5'"), (Fraction(1, 2), "Fraction(1, 2)"), (True, "True"),
     (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),

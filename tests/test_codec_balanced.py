@@ -174,19 +174,25 @@ def test_batch_decode_rejects_ragged_length():
 # --- the batch coders against the per-block ones ---
 
 
+def flat(blocks):
+    """The blocks' positions end to end, a byte each, as decode_payload hands
+    them to decode_blocks."""
+    return b"".join(map(bytes, blocks))
+
+
 def test_batch_coders_equal_the_block_coders_on_every_value_up_to_q16():
     for q in range(4, 17):
         try:
-            f, _ = balanced_params(q)
+            f, size = balanced_params(q)
         except DomainError:
             continue
         code = SCHEMES["balanced"](q)
         values = list(range(1 << f))
         blocks = list(map(code.encode_block, values))
         assert code.encode_blocks(values) == blocks, q
-        assert code.decode_blocks(blocks) == values, q
+        assert code.decode_blocks(flat(blocks), size // 2) == values, q
     assert SCHEMES["balanced"](16).encode_blocks([]) == []
-    assert SCHEMES["balanced"](16).decode_blocks([]) == []
+    assert SCHEMES["balanced"](16).decode_blocks(b"", 8) == []
 
 
 def word_positions(word, size):
@@ -212,7 +218,7 @@ def test_batch_coders_equal_the_word_coders_at_every_block_size():
             continue
         blocks = [word_positions(word, size) for word in words]
         assert codec._balanced_blocks(f, size, values) == blocks, q
-        assert codec._balanced_values(f, size, blocks) == values, q
+        assert codec._balanced_values(f, size, flat(blocks), size // 2) == values, q
         assert [unbalance_word(word, f) for word in words] == values
 
 
@@ -246,9 +252,9 @@ def test_batch_decoder_names_the_first_bad_block(fault, message):
     # a different fault later on must not win over the first one
     later = blocks[9][:-1] + (0,) if message != "symbol out of range" else blocks[9][::-1]
     for batch in (blocks[:5] + [bad] + blocks[5:], blocks[:5] + [bad, later] + blocks[5:]):
-        assert code.decode_blocks(batch) is None
+        assert code.decode_blocks(flat(batch), size // 2) is None
         with pytest.raises(CorruptDataError) as caught:
-            codec._coded(code.decode_blocks, code.decode_block, batch)
+            codec._coded(None, code.decode_block, batch)
         assert str(caught.value) == str(expected.value)
     # and through a whole batch, joined into one oligo
     values = list(range(0, 2048, 97))

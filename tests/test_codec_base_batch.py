@@ -1,10 +1,12 @@
 """The batch base-q decoder against the per-block one.
 
-codec._steered_batch decodes a list of equal-length steered blocks at once
-on byte fields of big integers, and returns None at q >= 128 or when any
-block is bad; codec._coded then runs codec._base_value block by block.  The
-per-block decoder is the reference: the batch must return its values, and
-must give up on exactly the batches where some block makes it raise.
+codec._steered_batch decodes equal-length steered blocks at once from one
+flat buffer, their symbols end to end a byte each, on byte fields of big
+integers, and returns None at q >= 128 or when any block is bad;
+codec._coded then runs codec._base_value block by block, as it does when a
+symbol lies above 255 and there is no flat buffer.  The per-block decoder
+is the reference: the batch must return its values, and must give up on
+exactly the batches where some block makes it raise.
 """
 
 import random
@@ -14,6 +16,15 @@ import pytest
 
 from oligocycle import CorruptDataError, EncodedBatch, codec, decode_payload, encode_payload
 from oligocycle.bits import bits_from_bytes
+
+
+def flat(blocks):
+    """The blocks' symbols end to end, a byte each; None when a symbol lies
+    outside 0..255, where decode_payload has no flat buffer."""
+    try:
+        return b"".join(map(bytes, blocks))
+    except ValueError:
+        return None
 
 
 def first_fault(decode, blocks):
@@ -30,8 +41,14 @@ def one_by_one(q, blocks):
 
 
 def batched(q, blocks):
-    """The batch decoder with the codec's per-block fallback."""
-    decode = partial(codec._coded, partial(codec._steered_batch, q), partial(codec._base_value, q))
+    """The batch decoder over the flat buffer, as decode_payload calls it,
+    with the codec's per-block fallback."""
+
+    def decode(blocks):
+        data = flat(blocks)
+        values = None if data is None else codec._steered_batch(q, data, len(blocks[0]) if blocks else 1)
+        return codec._coded(None, partial(codec._base_value, q), blocks) if values is None else values
+
     return first_fault(decode, blocks)
 
 
@@ -46,7 +63,7 @@ def test_batch_equals_per_block_for_every_value_of_small_blocks():
             values = list(range(q**n))
             blocks = steered(q, n, values)
             assert one_by_one(q, blocks) == values
-            assert codec._steered_batch(q, blocks) == values, (q, n)
+            assert codec._steered_batch(q, flat(blocks), n + 1) == values, (q, n)
             assert batched(q, blocks) == values
 
 
@@ -63,10 +80,10 @@ def test_batch_equals_per_block_on_seeded_blocks_up_to_the_symbol_bound():
         count = 3 if n > 256 else 12
         values = [rng.randrange(q**n) for _ in range(count)] + [0, q**n - 1]
         blocks = steered(q, n, values)
-        assert codec._steered_batch(q, blocks) == values, (q, n)
+        assert codec._steered_batch(q, flat(blocks), n + 1) == values, (q, n)
     # the largest block at the largest batch alphabet
     values = [rng.randrange(127**2048) for _ in range(3)]
-    assert codec._steered_batch(127, steered(127, 2048, values)) == values
+    assert codec._steered_batch(127, flat(steered(127, 2048, values)), 2049) == values
 
 
 def corrupt(rng, q, block):
@@ -87,7 +104,8 @@ def test_batch_gives_up_exactly_where_a_block_raises_and_the_same_error_wins():
                 for i in rng.sample(range(8), rng.randint(0, 3)):
                     blocks[i] = corrupt(rng, q, blocks[i])
                 expected = one_by_one(q, blocks)
-                batch = codec._steered_batch(q, blocks)
+                data = flat(blocks)  # None where a symbol lies above 255
+                batch = None if data is None else codec._steered_batch(q, data, n + 1)
                 if q < 128:
                     assert (batch is None) == isinstance(expected, str), (q, blocks)
                 else:
@@ -108,10 +126,10 @@ def test_batch_alphabet_bound_falls_back_to_the_per_block_decoder():
         values.append(codec._base_value(q, blocks[-1]))
         assert blocks[-1][1] == q
         # the batch decodes at 127 and gives the blocks back at 128
-        assert codec._steered_batch(q, blocks) == (values if q == 127 else None)
+        assert codec._steered_batch(q, flat(blocks), 10) == (values if q == 127 else None)
         assert batched(q, blocks) == values
         assert batched(q, [(q,) + blocks[0][1:]]) == "steering symbol must be 1 or 2"
-    assert codec._steered_batch(5, []) is None
+    assert codec._steered_batch(5, b"", 10) is None
     assert batched(5, []) == []
 
 
@@ -136,12 +154,16 @@ def test_multisize_bulk_decoder_matches_per_block_values_and_first_fault(q, rho,
     run = int(fraction * length + 1e-9)  # the head's symbols, as the scheme splits them
     rng = random.Random(1904)
     top = 1 << code.width
-    decode = partial(codec._coded, code.decode_blocks, code.decode_block)
+
+    def decode(blocks):
+        values = code.decode_blocks(flat(blocks), length)
+        return codec._coded(None, code.decode_block, blocks) if values is None else values
+
     for _ in range(40):
         values = [rng.randrange(top) for _ in range(10)]
         blocks = [code.encode_block(v) for v in values]
         # s = 165 is past the batch alphabet bound: the batch gives the blocks back
-        assert code.decode_blocks(blocks) == (None if q == 200 else values)
+        assert code.decode_blocks(flat(blocks), length) == (None if q == 200 else values)
         assert decode(blocks) == values
         for i in rng.sample(range(10), rng.randint(1, 3)):
             # a fault in the head or the tail, so both orders between blocks occur
@@ -151,7 +173,7 @@ def test_multisize_bulk_decoder_matches_per_block_values_and_first_fault(q, rho,
             blocks[i] = tuple(block)
         expected = first_fault(lambda b: [code.decode_block(x) for x in b], blocks)
         # the batch gives up exactly where a block raises
-        batch = code.decode_blocks(blocks)
+        batch = code.decode_blocks(flat(blocks), length)
         assert batch is None if q == 200 or isinstance(expected, str) else batch == expected
         assert first_fault(decode, blocks) == expected
 

@@ -1,11 +1,12 @@
 """One contract for every batch coder.
 
-A record's encode_blocks and decode_blocks return the whole batch, exactly
-as mapping encode_block or decode_block would, or None when they cannot
-code it; codec._coded, the one per-block fallback, then maps the per-block
-coder.  Each case checks the batch coders against the per-block map,
-encode_payload against the per-block reference, and bad blocks against the
-per-block error of the first bad distinct block.
+A record's encode_blocks maps a list of values, and decode_blocks(flat,
+size) one flat buffer of size-symbol blocks, a byte per symbol, to the whole
+batch, exactly as mapping encode_block or decode_block would, or returns
+None when it cannot code it; codec._coded, the one per-block fallback, then
+maps the per-block coder.  Each case checks the batch coders against the
+per-block map, encode_payload against the per-block reference, and bad
+blocks against the per-block error of the first bad distinct block.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 
 from oligocycle import CorruptDataError, EncodedBatch, Oligo, codec, decode_payload, encode_payload
 from oligocycle.bits import bits_from_bytes
+from test_codec_golden import PAYLOADS, SETUPS
 
 # (scheme, options, whether the batch coders code a batch at these options)
 CASES = [
@@ -21,7 +23,9 @@ CASES = [
     ("base", dict(q=127, block_symbols=9), True),
     ("base", dict(q=128, block_symbols=9), False),  # past the batch alphabet bound
     ("base", dict(q=200, block_symbols=5), False),
+    ("base", dict(q=300, block_symbols=4), False),  # symbols above 255 have no flat buffer
     ("multisize", dict(q=5, rho=0.45), True),
+    ("multisize", dict(q=5, rho=0.8, oligo_length=12), True),  # s = 1: a constant run
     ("multisize", dict(q=300, rho=0.01556, oligo_length=64), False),  # s + 1 = 128
     # every q in 4..16 with a flip layout (12 and 13 have none), and a large q
     *(("balanced", dict(q=q), True) for q in (4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 243)),
@@ -32,6 +36,15 @@ IDS = [f"{scheme}-" + "-".join(map(str, options.values())) for scheme, options, 
 def record(scheme, q, **options):
     unset = dict(rho=None, depth=None, oligo_length=None, block_symbols=None)
     return codec.SCHEMES[scheme](q, **{**unset, **options})
+
+
+def flat(blocks):
+    """The blocks' symbols end to end, a byte each, as decode_payload hands
+    them to decode_blocks; None when a symbol lies above 255."""
+    try:
+        return b"".join(map(bytes, blocks))
+    except ValueError:
+        return None
 
 
 def outcome(batch):
@@ -49,13 +62,16 @@ def test_batch_coders_return_none_or_the_per_block_map(monkeypatch, scheme, opti
     top = 1 << code.width
     values = list(dict.fromkeys([0, top - 1, *(rng.randrange(top) for _ in range(60))]))
     blocks = list(map(code.encode_block, values))
-    for batch, block, items, expected in (
-        (code.encode_blocks, code.encode_block, values, blocks),
-        (code.decode_blocks, code.decode_block, blocks, values),
-    ):
-        assert batch(items) == (expected if batches else None)
-        assert batch([]) in (None, [])
-        assert codec._coded(batch, block, items) == expected
+    assert code.encode_blocks(values) == (blocks if batches else None)
+    assert code.encode_blocks([]) in (None, [])
+    assert codec._coded(code.encode_blocks, code.encode_block, values) == blocks
+    size = len(blocks[0])
+    data = flat(blocks)
+    assert (data is None) == (max(map(max, blocks)) > 255)
+    if data is not None:
+        assert code.decode_blocks(data, size) == (values if batches else None)
+    assert code.decode_blocks(b"", size) in (None, [])
+    assert codec._coded(None, code.decode_block, blocks) == values
 
     # encode_payload, and so the batch JSON, equals that of the per-block coders
     payload = bits_from_bytes(rng.randbytes(300))
@@ -84,3 +100,52 @@ def test_batch_coders_return_none_or_the_per_block_map(monkeypatch, scheme, opti
     # a bad block raises the per-block error of the first bad distinct block
     assert list(map(outcome, broken)) == batched
     assert any(isinstance(result, str) for result in batched)
+
+
+# (setup, oligo, symbol index, new symbol or None to swap it with the next, message)
+SPOILED = {
+    "base-q4-b32": (1, 0, 3, "steering symbol must be 1 or 2"),
+    "base-q5-b7": (1, 0, 3, "steering symbol must be 1 or 2"),
+    "multisize-q5-45": (1, 0, 3, "steering symbol must be 1 or 2"),  # the head's, over s = 3
+    "multisize-q4-80": (1, 0, 2, "constant run segment must be all 1s"),  # s = 1
+    "balanced-q16": (0, 8, None, "block oligo must be strictly ascending"),  # block 1
+    "balanced-q8": (0, 3, None, "block oligo must be strictly ascending"),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(SPOILED))
+def test_batch_decoders_decode_the_golden_batches_alone(monkeypatch, setup):
+    # with a per-block decoder that raises, every golden batch of a scheme
+    # with a batch decoder still decodes: the flat path decodes them alone
+    scheme, options = SETUPS[setup]
+    texts = {
+        name: encode_payload(scheme, bits_from_bytes(data), **options).to_json()
+        for name, data in PAYLOADS.items()
+    }
+    build = codec.SCHEMES[scheme]
+
+    def refuse(symbols):
+        raise AssertionError("the per-block decoder ran")
+
+    monkeypatch.setitem(
+        codec.SCHEMES, scheme, lambda q, **kw: build(q, **kw)._replace(decode_block=refuse)
+    )
+    for name, data in PAYLOADS.items():
+        assert decode_payload(EncodedBatch.from_json(texts[name])) == bits_from_bytes(data)
+
+    # one bad block leaves the batch to the per-block decoder, which names it
+    batch = EncodedBatch.from_json(texts["2k"])
+    oligo, index, symbol, message = SPOILED[setup]
+    symbols = list(batch.oligos[oligo].symbols)
+    if symbol is None:
+        symbols[index], symbols[index + 1] = symbols[index + 1], symbols[index]
+    else:
+        symbols[index] = symbol
+    oligos = list(batch.oligos)
+    oligos[oligo] = Oligo(symbols, batch.spec.max_alphabet)
+    broken = batch._replace(oligos=tuple(oligos))
+    with pytest.raises(AssertionError, match="per-block decoder ran"):
+        decode_payload(broken)
+    monkeypatch.undo()
+    with pytest.raises(CorruptDataError, match=f"^{message}$"):
+        decode_payload(broken)

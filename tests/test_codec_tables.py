@@ -165,6 +165,20 @@ def test_fields_equal_a_regex_read_at_every_width_and_length():
             assert codec._fields(payload, width) == expected, (width, length)
 
 
+def test_bits_invert_fields_at_every_width():
+    # up to 64 bits one format writes 1-, 2-, 4- or 8-byte fields and strided
+    # slices pick each block's bits out of them: 7, 9, 63 and 65 leave part
+    # of a field, 8 and 64 fill one, and past 64 (81 for multisize) each
+    # value is formatted alone
+    rng = random.Random(2401)
+    for width in range(1, 131):
+        for count in (0, 1, 2, 17):
+            values = [0, (1 << width) - 1][:count] + [rng.getrandbits(width) for _ in range(count - 2)]
+            bits = codec._bits(values, width)
+            assert bits == "".join(format(v, f"0{width}b") for v in values), (width, count)
+            assert codec._fields(bits, width) == values, (width, count)
+
+
 # --- the tables and masks are the encoder's alone ---
 
 EVERY_SCHEME = [
