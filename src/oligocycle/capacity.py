@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_int, require_number
 
 if TYPE_CHECKING:
     from .counting import CountCache
@@ -47,6 +47,7 @@ _NEWTON_STEPS = 20
 
 def binary_entropy(p: float) -> float:
     """Shannon entropy -p*log2(p) - (1-p)*log2(1-p), with H(0) = H(1) = 0."""
+    require_number(p, "entropy argument")
     if not 0.0 <= p <= 1.0:
         raise DomainError("entropy argument must lie in [0, 1]")
     if p in (0.0, 1.0):
@@ -203,6 +204,7 @@ def capacity_root_fixed(q: int, rho: float) -> float:
     require_int(q)
     if not 2 <= q <= _MAX_ROOT_ALPHABET:
         raise DomainError(f"fixed-length root requires alphabet size in 2..{_MAX_ROOT_ALPHABET}")
+    require_number(rho, "rho")
     if not 2.0 / (q + 1) < rho < 1.0:
         raise DomainError("rho must lie strictly between 2/(q+1) and 1")
     coeffs = [1.0 - rho * i for i in range(q, 0, -1)]
@@ -225,6 +227,7 @@ def cap_fixed_length(q: int, rho: float) -> float:
     require_int(q)
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
+    require_number(rho, "rho")
     if not 0.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [0, 1]")
     if rho <= 2.0 / (q + 1):
@@ -300,6 +303,7 @@ def empirical_cap(q: int, cycles: int, rho: float, cache: CountCache | None = No
     require_int(cycles, "cycle count")
     if cycles < 1:
         raise DomainError("cycle count must be at least 1")
+    require_number(rho, "rho")
     if not 0.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [0, 1]")
     # counting is imported here, so commands that never count never load it

@@ -28,14 +28,12 @@ within one call each distinct block is encoded, rendered and parsed once.
 Base-coded blocks (base, and both parts of multisize, up to q = 127) and
 balanced blocks encode and decode a batch at a time, on byte fields of one
 big integer; a batch decoder reads one flat buffer, a byte per symbol, and
-decodes every block.  A batch coder returns the whole batch or None when it
-cannot code it; then, for a symbol above 255, and for schemes without one,
-the generic codec maps the per-block coder, the reference, over the
-distinct blocks: only this path dedupes on decode.  It is the codec's one
-per-block fallback, so an error still names the first bad block.  A
-payload splits into blocks of up to 64 bits, and decoded values join back
-into one, by strided byte transposes between its bits and 1-, 2-, 4- or
-8-byte fields of one integer.
+decodes every block.  Where a scheme has no batch coder, where it returns
+None, and on decode for a symbol above 255, the generic codec maps the
+per-block coder over the distinct values or blocks by the rule _BlockCode
+states; only this path dedupes on decode.  A payload splits into blocks of
+up to 64 bits, and decoded values join back into one, by strided byte
+transposes between its bits and 1-, 2-, 4- or 8-byte fields of one integer.
 """
 
 from __future__ import annotations
@@ -176,10 +174,11 @@ class _BlockCode(NamedTuple):
     maps a list of values to their blocks at once, and decode_blocks(flat,
     size) reads one flat buffer, the symbols of every size-symbol block end
     to end a byte each, and gives the value of every block in batch order,
-    each exactly as the per-block coder would.  Either returns None when it
-    cannot code the batch: past its alphabet bound, or where the per-block
-    coder would raise.  _coded, the one per-block fallback, then maps
-    encode_block or decode_block over the distinct values or blocks."""
+    each exactly as the per-block coder would.  A batch coder codes the
+    whole batch or returns None: past its alphabet bound, or where the
+    per-block coder would raise.  The generic codec then maps the per-block
+    coder, the reference, over the distinct values or blocks in order, so
+    the first bad block raises."""
 
     rho: float
     lengths: range
@@ -277,45 +276,17 @@ def _field_array(span: int) -> array:
 # A block's n base-q digits, most significant first and each plus one, are
 # its gaps.  Symbol i is 1 + (s0 + g1 + ... + gi) mod q, where s0 is the
 # steering symbol less one; a flipped block sends each gap g as q+1-g.
-# _Digits and _base_value code one block at a time and are the reference.
-# _base_blocks and its inverse _steered_batch code a batch at once up to
-# q = 127, on byte fields of one big integer, and build their masks inside
-# the call, so decoding builds no encoder's.
-
-
-class _Digits:
-    """Base-q digits as gaps, and gaps steered into symbols, one block at a time."""
-
-    def __init__(self, q: int) -> None:
-        self.q = q
-
-    def gaps(self, value: int, count: int) -> list[int]:
-        """The low *count* base-q digits of *value*, each plus one, most significant first."""
-        gaps = []
-        for _ in range(count):
-            value, digit = divmod(value, self.q)
-            gaps.append(digit + 1)
-        gaps.reverse()
-        return gaps
-
-    def steer(self, gaps: Sequence[int]) -> tuple[int, ...]:
-        """The steering symbol, then a symbol *gaps[i]* cycles after the one
-        before, or q+1-gaps[i] when the gaps pass the midpoint."""
-        q = self.q
-        flip = 2 * sum(gaps) > (q + 1) * len(gaps)
-        if flip:
-            gaps = map((q + 1).__sub__, gaps)
-        return tuple(total % q + 1 for total in accumulate(gaps, initial=int(flip)))
-
-    def steered(self, value: int, count: int) -> tuple[int, ...]:
-        """The low *count* base-q digits of *value*, as gaps behind a steering symbol."""
-        return self.steer(self.gaps(value, count))
+# _gaps, _steer and _base_value code one block at a time and are the
+# reference: a block is _steer(q, _gaps(q, value, n)).  _base_blocks and its
+# inverse _steered_batch code a batch at once up to q = 127, on byte fields
+# of one big integer, and build their masks inside the call, so decoding
+# builds no encoder's.
 
 
 def _base_blocks(q: int, values: Sequence[int], n: int) -> list[tuple[int, ...]] | None:
-    """[_Digits(q).steered(value, n) for value in values], for values below
+    """[_steer(q, _gaps(q, value, n)) for value in values], for values below
     q**n, each step one C-level operation over byte fields of a big
-    integer; None past q = 127."""
+    integer; None past q = 127, where the codec maps the reference."""
     if q >= 128:
         return None
     # Digits.  Each value fills a big-endian field of span = 2**r >= n bytes,
@@ -372,6 +343,25 @@ def _base_blocks(q: int, values: Sequence[int], n: int) -> list[tuple[int, ...]]
         step *= 2
     symbols = (total + ones).to_bytes(length, "big")
     return list(map(tuple, re.findall(b".{%d}" % size, symbols, re.S)))
+
+
+def _gaps(q: int, value: int, count: int) -> list[int]:
+    """The low *count* base-q digits of *value*, each plus one, most significant first."""
+    gaps = []
+    for _ in range(count):
+        value, digit = divmod(value, q)
+        gaps.append(digit + 1)
+    gaps.reverse()
+    return gaps
+
+
+def _steer(q: int, gaps: Sequence[int]) -> tuple[int, ...]:
+    """The steering symbol, then a symbol *gaps[i]* cycles after the one
+    before, or q+1-gaps[i] when the gaps pass the midpoint."""
+    flip = 2 * sum(gaps) > (q + 1) * len(gaps)
+    if flip:
+        gaps = map((q + 1).__sub__, gaps)
+    return tuple(total % q + 1 for total in accumulate(gaps, initial=int(flip)))
 
 
 def _base_value(q: int, symbols: Sequence[int]) -> int:
@@ -453,7 +443,7 @@ def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
         lengths=range(size + 1, size + 2),
         program=lambda n: ((q, budget if n else 0),),
         codewords=lambda: q**size,
-        encode_block=lambda value: _Digits(q).steered(value, size),
+        encode_block=lambda value: _steer(q, _gaps(q, value, size)),
         decode_block=partial(_base_value, q),
         encode_blocks=lambda values: _base_blocks(q, values, size),
         decode_blocks=partial(_steered_batch, q),
@@ -535,8 +525,8 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
 
     def encode_block(value: int) -> tuple[int, ...]:
         high, low = divmod(value, low_values)
-        head = _Digits(s).steered(low, run - 1) if coded else (1,) * run
-        return head + (_Digits(s + 1).steered(high, tail - 1) if tail else ())
+        head = _steer(s, _gaps(s, low, run - 1)) if coded else (1,) * run
+        return head + (_steer(s + 1, _gaps(s + 1, high, tail - 1)) if tail else ())
 
     def encode_blocks(values: list[int]) -> list[tuple[int, ...]] | None:
         highs, lows = zip(*map(divmod, values, repeat(low_values))) if values else ((), ())
@@ -839,14 +829,6 @@ SCHEMES: dict[str, Callable[..., _BlockCode]] = {
 }
 
 
-def _coded(batch: Callable | None, block: Callable, items: list) -> list:
-    """batch(items), or where there is no batch coder or it returns None,
-    block mapped over items in order, so a fault raises for the first bad
-    item.  The codec's one per-block fallback."""
-    out = batch(items) if batch else None
-    return list(map(block, items)) if out is None else out
-
-
 def encode_payload(
     scheme: str,
     payload: str,
@@ -879,7 +861,10 @@ def encode_payload(
     spec = SupersequenceSpec(code.program(len(values)))
     alphabet = spec.max_alphabet
     distinct = list(dict.fromkeys(values))
-    blocks = dict(zip(distinct, _coded(code.encode_blocks, code.encode_block, distinct)))
+    coded = code.encode_blocks(distinct) if code.encode_blocks else None
+    if coded is None:
+        coded = map(code.encode_block, distinct)
+    blocks = dict(zip(distinct, coded))
     used = set().union(*blocks.values())
     if code.joined:
         rows = [tuple(chain.from_iterable(map(blocks.__getitem__, values)))] if values else []
@@ -894,31 +879,29 @@ def decode_payload(batch: EncodedBatch) -> str:
     """Recover the bit payload from an EncodedBatch; shape checks run before any counting."""
     if not isinstance(batch.scheme, str) or batch.scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {batch.scheme!r}")
-    # from_json checks these; an in-process batch may carry any value
-    for value, name in ((batch.q, "alphabet size"), (batch.payload_bits, "payload bit count")):
-        if type(value) is not int:
-            raise CorruptDataError(f"{name} {value!r} is not an int")
-    if not _finite(batch.rho):
-        raise CorruptDataError(f"rho {batch.rho!r} is not a finite number")
-    if not isinstance(batch.spec, SupersequenceSpec):
-        raise CorruptDataError(f"spec {batch.spec!r} is not a SupersequenceSpec")
-    oligos = batch.oligos
-    # one set of types checks every oligo
-    if not isinstance(oligos, (tuple, list)) or not all(
-        issubclass(kind, Oligo) for kind in set(map(type, oligos))
-    ):
-        raise CorruptDataError("oligos must be a tuple or list of Oligo")
-    if not oligos:
-        if batch.payload_bits:
-            raise CorruptDataError("payload bits declared but no oligos present")
-        return ""
-    length = len(oligos[0])
-    # a balanced block alphabet is q or q - 1 and one block fills half of it,
-    # so a larger q cannot fit; bound q before balanced_params checks the
-    # flip layout, whose cost grows with q
-    if batch.scheme == "balanced" and batch.q > 2 * length + 2:
-        raise CorruptDataError("alphabet size exceeds what the balanced oligo can carry")
     try:
+        # from_json checks these; an in-process batch may carry any value
+        require_int(batch.q)
+        require_int(batch.payload_bits, "payload bit count")
+        _require_rho(batch.rho)
+        if not isinstance(batch.spec, SupersequenceSpec):
+            raise CorruptDataError(f"spec {batch.spec!r} is not a SupersequenceSpec")
+        oligos = batch.oligos
+        # one set of types checks every oligo
+        if not isinstance(oligos, (tuple, list)) or not all(
+            issubclass(kind, Oligo) for kind in set(map(type, oligos))
+        ):
+            raise CorruptDataError("oligos must be a tuple or list of Oligo")
+        if not oligos:
+            if batch.payload_bits:
+                raise CorruptDataError("payload bits declared but no oligos present")
+            return ""
+        length = len(oligos[0])
+        # a balanced block alphabet is q or q - 1 and one block fills half of it,
+        # so a larger q cannot fit; bound q before balanced_params checks the
+        # flip layout, whose cost grows with q
+        if batch.scheme == "balanced" and batch.q > 2 * length + 2:
+            raise CorruptDataError("alphabet size exceeds what the balanced oligo can carry")
         # the batch's own geometry gives back the encoder's size parameters
         code = SCHEMES[batch.scheme](
             batch.q,
@@ -958,7 +941,7 @@ def decode_payload(batch: EncodedBatch) -> str:
         if values is None:  # the batch decoder has run, if there is one
             blocks = list(zip(*[iter(rows[0])] * size)) if code.joined else rows
             distinct = distinct or list(dict.fromkeys(blocks))
-            values = _coded(None, code.decode_block, distinct)
+            values = list(map(code.decode_block, distinct))
     except (DomainError, OverflowError) as exc:  # OverflowError: an int past float range
         raise CorruptDataError(str(exc)) from exc
     if max(values, default=0) >> width:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .capacity import _bisect, binary_entropy, cap_fixed_length
-from .errors import DomainError, require_int
+from .errors import DomainError, require_int, require_number
 from .sequence import _Record
 
 
@@ -29,6 +29,9 @@ class CostParams(_Record):
     __slots__ = ("alpha", "beta", "payload_bits", "cycles")
 
     def __init__(self, alpha: float, beta: float, payload_bits: float, cycles: int) -> None:
+        require_number(alpha, "cycle cost")
+        require_number(beta, "base cost")
+        require_number(payload_bits, "payload size")
         # written so that NaN fails too
         if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
             raise DomainError("unit costs must be non-negative and finite")

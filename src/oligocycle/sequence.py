@@ -215,7 +215,13 @@ class SupersequenceSpec(_Record):
 
     __slots__ = ("segments",)
 
-    def __init__(self, segments: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, segments: Iterable[tuple[int, int]]) -> None:
+        try:
+            segments = tuple((q, cycles) for q, cycles in segments)
+        except (TypeError, ValueError) as exc:  # not iterable, or an item not a pair
+            raise DomainError(
+                "segments must be an iterable of (alphabet size, cycle count) pairs"
+            ) from exc
         for q, cycles in segments:
             require_int(q, "segment alphabet size")
             require_int(cycles, "segment cycle count")
@@ -239,6 +245,7 @@ def alternating_prefix(q: int, cycles: int) -> tuple[int, ...]:
     require_int(q)
     if q < 1:
         raise DomainError("alphabet size must be at least 1")
+    require_int(cycles, "cycle count")
     if cycles < 0:
         raise DomainError("cycle count must be non-negative")
     return tuple(i % q + 1 for i in range(cycles))

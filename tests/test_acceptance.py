@@ -236,7 +236,7 @@ def test_criterion_08_cycle_budget_safety():
         for length in range(0, 6):
             budget = (q + 1) * (length + 1) // 2
             for symbols in itertools.product(range(1, q + 1), repeat=length):
-                if synthesis_cycles(Oligo(codec._Digits(q).steer(symbols), q)) > budget:
+                if synthesis_cycles(Oligo(codec._steer(q, symbols), q)) > budget:
                     base_violations += 1
                 base_cases += 1
     elapsed = perf_counter() - start

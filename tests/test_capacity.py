@@ -483,3 +483,44 @@ def test_empirical_cap_refuses_a_cycle_count_that_is_not_an_int(bad, text):
     # 8.0 raised TypeError
     with pytest.raises(DomainError, match=f"^cycle count {text} is not an int$"):
         empirical_cap(4, bad, 0.5)
+
+
+@pytest.mark.parametrize("bad, text", ((True, "True"), (False, "False"), ("0.5", "'0.5'"), (None, "None")))
+def test_capacity_refuses_a_ratio_that_is_not_a_number(bad, text):
+    # a str or None raised TypeError, and a bool read as 0 or 1
+    with pytest.raises(DomainError, match=f"^entropy argument {text} is not a number$"):
+        binary_entropy(bad)
+    calls = [
+        lambda: cap_fixed_length(4, bad),
+        lambda: capacity_root_fixed(4, bad),
+        lambda: empirical_cap(4, 8, bad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^rho {text} is not a number$"):
+            call()
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, -0.5, 1.5))
+def test_capacity_ratio_checks_keep_their_range_messages(bad):
+    with pytest.raises(DomainError, match=r"^entropy argument must lie in \[0, 1\]$"):
+        binary_entropy(bad)
+    with pytest.raises(DomainError, match=r"^rho must lie in \[0, 1\]$"):
+        cap_fixed_length(4, bad)
+    with pytest.raises(DomainError, match=r"^rho must lie strictly between 2/\(q\+1\) and 1$"):
+        capacity_root_fixed(4, bad)
+    with pytest.raises(DomainError, match=r"^rho must lie in \[0, 1\]$"):
+        empirical_cap(4, 8, bad)
+
+
+def test_capacity_takes_ints_and_float_subclasses_as_ratios():
+    class Ratio(float):
+        pass
+
+    assert binary_entropy(Ratio(0.5)) == binary_entropy(0.5) == 1.0
+    assert cap_fixed_length(4, Ratio(0.7)) == cap_fixed_length(4, 0.7)
+    assert cap_fixed_length(4, 1) == cap_fixed_length(4, 0) == 0.0
+
+
+def test_fixed_capacity_refuses_an_empty_alphabet():
+    with pytest.raises(DomainError, match="^alphabet size must be at least 1$"):
+        cap_fixed_length(0, 0.5)

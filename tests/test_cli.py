@@ -212,6 +212,31 @@ def test_decode_corrupt_batch_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+
+def test_decode_of_a_payload_that_is_not_whole_bytes_exits_3(capsys, tmp_path):
+    from oligocycle import encode_payload
+
+    source = tmp_path / "batch.json"
+    source.write_text(encode_payload("base", "101101110001", q=4).to_json())
+    out = tmp_path / "x.bin"
+    code, stdout, err = run_cli(capsys, "decode", "--in", str(source), "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == "error: decoded payload is not byte aligned\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--q-list", ","), "--q-list must not be empty"),
+        (("--q-list", "4", "--rho-start", ".9", "--rho-stop", ".1"),
+         "rho range must satisfy 0 <= start <= stop <= 1"),
+    ],
+)
+def test_sweep_refuses_an_empty_alphabet_list_and_a_reversed_rho_range(capsys, args, message):
+    code, out, err = run_cli(capsys, "sweep", "--curve", "cap-vs-rho", *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
 @pytest.mark.parametrize(
     "text",
     [

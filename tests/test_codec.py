@@ -62,17 +62,23 @@ def test_gray_code_round_trip_and_adjacency():
         assert diff.bit_count() == 1
 
 
+def test_gray_code_refuses_negative_numbers():
+    for gray in (gray_encode, gray_decode):
+        with pytest.raises(DomainError, match="^Gray code is defined for non-negative integers$"):
+            gray(-1)
+
+
 # --- base scheme ---
 
 
 def base_encode(q, gaps):
     """The gaps, each in 1..q, steered behind one steering symbol."""
-    return codec._Digits(q).steer(gaps)
+    return codec._steer(q, gaps)
 
 
 def base_decode(q, symbols):
     """The gaps that base_encode steered into *symbols*."""
-    return tuple(codec._Digits(q).gaps(codec._base_value(q, symbols), len(symbols) - 1))
+    return tuple(codec._gaps(q, codec._base_value(q, symbols), len(symbols) - 1))
 
 
 def test_base_encode_known_values():
@@ -554,6 +560,13 @@ def test_rate_table_rates_window_only_where_it_encodes():
         encode_payload("window", "1", q=300)
 
 
+def test_rate_table_refuses_an_alphabet_of_one_and_a_ratio_past_one():
+    with pytest.raises(DomainError, match="^rate table requires alphabet size >= 2$"):
+        rate_table(1, [])
+    with pytest.raises(DomainError, match=r"^rho grid entries must lie in \[0, 1\]$"):
+        rate_table(4, [1.5])
+
+
 # Geometries of the sweep's default rho grid whose shallowest integral depth
 # (20 at q 59..63, 5 at q 1024 and 4096) gives a window the encoder refuses
 UNINDEXABLE = [
@@ -661,6 +674,11 @@ def test_decode_refuses_an_in_process_batch_whose_sizes_are_not_ints(scheme, kwa
     for bad, text in ((16.0, "16.0"), (2.5, "2.5"), (True, "True"), ("16", "'16'")):
         with pytest.raises(CorruptDataError, match=f"^payload bit count {text} is not an int$"):
             decode_payload(batch._replace(payload_bits=bad))
+    # q is checked first, then the payload bit count, then rho
+    with pytest.raises(CorruptDataError, match="^alphabet size 2.5 is not an int$"):
+        decode_payload(batch._replace(q=2.5, payload_bits=2.5, rho=None))
+    with pytest.raises(CorruptDataError, match="^payload bit count 2.5 is not an int$"):
+        decode_payload(batch._replace(payload_bits=2.5, rho=None))
     assert decode_payload(batch) == "1100101011110000"
 
 

@@ -254,7 +254,7 @@ def test_batch_decoder_names_the_first_bad_block(fault, message):
     for batch in (blocks[:5] + [bad] + blocks[5:], blocks[:5] + [bad, later] + blocks[5:]):
         assert code.decode_blocks(flat(batch), size // 2) is None
         with pytest.raises(CorruptDataError) as caught:
-            codec._coded(None, code.decode_block, batch)
+            list(map(code.decode_block, batch))
         assert str(caught.value) == str(expected.value)
     # and through a whole batch, joined into one oligo
     values = list(range(0, 2048, 97))

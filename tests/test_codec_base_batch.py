@@ -3,10 +3,10 @@
 codec._steered_batch decodes equal-length steered blocks at once from one
 flat buffer, their symbols end to end a byte each, on byte fields of big
 integers, and returns None at q >= 128 or when any block is bad;
-codec._coded then runs codec._base_value block by block, as it does when a
-symbol lies above 255 and there is no flat buffer.  The per-block decoder
-is the reference: the batch must return its values, and must give up on
-exactly the batches where some block makes it raise.
+decode_payload then maps codec._base_value over the blocks in order, as it
+does when a symbol lies above 255 and there is no flat buffer.  The
+per-block decoder is the reference: the batch must return its values, and
+must give up on exactly the batches where some block makes it raise.
 """
 
 import random
@@ -42,19 +42,18 @@ def one_by_one(q, blocks):
 
 def batched(q, blocks):
     """The batch decoder over the flat buffer, as decode_payload calls it,
-    with the codec's per-block fallback."""
+    then the per-block decoder mapped over the blocks when it gives up."""
 
     def decode(blocks):
         data = flat(blocks)
         values = None if data is None else codec._steered_batch(q, data, len(blocks[0]) if blocks else 1)
-        return codec._coded(None, partial(codec._base_value, q), blocks) if values is None else values
+        return list(map(partial(codec._base_value, q), blocks)) if values is None else values
 
     return first_fault(decode, blocks)
 
 
 def steered(q, n, values):
-    digits = codec._Digits(q)
-    return [digits.steered(value, n) for value in values]
+    return [codec._steer(q, codec._gaps(q, value, n)) for value in values]
 
 
 def test_batch_equals_per_block_for_every_value_of_small_blocks():
@@ -122,7 +121,7 @@ def test_batch_alphabet_bound_falls_back_to_the_per_block_decoder():
         values = [rng.randrange(q**9) for _ in range(20)]
         blocks = steered(q, 9, values)
         # the top symbol, q, as a steered symbol and as a bad steering symbol
-        blocks.append(codec._Digits(q).steer((q - 1,) + (1,) * 8))
+        blocks.append(codec._steer(q, (q - 1,) + (1,) * 8))
         values.append(codec._base_value(q, blocks[-1]))
         assert blocks[-1][1] == q
         # the batch decodes at 127 and gives the blocks back at 128
@@ -157,7 +156,7 @@ def test_multisize_bulk_decoder_matches_per_block_values_and_first_fault(q, rho,
 
     def decode(blocks):
         values = code.decode_blocks(flat(blocks), length)
-        return codec._coded(None, code.decode_block, blocks) if values is None else values
+        return list(map(code.decode_block, blocks)) if values is None else values
 
     for _ in range(40):
         values = [rng.randrange(top) for _ in range(10)]

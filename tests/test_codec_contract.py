@@ -3,9 +3,9 @@
 A record's encode_blocks maps a list of values, and decode_blocks(flat,
 size) one flat buffer of size-symbol blocks, a byte per symbol, to the whole
 batch, exactly as mapping encode_block or decode_block would, or returns
-None when it cannot code it; codec._coded, the one per-block fallback, then
-maps the per-block coder.  Each case checks the batch coders against the
-per-block map, encode_payload against the per-block reference, and bad
+None when it cannot code it; the generic codec then maps the per-block
+coder over the batch in order.  Each case checks the batch coders against
+the per-block map, encode_payload against the per-block reference, and bad
 blocks against the per-block error of the first bad distinct block.
 """
 
@@ -55,6 +55,21 @@ def outcome(batch):
         return str(exc)
 
 
+def first_fault(code, batch):
+    """The error of the first block of batch, in batch order, that the
+    per-block decoder refuses; None when it refuses none."""
+    blocks = [oligo.symbols for oligo in batch.oligos]
+    if code.joined:
+        size = code.lengths[0]
+        blocks = [blocks[0][i : i + size] for i in range(0, len(blocks[0]), size)]
+    for block in blocks:
+        try:
+            code.decode_block(block)
+        except CorruptDataError as exc:
+            return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("scheme, options, batches", CASES, ids=IDS)
 def test_batch_coders_return_none_or_the_per_block_map(monkeypatch, scheme, options, batches):
     rng = random.Random(2301)
@@ -64,14 +79,14 @@ def test_batch_coders_return_none_or_the_per_block_map(monkeypatch, scheme, opti
     blocks = list(map(code.encode_block, values))
     assert code.encode_blocks(values) == (blocks if batches else None)
     assert code.encode_blocks([]) in (None, [])
-    assert codec._coded(code.encode_blocks, code.encode_block, values) == blocks
+    assert (code.encode_blocks(values) or list(map(code.encode_block, values))) == blocks
     size = len(blocks[0])
     data = flat(blocks)
     assert (data is None) == (max(map(max, blocks)) > 255)
     if data is not None:
         assert code.decode_blocks(data, size) == (values if batches else None)
     assert code.decode_blocks(b"", size) in (None, [])
-    assert codec._coded(None, code.decode_block, blocks) == values
+    assert list(map(code.decode_block, blocks)) == values
 
     # encode_payload, and so the batch JSON, equals that of the per-block coders
     payload = bits_from_bytes(rng.randbytes(300))
@@ -88,6 +103,8 @@ def test_batch_coders_return_none_or_the_per_block_map(monkeypatch, scheme, opti
             oligos[i] = Oligo(symbols, alphabet)
         broken.append(batch._replace(oligos=tuple(oligos)))
     batched = list(map(outcome, broken))
+    for spoiled, result in zip(broken, batched):
+        assert first_fault(code, spoiled) in (None, result)
     build = codec.SCHEMES[scheme]
     monkeypatch.setitem(
         codec.SCHEMES,

@@ -1,10 +1,11 @@
 """The batch base-q encoder against the per-block one.
 
 codec._base_blocks steers a list of values into blocks at once on byte
-fields of big integers, and returns None at q >= 128, where codec._coded
-runs codec._Digits block by block.  The base and multisize records expose
-it as encode_blocks next to the per-block encode_block, which is the
-reference: every batch must equal [encode_block(v) for v in values].
+fields of big integers, and returns None at q >= 128, where encode_payload
+maps the per-block encoder, codec._steer of codec._gaps, over the values.
+The base and multisize records expose it as encode_blocks next to the
+per-block encode_block, which is the reference: every batch must equal
+[encode_block(v) for v in values].
 """
 
 import random
@@ -20,8 +21,10 @@ def per_block(code, values):
 
 
 def coded(code, values):
-    """The record's batch encoder with the codec's per-block fallback."""
-    return codec._coded(code.encode_blocks, code.encode_block, values)
+    """The record's batch encoder, or where it returns None the per-block
+    encoder mapped over the values, as encode_payload calls them."""
+    blocks = code.encode_blocks(values)
+    return list(map(code.encode_block, values)) if blocks is None else blocks
 
 
 def base_case(q, n, values):
@@ -70,11 +73,11 @@ def test_all_top_digits_at_the_largest_batch_alphabet():
 def test_batch_alphabet_bound_falls_back_to_the_per_block_encoder(monkeypatch):
     rng = random.Random(2002)
     built = []
-    digits = codec._Digits
-    monkeypatch.setattr(codec, "_Digits", lambda q: built.append(q) or digits(q))
+    gaps = codec._gaps
+    monkeypatch.setattr(codec, "_gaps", lambda q, value, n: built.append(q) or gaps(q, value, n))
     for q in (127, 128):
         values = [0, q**9 - 1, *(rng.randrange(q**9) for _ in range(20))]
-        expected = [digits(q).steered(v, 9) for v in values]
+        expected = [codec._steer(q, gaps(q, v, 9)) for v in values]
         assert codec._base_blocks(q, values, 9) == (expected if q == 127 else None)
         assert coded(codec.SCHEMES["base"](q, block_symbols=9), values) == expected
     assert set(built) == {128}

@@ -2,7 +2,9 @@
 
 A codec refactor must leave every batch byte-identical.  Each digest pins
 one scheme setup on one payload; each frozen batch must also decode back to
-its payload through the JSON form.
+its payload through the JSON form.  A second set of digests pins what decode
+makes of 30 seeded single-symbol corruptions of each setup's 2 KiB batch:
+the payload it returns, or the message it refuses the batch with.
 """
 
 import hashlib
@@ -12,6 +14,8 @@ import pytest
 
 from oligocycle import EncodedBatch, decode_payload, encode_payload
 from oligocycle.bits import bits_from_bytes
+from oligocycle.errors import CorruptDataError
+from oligocycle.sequence import Oligo
 
 SETUPS = {
     "base-q4-b32": ("base", dict(q=4, block_symbols=32)),
@@ -86,3 +90,47 @@ def test_golden_batch(setup, payload):
     text = encode_payload(scheme, bits, **kwargs).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[setup, payload]
     assert decode_payload(EncodedBatch.from_json(text)) == bits
+
+
+def corrupted(batch, rng):
+    """The batch with one symbol of one oligo replaced by another of its alphabet."""
+    oligos = list(batch.oligos)
+    i = rng.randrange(len(oligos))
+    symbols = list(oligos[i].symbols)
+    j = rng.randrange(len(symbols))
+    symbols[j] = rng.choice([s for s in range(1, oligos[i].q + 1) if s != symbols[j]])
+    oligos[i] = Oligo(symbols, oligos[i].q)
+    return batch._replace(oligos=tuple(oligos))
+
+
+def outcome(batch) -> str:
+    try:
+        bits = decode_payload(batch)
+    except CorruptDataError as exc:
+        return f"error: {exc}"
+    return hashlib.sha256(bits.encode()).hexdigest()
+
+
+# SHA-256 of the outcomes of 30 seeded single-symbol corruptions of each
+# setup's 2 KiB batch, one per line: the payload's SHA-256, or the error
+OUTCOME_DIGESTS = {
+    "balanced-q16": "fb66bdd66080ea6efcaa76082e4d3177cc578373aff98a9fe1252524d646c26b",
+    "balanced-q8": "c9fdf01c12fd9790549b940842f62d2a2be0303a06b2bc1709d5c24ced9828d3",
+    "base-q4-b32": "4c3097c4f6ce01b736dc82aeaa50022f2e1b790e0952a423a714c5d7f4bf5079",
+    "base-q5-b7": "e58e3ce0988ef7f68900cb7caad953b90d79771e7a154f205a21e3e13d7b7b8b",
+    "lookup-q4-d16": "2547f738449a9f8138d6e2681345c1cc2c2ca49c9c8c888216edb94e8919e85f",
+    "lookup-q4-d2": "d73cec9c571f582935f461605708e9bc03fae3e3ccc3aa4f9f9f754e54e5b6f3",
+    "multisize-q4-80": "0b69d55bfa5fd2170b7bec3fc85416c1b794bbbd8563ddae47f11a7ed5569f1c",
+    "multisize-q5-45": "199ef07486a042f8143eca40cd468c5a116c9198d09513c693a50887eb82deb3",
+    "window-q2": "4ad0949ee994af6208b395e3c0c24f504764115dcd6a3992912a56247aa55b0a",
+    "window-q6": "f5976d2901183ab35f3376af580103d1c0ece8ff5a7db5c8eaba6064171bf6c4",
+}
+
+
+@pytest.mark.parametrize("setup", sorted(SETUPS))
+def test_golden_decode_outcomes(setup):
+    scheme, kwargs = SETUPS[setup]
+    batch = encode_payload(scheme, bits_from_bytes(PAYLOADS["2k"]), **kwargs)
+    rng = random.Random(f"outcomes-{setup}")
+    outcomes = "\n".join(outcome(corrupted(batch, rng)) for _ in range(30))
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == OUTCOME_DIGESTS[setup]

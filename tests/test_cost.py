@@ -155,3 +155,33 @@ def test_cost_params_refuse_a_cycle_count_that_is_not_an_int(bad, text):
     # 200.0 was stored as given
     with pytest.raises(DomainError, match=f"^cycle count {text} is not an int$"):
         CostParams(alpha=1.0, beta=0.01, payload_bits=1e6, cycles=bad)
+
+
+@pytest.mark.parametrize("bad, text", ((True, "True"), (False, "False"), ("1", "'1'"), (None, "None")))
+def test_params_and_cost_refuse_numbers_that_are_not_numbers(bad, text):
+    # a str raised TypeError, and a bool built a price sheet
+    for args, name in (
+        ((bad, 1.0, 10.0, 5), "cycle cost"),
+        ((1.0, bad, 10.0, 5), "base cost"),
+        ((1.0, 1.0, bad, 5), "payload size"),
+    ):
+        with pytest.raises(DomainError, match=f"^{name} {text} is not a number$"):
+            CostParams(*args)
+    with pytest.raises(DomainError, match=f"^rho {text} is not a number$"):
+        cost_at_capacity(PARAMS, 4, bad)
+
+
+def test_params_keep_their_range_messages():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="^unit costs must be non-negative and finite$"):
+            CostParams(bad, 1.0, 10.0, 5)
+        with pytest.raises(DomainError, match="^payload size must be non-negative and finite$"):
+            CostParams(1.0, 1.0, bad, 5)
+    assert CostParams(1, 2, 10, 5).beta == 2  # ints are numbers
+
+
+def test_cost_searches_refuse_an_alphabet_of_one():
+    with pytest.raises(DomainError, match="^alphabet size must be at least 2$"):
+        rho_star(1)
+    with pytest.raises(DomainError, match="^alphabet size must be at least 2$"):
+        minimize_over_rho(PARAMS, 1)

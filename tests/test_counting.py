@@ -92,6 +92,12 @@ def test_domain_errors():
         subsequence_count(0, 4, 2)
     with pytest.raises(DomainError):
         brute_force_count(2, 21, 3)
+    with pytest.raises(DomainError, match=r"^length must lie in 0\.\.cycles$"):
+        brute_force_count(4, 6, 7)
+    with pytest.raises(DomainError, match="^alphabet size must be at least 1$"):
+        counting.indexable_count(0, 6, 3)
+    with pytest.raises(DomainError, match=r"^length must lie in 0\.\.cycles$"):
+        counting.indexable_count(4, 6, 7)
 
 
 def test_brute_force_agrees_on_small_cases():
@@ -270,6 +276,8 @@ def test_rank_rejects_non_subsequences():
         subsequence_rank(2, 2, Oligo((2, 1), 2))
     with pytest.raises(DomainError):
         subsequence_rank(2, 4, Oligo((1, 1, 1), 2))
+    with pytest.raises(DomainError, match="^oligo alphabet exceeds the stream alphabet$"):
+        subsequence_rank(4, 8, Oligo((1,), 5))
 
 
 def test_unrank_bounds():

@@ -16,6 +16,7 @@ from oligocycle import (
     RateRow,
     SupersequenceSpec,
     alternating_prefix,
+    decode_payload,
     encode_payload,
     min_cycles_under,
 )
@@ -118,6 +119,8 @@ def test_oligo_validation():
         Oligo((1,), 0)
     with pytest.raises(DomainError):
         SupersequenceSpec(((2, -1),))
+    with pytest.raises(DomainError, match="^segment alphabet size must be at least 1$"):
+        SupersequenceSpec(((0, 4),))
 
 
 def test_oligo_refuses_symbols_that_are_not_ints():
@@ -320,3 +323,33 @@ def test_records_are_immutable_and_compare_by_fields():
     assert Oligo((1, 2), 4) != Oligo((1, 2), 3)
     assert Oligo((1, 2), 4) != SupersequenceSpec(((1, 2),))
     assert repr(Oligo((1, 2), 4)) == "Oligo(symbols=(1, 2), q=4)"
+
+
+@pytest.mark.parametrize("bad, text", ((6.0, "6.0"), (True, "True"), ("6", "'6'"), (None, "None")))
+def test_alternating_prefix_refuses_a_cycle_count_that_is_not_an_int(bad, text):
+    # 6.0 raised TypeError, and True gave (1,)
+    with pytest.raises(DomainError, match=f"^cycle count {text} is not an int$"):
+        alternating_prefix(4, bad)
+
+
+def test_supersequence_spec_stores_the_pairs_it_checked():
+    expected = SupersequenceSpec(((4, 8), (5, 3)))
+    pairs = [(4, 8), (5, 3)]
+    for segments in (pairs, [[4, 8], [5, 3]], iter(pairs), (pair for pair in pairs)):
+        spec = SupersequenceSpec(segments)
+        assert spec.segments == ((4, 8), (5, 3))
+        assert spec.total_cycles == 11  # an iterator's was 0
+        assert spec == expected and hash(spec) == hash(expected)  # a list's did not hash
+    # an in-process batch whose program was built from a list decodes
+    batch = encode_payload("base", "1011", q=4)
+    listed = batch._replace(spec=SupersequenceSpec(list(batch.spec.segments)))
+    assert decode_payload(listed) == "1011"
+
+
+@pytest.mark.parametrize("bad", (None, 4, ((4, 8, 1),), ((4,),), [(4, 8), 5]))
+def test_supersequence_spec_refuses_what_is_not_pairs(bad):
+    # None, 4 and an int segment raised TypeError, a wrong-length pair ValueError
+    with pytest.raises(
+        DomainError, match=r"^segments must be an iterable of \(alphabet size, cycle count\) pairs$"
+    ):
+        SupersequenceSpec(bad)
