@@ -27,13 +27,14 @@ small JSON document.  Every coding step is a pure function of its block, so
 within one call each distinct block is encoded, rendered and parsed once.
 Base-coded blocks (base, and both parts of multisize, up to q = 127) and
 balanced blocks encode and decode a batch at a time, on byte fields of one
-big integer; a batch decoder reads one flat buffer, a byte per symbol, and
-decodes every block.  Where a scheme has no batch coder, where it returns
-None, and on decode for a symbol above 255, the generic codec maps the
-per-block coder over the distinct values or blocks by the rule _BlockCode
-states; only this path dedupes on decode.  A payload splits into blocks of
-up to 64 bits, and decoded values join back into one, by strided byte
-transposes between its bits and 1-, 2-, 4- or 8-byte fields of one integer.
+big integer, to and from one flat buffer of blocks end to end, a byte per
+symbol: an encoder's holds each distinct value's block, a decoder's every
+block.  Where a scheme has no batch coder, where it returns None, and on
+decode for a symbol above 255, the generic codec maps the per-block coder
+over the distinct values or blocks by the rule _BlockCode states; only this
+path dedupes on decode.  A payload splits into blocks of up to 64 bits, and
+decoded values join back into one, by strided byte transposes between its
+bits and 1-, 2-, 4- or 8-byte fields of one integer.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .bits import (
 )
 from .capacity import cap_fixed_length
 from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
-from .errors import CorruptDataError, DomainError, require_int
+from .errors import CorruptDataError, DomainError, require_int, require_number
 from .sequence import (
     Oligo, SupersequenceSpec, _oligos, parse_oligos, render_oligos
 )
@@ -151,9 +152,13 @@ class EncodedBatch(NamedTuple):
 
 
 def _finite(value: object) -> bool:
-    """Whether value is a finite int or float: not a bool, a str or None.
-    json reads NaN and Infinity, and the bound fails on them."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    """Whether value is a finite int or float, subclasses allowed, as
+    require_number takes them: not a bool, a str or None.  json reads NaN
+    and Infinity, and the bound fails on them."""
+    with suppress(DomainError):
+        require_number(value, "rho")
+        return abs(value) <= sys.float_info.max
+    return False
 
 
 def _require_rho(rho: object) -> None:
@@ -170,15 +175,15 @@ class _BlockCode(NamedTuple):
     and raises on a block outside the code, and program(n) is the offer
     program of n blocks, whose largest alphabet the oligos use.  Reading
     width calls codewords, which counts for lookup: the decoder reads it
-    only after its shape checks.  Where a scheme has them, encode_blocks
-    maps a list of values to their blocks at once, and decode_blocks(flat,
-    size) reads one flat buffer, the symbols of every size-symbol block end
-    to end a byte each, and gives the value of every block in batch order,
-    each exactly as the per-block coder would.  A batch coder codes the
-    whole batch or returns None: past its alphabet bound, or where the
-    per-block coder would raise.  The generic codec then maps the per-block
-    coder, the reference, over the distinct values or blocks in order, so
-    the first bad block raises."""
+    only after its shape checks.  Where a scheme has them, the batch coders
+    work on one flat buffer of blocks end to end, a byte per symbol:
+    encode_blocks(values) writes the block of each value, lengths[0]
+    symbols each, and decode_blocks(flat, size) reads size-symbol blocks and
+    gives the value of every block in batch order, each exactly as the
+    per-block coder would.  A batch coder codes the whole batch or returns
+    None: past its alphabet bound, or where the per-block coder would raise.
+    The generic codec then maps the per-block coder, the reference, over the
+    distinct values or blocks in order, so the first bad block raises."""
 
     rho: float
     lengths: range
@@ -186,7 +191,7 @@ class _BlockCode(NamedTuple):
     codewords: Callable[[], int]
     encode_block: Callable[[int], tuple[int, ...]]
     decode_block: Callable[[Sequence[int]], int]
-    encode_blocks: Callable[[list[int]], list[tuple[int, ...]] | None] | None = None
+    encode_blocks: Callable[[list[int]], bytes | None] | None = None
     decode_blocks: Callable[[bytes, int], list[int] | None] | None = None
     joined: bool = False  # every block in one oligo, end to end
 
@@ -283,10 +288,10 @@ def _field_array(span: int) -> array:
 # builds no encoder's.
 
 
-def _base_blocks(q: int, values: Sequence[int], n: int) -> list[tuple[int, ...]] | None:
-    """[_steer(q, _gaps(q, value, n)) for value in values], for values below
-    q**n, each step one C-level operation over byte fields of a big
-    integer; None past q = 127, where the codec maps the reference."""
+def _base_blocks(q: int, values: Sequence[int], n: int) -> bytes | None:
+    """The blocks _steer(q, _gaps(q, value, n)) of values below q**n, end to
+    end a byte per symbol, each step one C-level operation over byte fields
+    of a big integer; None past q = 127, where the codec maps the reference."""
     if q >= 128:
         return None
     # Digits.  Each value fills a big-endian field of span = 2**r >= n bytes,
@@ -341,8 +346,7 @@ def _base_blocks(q: int, values: Sequence[int], n: int) -> list[tuple[int, ...]]
         total -= (total >> 7 & ones) * q + bias
         keep &= keep >> 8 * step  # each row's first 2 * step fields cleared
         step *= 2
-    symbols = (total + ones).to_bytes(length, "big")
-    return list(map(tuple, re.findall(b".{%d}" % size, symbols, re.S)))
+    return (total + ones).to_bytes(length, "big")
 
 
 def _gaps(q: int, value: int, count: int) -> list[int]:
@@ -528,11 +532,16 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
         head = _steer(s, _gaps(s, low, run - 1)) if coded else (1,) * run
         return head + (_steer(s + 1, _gaps(s + 1, high, tail - 1)) if tail else ())
 
-    def encode_blocks(values: list[int]) -> list[tuple[int, ...]] | None:
+    def encode_blocks(values: list[int]) -> bytes | None:
         highs, lows = zip(*map(divmod, values, repeat(low_values))) if values else ((), ())
-        heads = _base_blocks(s, lows, run - 1) if coded else [(1,) * run] * len(values)
-        tails = _base_blocks(s + 1, highs, tail - 1) if tail else [()] * len(values)
-        return None if heads is None or tails is None else list(map(tuple.__add__, heads, tails))
+        heads = _base_blocks(s, lows, run - 1) if coded else b"\1" * (run * len(values))
+        tails = _base_blocks(s + 1, highs, tail - 1) if tail else b""
+        if heads is None or tails is None:
+            return None
+        flat = bytearray(length * len(values))
+        for j in range(length):
+            flat[j::length] = heads[j::run] if j < run else tails[j - run :: tail]
+        return bytes(flat)
 
     def decode_block(symbols: Sequence[int]) -> int:
         head, rest = symbols[:run], symbols[run:]
@@ -624,9 +633,10 @@ def _balanced(q: int, **_) -> _BlockCode:
     )
 
 
-def _balanced_blocks(f: int, size: int, values: Sequence[int]) -> list[tuple[int, ...]] | None:
-    """The positions of balance_word(value, f) for each value, for size <= 255;
-    None when some value has no balancing flip count, where balance_word raises.
+def _balanced_blocks(f: int, size: int, values: Sequence[int]) -> bytes | None:
+    """Each value's positions in balance_word(value, f), end to end a byte
+    each, for size <= 255; None when some value has no balancing flip count,
+    where balance_word raises.
 
     Knuth's scan runs over all values at once, with each value's weight after
     k flips in a byte field of one integer, and each position of the words
@@ -634,7 +644,7 @@ def _balanced_blocks(f: int, size: int, values: Sequence[int]) -> list[tuple[int
     code of k and the balance bit."""
     count = len(values)
     if not count:
-        return []
+        return b""
     g = (f - 1).bit_length()
     half = size // 2
     last = min(f, (1 << g) - 1)  # the largest flip count
@@ -678,8 +688,8 @@ def _balanced_blocks(f: int, size: int, values: Sequence[int]) -> list[tuple[int
         gray = bytes(p * (gray_encode(k) >> (g - 1 - b) & 1) for k in range(last + 1))
         out[p - 1 :: size] = flips.translate(gray + bytes(255 - last))
     out[size - 1 :: size] = (balance * size).to_bytes(count, "big")
-    # every word has half set bits, so the positions split into equal blocks
-    return list(zip(*[iter(out.translate(None, b"\0"))] * half))
+    # every word has half set bits, so each value's block is half positions
+    return bytes(out.translate(None, b"\0"))
 
 
 def _balanced_values(f: int, size: int, flat: bytes, half: int) -> list[int] | None:
@@ -861,13 +871,19 @@ def encode_payload(
     spec = SupersequenceSpec(code.program(len(values)))
     alphabet = spec.max_alphabet
     distinct = list(dict.fromkeys(values))
-    coded = code.encode_blocks(distinct) if code.encode_blocks else None
-    if coded is None:
-        coded = map(code.encode_block, distinct)
-    blocks = dict(zip(distinct, coded))
-    used = set().union(*blocks.values())
+    flat = code.encode_blocks(distinct) if code.encode_blocks else None
+    if flat is None:
+        blocks = dict(zip(distinct, map(code.encode_block, distinct)))
+        used = set().union(*blocks.values())
+    else:
+        # the symbols outside 1..alphabet: none, or ones that fail _oligos' check
+        used = flat.translate(None, bytes(range(1, alphabet + 1)))
+        size = code.lengths[0]
+        cut = re.findall(b".{%d}" % size, flat, re.S) if code.joined else zip(*[iter(flat)] * size)
+        blocks = dict(zip(distinct, cut))
     if code.joined:
-        rows = [tuple(chain.from_iterable(map(blocks.__getitem__, values)))] if values else []
+        parts = map(blocks.__getitem__, values)
+        rows = [tuple(b"".join(parts) if flat else chain.from_iterable(parts))] if values else []
         oligos = tuple(_oligos(rows, alphabet, used))
     else:  # equal blocks share one Oligo
         made = dict(zip(blocks, _oligos(blocks.values(), alphabet, used)))

@@ -78,10 +78,11 @@ def _in_alphabet(symbols: Collection[int], q: int) -> bool:
 
 
 def _oligos(rows: Iterable[tuple[int, ...]], q: int, used: Collection[int]) -> list[Oligo]:
-    """[Oligo(row, q) for row in rows] for tuple rows whose symbols all lie
-    in *used*: one check of *used* stands for the check of every row.  Only
-    when it fails is each row built by Oligo, so the error names the first
-    bad row."""
+    """[Oligo(row, q) for row in rows] for tuple rows, where *used* passes
+    the alphabet check just when every symbol of the rows does: the set of
+    their symbols, say, or those of them outside 1..q.  One check of *used*
+    stands for the check of every row.  Only when it fails is each row built
+    by Oligo, so the error names the first bad row."""
     if type(q) is not int or q < 1 or not _in_alphabet(used, q):
         return [Oligo(row, q) for row in rows]
     new, put = object.__new__, object.__setattr__

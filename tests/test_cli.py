@@ -290,6 +290,22 @@ def test_decode_non_finite_rho_exits_3(capsys, tmp_path, rho):
         assert "rho" in err
 
 
+@pytest.mark.parametrize("rho", ["true", '"0.5"', "null", "NaN", "1e400"])
+def test_decode_rho_that_is_not_a_finite_number_exits_3(capsys, tmp_path, rho):
+    # a bool, a str and null are not numbers, and json reads 1e400 as inf
+    batch_path = roundtrip(
+        capsys, tmp_path, b"hello", "--scheme", "lookup", "--q", "4", "--rho", "0.5", "--depth", "2"
+    )
+    text = batch_path.read_text()
+    assert text.count('"rho": 0.5,') == 1
+    batch_path.write_text(text.replace('"rho": 0.5,', f'"rho": {rho},'))
+    code, out, err = run_cli(
+        capsys, "decode", "--in", str(batch_path), "--out", str(tmp_path / "x.bin")
+    )
+    assert code == 3 and out == ""
+    assert "field 'rho' must be a finite number" in err
+
+
 def test_decode_lookup_program_far_longer_than_its_oligos_exits_3_fast(capsys, tmp_path):
     # rho .5 over 200000 cycles asks for oligos of length 100000; the length-4
     # oligos must be turned away before anything counts that window

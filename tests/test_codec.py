@@ -419,24 +419,28 @@ def test_ascending_block_decoders_name_each_fault(scheme, q, block, error, messa
 def test_encode_refuses_a_block_outside_the_alphabet_as_oligo_does(
     monkeypatch, scheme, kwargs, bad_symbol
 ):
-    # every third value's block ends in a symbol named by the value, outside
-    # 1..q or not an int, from the per-block and the batch encoder alike:
-    # the batch's one check must raise what building each oligo in turn
-    # with Oligo raises first
+    # every third value's block ends in a bad symbol: from the per-block
+    # encoder one named by the value, outside 1..q or not an int, and from
+    # the batch encoder, whose buffer holds bytes, a byte past the alphabet
+    # named by the value, or 0; the batch's one check must raise what
+    # building each oligo in turn with Oligo raises first
     build, made = codec.SCHEMES[scheme], []
 
     def broken(q, **options):
         code = build(q, **options)
         alphabet = SupersequenceSpec(code.program(1)).max_alphabet
 
-        def corrupt(value, block):
+        def encode_block(value):
+            block = code.encode_block(value)
             return block[:-1] + (bad_symbol(alphabet, value),) if value % 3 == 1 else block
 
-        def encode_block(value):
-            return corrupt(value, code.encode_block(value))
-
         def encode_blocks(values):
-            return list(map(corrupt, values, code.encode_blocks(values)))
+            flat, size = bytearray(code.encode_blocks(values)), code.lengths[0]
+            for i, value in enumerate(values):
+                if value % 3 == 1:
+                    past = type(bad_symbol(alphabet, value)) is int
+                    flat[(i + 1) * size - 1] = alphabet + 1 + value % (255 - alphabet) if past else 0
+            return bytes(flat)
 
         made.append(
             code._replace(
@@ -452,7 +456,10 @@ def test_encode_refuses_a_block_outside_the_alphabet_as_oligo_does(
     code = made[0]
     values = codec._fields(payload, code.width)
     alphabet = SupersequenceSpec(code.program(len(values))).max_alphabet
-    blocks = list(map(code.encode_block, values))
+    if code.encode_blocks:  # the batch encoder's blocks, in batch order
+        blocks = list(zip(*[iter(code.encode_blocks(values))] * code.lengths[0]))
+    else:
+        blocks = list(map(code.encode_block, values))
     rows = [tuple(itertools.chain.from_iterable(blocks))] if code.joined else blocks
     with pytest.raises(DomainError) as expected:
         for row in rows:
@@ -775,6 +782,25 @@ def test_encode_refuses_a_rho_that_is_not_a_finite_number(scheme, kwargs):
             encode_payload(scheme, "1100101011110000", rho=None, **kwargs)
     else:
         assert encode_payload(scheme, "1100101011110000", rho=None, **kwargs).oligos
+
+
+class Ratio(float):
+    __slots__ = ()
+
+
+def test_a_float_subclass_rho_is_read_as_its_float():
+    # the codec refused one with "rho 0.5 is not a finite number", which
+    # cap_fixed_length and the rest of the package take
+    rho = Ratio(0.5)
+    assert cap_fixed_length(4, rho) == cap_fixed_length(4, 0.5)
+    assert rate_table(4, [rho]) == rate_table(4, [0.5])
+    assert codec.optimal_alpha(5, Ratio(0.45)) == codec.optimal_alpha(5, 0.45)
+    assert codec.multisize_rate(5, Ratio(0.45)) == codec.multisize_rate(5, 0.45)
+    for scheme, kwargs in (("lookup", dict(q=4, depth=2)), ("multisize", dict(q=5))):
+        ratio, plain = (Ratio(0.5), 0.5) if scheme == "lookup" else (Ratio(0.45), 0.45)
+        batch = encode_payload(scheme, "1011", rho=ratio, **kwargs)
+        assert batch.to_json() == encode_payload(scheme, "1011", rho=plain, **kwargs).to_json()
+        assert decode_payload(batch) == "1011"
 
 
 def test_rates_refuse_a_rho_that_is_not_a_finite_number():

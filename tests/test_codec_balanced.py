@@ -175,8 +175,8 @@ def test_batch_decode_rejects_ragged_length():
 
 
 def flat(blocks):
-    """The blocks' positions end to end, a byte each, as decode_payload hands
-    them to decode_blocks."""
+    """The blocks' positions end to end, a byte each, as encode_blocks writes
+    them and decode_payload hands them to decode_blocks."""
     return b"".join(map(bytes, blocks))
 
 
@@ -189,9 +189,9 @@ def test_batch_coders_equal_the_block_coders_on_every_value_up_to_q16():
         code = SCHEMES["balanced"](q)
         values = list(range(1 << f))
         blocks = list(map(code.encode_block, values))
-        assert code.encode_blocks(values) == blocks, q
+        assert code.encode_blocks(values) == flat(blocks), q
         assert code.decode_blocks(flat(blocks), size // 2) == values, q
-    assert SCHEMES["balanced"](16).encode_blocks([]) == []
+    assert SCHEMES["balanced"](16).encode_blocks([]) == b""
     assert SCHEMES["balanced"](16).decode_blocks(b"", 8) == []
 
 
@@ -217,7 +217,7 @@ def test_batch_coders_equal_the_word_coders_at_every_block_size():
             assert codec._balanced_blocks(f, size, values) is None, q
             continue
         blocks = [word_positions(word, size) for word in words]
-        assert codec._balanced_blocks(f, size, values) == blocks, q
+        assert codec._balanced_blocks(f, size, values) == flat(blocks), q
         assert codec._balanced_values(f, size, flat(blocks), size // 2) == values, q
         assert [unbalance_word(word, f) for word in words] == values
 
@@ -244,7 +244,7 @@ def gray_past_f_block(f, size):
 def test_batch_decoder_names_the_first_bad_block(fault, message):
     f, size = balanced_params(16)
     code = SCHEMES["balanced"](16)
-    blocks = code.encode_blocks(list(range(0, 2048, 97)))
+    blocks = list(zip(*[iter(code.encode_blocks(list(range(0, 2048, 97))))] * (size // 2)))
     bad = fault(blocks[5], size)
     with pytest.raises(CorruptDataError) as expected:
         code.decode_block(bad)

@@ -1,21 +1,23 @@
 """One contract for every batch coder.
 
-A record's encode_blocks maps a list of values, and decode_blocks(flat,
-size) one flat buffer of size-symbol blocks, a byte per symbol, to the whole
-batch, exactly as mapping encode_block or decode_block would, or returns
-None when it cannot code it; the generic codec then maps the per-block
-coder over the batch in order.  Each case checks the batch coders against
-the per-block map, encode_payload against the per-block reference, and bad
-blocks against the per-block error of the first bad distinct block.
+A record's encode_blocks writes the blocks of a list of values into one
+flat buffer, end to end a byte per symbol, and decode_blocks(flat, size)
+reads such a buffer of size-symbol blocks, each exactly as mapping
+encode_block or decode_block would, or returns None when it cannot code the
+batch; the generic codec then maps the per-block coder over the batch in
+order.  Each case checks the batch coders against the per-block map,
+encode_payload against the per-block reference, and bad blocks against the
+per-block error of the first bad distinct block.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from oligocycle import CorruptDataError, EncodedBatch, Oligo, codec, decode_payload, encode_payload
 from oligocycle.bits import bits_from_bytes
-from test_codec_golden import PAYLOADS, SETUPS
+from test_codec_golden import DIGESTS, PAYLOADS, SETUPS
 
 # (scheme, options, whether the batch coders code a batch at these options)
 CASES = [
@@ -77,12 +79,13 @@ def test_batch_coders_return_none_or_the_per_block_map(monkeypatch, scheme, opti
     top = 1 << code.width
     values = list(dict.fromkeys([0, top - 1, *(rng.randrange(top) for _ in range(60))]))
     blocks = list(map(code.encode_block, values))
-    assert code.encode_blocks(values) == (blocks if batches else None)
-    assert code.encode_blocks([]) in (None, [])
-    assert (code.encode_blocks(values) or list(map(code.encode_block, values))) == blocks
     size = len(blocks[0])
     data = flat(blocks)
     assert (data is None) == (max(map(max, blocks)) > 255)
+    assert code.encode_blocks(values) == (data if batches else None)
+    assert code.encode_blocks([]) in (None, b"")
+    if batches:  # encode_payload splits the buffer back into the blocks
+        assert list(zip(*[iter(code.encode_blocks(values))] * size)) == blocks
     if data is not None:
         assert code.decode_blocks(data, size) == (values if batches else None)
     assert code.decode_blocks(b"", size) in (None, [])
@@ -166,3 +169,28 @@ def test_batch_decoders_decode_the_golden_batches_alone(monkeypatch, setup):
     monkeypatch.undo()
     with pytest.raises(CorruptDataError, match=f"^{message}$"):
         decode_payload(broken)
+
+
+@pytest.mark.parametrize(
+    "setup",
+    ["base-q4-b32", "base-q127-b7", "multisize-q5-45", "multisize-q4-80", "balanced-q16", "balanced-q8"],
+)
+def test_batch_encoders_encode_the_golden_batches_alone(monkeypatch, setup):
+    # with the per-block encoders' steps raising, every golden batch of a
+    # scheme with a batch encoder still encodes, byte for byte: a silent
+    # fallback to the per-block encoder fails here, not only the benchmark
+    def refuse(*_):
+        raise AssertionError("the per-block encoder ran")
+
+    monkeypatch.setattr(codec, "_gaps", refuse)
+    monkeypatch.setattr(codec, "_steer", refuse)
+    monkeypatch.setattr(codec, "balance_word", refuse)  # the per-block balanced encoder's
+    scheme, options = SETUPS[setup]
+    for name, data in PAYLOADS.items():
+        text = encode_payload(scheme, bits_from_bytes(data), **options).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[setup, name]
+    # past the batch alphabet bound the per-block encoder runs, and meets the patch
+    for bound in ("base-q128-b7", "multisize-q128-s127"):
+        scheme, options = SETUPS[bound]
+        with pytest.raises(AssertionError, match="per-block encoder ran"):
+            encode_payload(scheme, bits_from_bytes(PAYLOADS["one"]), **options)

@@ -1,11 +1,12 @@
 """The batch base-q encoder against the per-block one.
 
 codec._base_blocks steers a list of values into blocks at once on byte
-fields of big integers, and returns None at q >= 128, where encode_payload
-maps the per-block encoder, codec._steer of codec._gaps, over the values.
-The base and multisize records expose it as encode_blocks next to the
-per-block encode_block, which is the reference: every batch must equal
-[encode_block(v) for v in values].
+fields of big integers, and writes them end to end into one flat buffer, a
+byte per symbol; it returns None at q >= 128, where encode_payload maps the
+per-block encoder, codec._steer of codec._gaps, over the values.  The base
+and multisize records expose it as encode_blocks next to the per-block
+encode_block, which is the reference: every batch must equal
+b"".join(bytes(encode_block(v)) for v in values).
 """
 
 import random
@@ -17,14 +18,21 @@ from oligocycle.bits import bits_from_bytes
 
 
 def per_block(code, values):
-    return [code.encode_block(v) for v in values]
+    """The per-block encoder's blocks of values, end to end a byte per symbol."""
+    return b"".join(bytes(code.encode_block(v)) for v in values)
+
+
+def rows(flat, size):
+    """The size-symbol blocks of a flat buffer, as symbol tuples."""
+    return list(zip(*[iter(flat)] * size))
 
 
 def coded(code, values):
-    """The record's batch encoder, or where it returns None the per-block
-    encoder mapped over the values, as encode_payload calls them."""
-    blocks = code.encode_blocks(values)
-    return list(map(code.encode_block, values)) if blocks is None else blocks
+    """The blocks of values as encode_payload makes them: the record's batch
+    encoder's buffer split into blocks, or where it returns None the
+    per-block encoder mapped over the values."""
+    flat = code.encode_blocks(values)
+    return list(map(code.encode_block, values)) if flat is None else rows(flat, code.lengths[0])
 
 
 def base_case(q, n, values):
@@ -40,8 +48,8 @@ def test_batch_equals_per_block_for_every_value_of_small_blocks():
             batch, expected = base_case(q, n, values)
             assert batch == expected, (q, n)
             # both steering symbols occur, and no two values share a block
-            assert {b[0] for b in batch} == {1, 2}
-            assert len(set(batch)) == len(values)
+            assert set(batch[:: n + 1]) == {1, 2}
+            assert len(set(rows(batch, n + 1))) == len(values)
 
 
 def test_batch_equals_per_block_on_seeded_values_around_each_power_of_two():
@@ -67,7 +75,7 @@ def test_all_top_digits_at_the_largest_batch_alphabet():
         values = [127**n - 1, 127**n - 2, 127 ** (n - 1)]
         batch, expected = base_case(127, n, values)
         assert batch == expected, n
-        assert batch[0] == tuple(i % 127 + 1 for i in range(1, n + 2))
+        assert batch[: n + 1] == bytes(i % 127 + 1 for i in range(1, n + 2))
 
 
 def test_batch_alphabet_bound_falls_back_to_the_per_block_encoder(monkeypatch):
@@ -78,14 +86,15 @@ def test_batch_alphabet_bound_falls_back_to_the_per_block_encoder(monkeypatch):
     for q in (127, 128):
         values = [0, q**9 - 1, *(rng.randrange(q**9) for _ in range(20))]
         expected = [codec._steer(q, gaps(q, v, 9)) for v in values]
-        assert codec._base_blocks(q, values, 9) == (expected if q == 127 else None)
+        flat = b"".join(map(bytes, expected))
+        assert codec._base_blocks(q, values, 9) == (flat if q == 127 else None)
         assert coded(codec.SCHEMES["base"](q, block_symbols=9), values) == expected
     assert set(built) == {128}
-    assert codec._base_blocks(5, [], 9) == []
+    assert codec._base_blocks(5, [], 9) == b""
 
 
 def test_a_block_of_no_digits_is_its_steering_symbol():
-    assert codec._base_blocks(5, [0, 0], 0) == [(1,), (1,)]
+    assert codec._base_blocks(5, [0, 0], 0) == b"\1\1"
 
 
 @pytest.mark.parametrize(
@@ -94,7 +103,7 @@ def test_a_block_of_no_digits_is_its_steering_symbol():
         (5, 0.45, 48),  # two base-coded parts, s = 3 and 4
         (5, 0.8, 12),  # s = 1: the run is uncoded 1s
         (5, 0.5, 12),  # fraction 1: no tail
-        (6, 0.5, 2),  # one symbol per part: each is its steering symbol
+        (6, 0.5, 2),  # fraction 1 at s = 3: a head of a steering symbol and one digit
         (200, 0.012, 40),  # s = 165: both parts past the batch alphabet bound
         (300, 0.0157, 64),  # s = 126: both parts batched, the tail at the bound
         (300, 0.01556, 64),  # s = 127: the head batched at the bound, the tail not
@@ -111,7 +120,7 @@ def test_multisize_batch_equals_per_block(q, rho, length):
         assert batched is None
     else:
         assert batched == per_block(code, values)
-    assert coded(code, values) == per_block(code, values)
+    assert coded(code, values) == list(map(code.encode_block, values))
     assert coded(code, []) == []
 
 

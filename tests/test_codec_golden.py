@@ -28,6 +28,12 @@ SETUPS = {
     "balanced-q8": ("balanced", dict(q=8)),
     "window-q6": ("window", dict(q=6)),
     "window-q2": ("window", dict(q=2)),
+    # the edge of the batch coders, which code base blocks up to q = 127 and
+    # leave larger alphabets to the per-block coder; the multisize setup has
+    # a head over 127 and a tail over 128
+    "base-q127-b7": ("base", dict(q=127, block_symbols=7)),
+    "base-q128-b7": ("base", dict(q=128, block_symbols=7)),
+    "multisize-q128-s127": ("multisize", dict(q=128, rho=2 / 128.5, oligo_length=16)),
 }
 
 PAYLOADS = {
@@ -80,6 +86,18 @@ DIGESTS = {
     ("balanced-q8", "2k"): "4924486daab55095b5cfe2cda9ccad0c3999d33a2931f7d1715b0f9eca48f364",
     ("window-q6", "2k"): "83e344601ed29c80ee166499e8a711bd4549fe36c7890e845028ad420b9981ee",
     ("window-q2", "2k"): "8d9e0676aa503bdcf23b98196e07d5ccfc6ee982e30c664ba284d4458e16e4ef",
+    ("base-q127-b7", "empty"): "645c64ab596f18d0e3088de5b130f086098fa9394e30b98ed704ad55a2d78d05",
+    ("base-q127-b7", "one"): "1f4c81266ca1006173826dc495207467e303b5f2dd6f579e216604f59b3ecaa6",
+    ("base-q127-b7", "seeded"): "d12ef9c44c4c19cf15b4b81c9a53a08c7c7e322819d80da3c9e5c761b4e27375",
+    ("base-q127-b7", "2k"): "337015c57e4496b5ef081e1df4e212355a5ad75eab3d15209eade44b2afd9757",
+    ("base-q128-b7", "empty"): "cf7fe85e7a60e4c81f1aa0fc259f07f12914dfef2505dc6aedbacf6b7907043c",
+    ("base-q128-b7", "one"): "dc94604c407462ecd71e717924b90d66b89a5acd43c71c6ce5ae2d675e704b96",
+    ("base-q128-b7", "seeded"): "58baf15f020d9f35ea47462541d170c448f08bc943eb609a70b2b0a26a1729f4",
+    ("base-q128-b7", "2k"): "dafa3ae884399788b51f62761dfc225dd80b345ca9e26899e283cdaed4c445f8",
+    ("multisize-q128-s127", "empty"): "74d704405a506acee12b2d98161c6e1b6ab2a22bedb97118f28d23f88b10249f",
+    ("multisize-q128-s127", "one"): "6e1dc6238616952a3a56f6ddbe61228dd6f9398550d03219e3471257e70fb8e0",
+    ("multisize-q128-s127", "seeded"): "ad668003e38939ecfdb9f81fb8e090facb4b288aae99207c1fad792348996cb0",
+    ("multisize-q128-s127", "2k"): "ac276cc6a74e4570f26d47777a013bf0a821acff93fccde40dbc503201727669",
 }
 
 
@@ -116,10 +134,13 @@ def outcome(batch) -> str:
 OUTCOME_DIGESTS = {
     "balanced-q16": "fb66bdd66080ea6efcaa76082e4d3177cc578373aff98a9fe1252524d646c26b",
     "balanced-q8": "c9fdf01c12fd9790549b940842f62d2a2be0303a06b2bc1709d5c24ced9828d3",
+    "base-q127-b7": "e37a595bbdb7e4d32a9f0873517a1fcf2f3f5f4f0fdd48ec67b2c72d2732e022",
+    "base-q128-b7": "246e3c8c8601b0852b341c7009bda674ebd9a0712a978f204ffa3d3803479871",
     "base-q4-b32": "4c3097c4f6ce01b736dc82aeaa50022f2e1b790e0952a423a714c5d7f4bf5079",
     "base-q5-b7": "e58e3ce0988ef7f68900cb7caad953b90d79771e7a154f205a21e3e13d7b7b8b",
     "lookup-q4-d16": "2547f738449a9f8138d6e2681345c1cc2c2ca49c9c8c888216edb94e8919e85f",
     "lookup-q4-d2": "d73cec9c571f582935f461605708e9bc03fae3e3ccc3aa4f9f9f754e54e5b6f3",
+    "multisize-q128-s127": "ced818bb1801afee14c39ef05c5280504ef15fd70f0d6b604b65ced08b11eef2",
     "multisize-q4-80": "0b69d55bfa5fd2170b7bec3fc85416c1b794bbbd8563ddae47f11a7ed5569f1c",
     "multisize-q5-45": "199ef07486a042f8143eca40cd468c5a116c9198d09513c693a50887eb82deb3",
     "window-q2": "4ad0949ee994af6208b395e3c0c24f504764115dcd6a3992912a56247aa55b0a",

@@ -86,10 +86,12 @@ def test_base_blocks_equal_the_digit_and_steering_loops(q):
             steering.add(block[0])
         # value 0 keeps every gap, the largest value flips every one
         assert steering == {1, 2}
+        expected = [steer(q, digits(v, q, size)) for v in values]
         batched = code.encode_blocks(values)
         if batched is None:  # past the batch alphabet bound: the per-block map
-            batched = list(map(code.encode_block, values))
-        assert batched == [steer(q, digits(v, q, size)) for v in values]
+            assert list(map(code.encode_block, values)) == expected
+        else:  # the blocks end to end, a byte per symbol
+            assert batched == b"".join(map(bytes, expected))
 
 
 @pytest.mark.parametrize("q", ALPHABETS)
@@ -123,7 +125,7 @@ def test_multisize_blocks_equal_the_loops(q, rho, length):
     values = [0, top, *(rng.randrange(top + 1) for _ in range(20))]
     for value in values:
         assert code.encode_block(value) == reference(value)
-    assert code.encode_blocks(values) == list(map(reference, values))
+    assert code.encode_blocks(values) == b"".join(map(bytes, map(reference, values)))
 
 
 # --- balanced ---
