@@ -21,7 +21,9 @@ The zone comes from Horner's termwise error bound sum_i gamma_2i |c_i| x^i
 5.1, eq. 5.3).  The polynomial minus or plus that bound has coefficients
 c_i -/+ gamma_2i |c_i|, each of the sign of c_i since gamma_2i < 1, so it
 keeps the polynomial's single sign change and crosses zero once; and since
-the terms fade as x^i, the zone stays a few ulps wide at every q.
+the terms fade as x^i, the zone stays a few ulps wide at every q.  Every
+evaluation, of the polynomial, its slope and that bound alike, goes through
+one Horner loop, _horner.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ if TYPE_CHECKING:
 
 _BRACKET = (1e-12, 1.0 - 1e-12)
 # Largest alphabet of a root solve.  A fixed-length solve holds q
-# coefficients and their weights (about 64 MB at this bound) and makes 12
-# or 13 passes over them, 2 of them to build them: 1.0 to 1.2 s at this
+# coefficients and their slopes (about 64 MB at this bound) and makes 17
+# or 18 passes over them, 2 of them to build them: 0.7 to 1.2 s at this
 # bound (rho .3, .5, .7; Python 3.11 on a shared 2-vCPU host).
 _MAX_ROOT_ALPHABET = 1 << 20
 _UNIT = 2.0**-53  # unit roundoff of a double
-# Newton steps at most; each costs about two Horner evaluations
+# Newton steps at most; each costs two Horner evaluations
 _NEWTON_STEPS = 20
 
 
@@ -78,47 +80,20 @@ def _bisect(
 
 
 def _horner(coeffs: Iterable[float], x: float) -> float:
-    """sum_i c_i x^i for i = 1..q, with coeffs listing c_q down to c_1."""
+    """sum_i c_i x^(i-1) for i = 1..q, with coeffs listing c_q down to c_1.
+
+    The solver's only evaluation loop: p(x) is _horner(coeffs, x) * x, and
+    with the slopes i*c_i as coefficients it gives p'(x).
+    """
     acc = 0.0
     for c in coeffs:
         acc = acc * x + c
-    return acc * x
+    return acc
 
 
-def _value_slope(coeffs: Iterable[float], x: float) -> tuple[float, float]:
-    """p(x) exactly as _horner computes it, and p'(x), in one pass."""
-    acc = slope = 0.0
-    for c in coeffs:
-        slope = slope * x + acc
-        acc = acc * x + c
-    return acc * x, acc + slope * x
-
-
-def _end_values(
-    coeffs: Iterable[float], weights: Iterable[float], a: float, b: float
-) -> tuple[float, float, float]:
-    """p(a) and p(b) exactly as _horner computes them, and W(b), in one pass."""
-    acc_a = acc_b = weight = 0.0
-    for c, w in zip(coeffs, weights):
-        acc_a = acc_a * a + c
-        acc_b = acc_b * b + c
-        weight = weight * b + w
-    return acc_a * a, acc_b * b, weight * b
-
-
-def _slope_weight(
-    coeffs: Iterable[float], weights: Iterable[float], x: float
-) -> tuple[float, float]:
-    """p'(x) and W(x) = sum_i i |c_i| x^i, in one pass."""
-    acc = slope = weight = 0.0
-    for c, w in zip(coeffs, weights):
-        slope = slope * x + acc
-        acc = acc * x + c
-        weight = weight * x + w
-    return acc + slope * x, weight * x
-
-
-def _newton_root(coeffs: Iterable[float], x: float, target: float = 0.0) -> float:
+def _newton_root(
+    coeffs: Iterable[float], slopes: Iterable[float], x: float, target: float
+) -> float:
     """Estimate of the root in (0, 1) of p(x) = target by Newton steps from x, left of it.
 
     The coefficients of p - target (its constant term -target among them)
@@ -129,25 +104,26 @@ def _newton_root(coeffs: Iterable[float], x: float, target: float = 0.0) -> floa
     right of the root (the tangent lies above p), and tangent steps from
     the right fall monotonically to it.  Stops once a step moves x by a few
     ulps, or would not move it left: near the root the rounding of p, not
-    the distance to the root, sets the step.
+    the distance to the root, sets the step.  p and p' both come from
+    _horner.
     """
-    value, slope = _value_slope(coeffs, x)
-    step = min(x - (value - target) / slope, 1.0) if slope < 0.0 else 1.0
+    slope = _horner(slopes, x)
+    step = min(x - (_horner(coeffs, x) * x - target) / slope, 1.0) if slope < 0.0 else 1.0
     for _ in range(_NEWTON_STEPS):
         if abs(step - x) <= 4 * math.ulp(step):
             return step
         x = step
-        value, slope = _value_slope(coeffs, x)
+        slope = _horner(slopes, x)
         if not slope < 0.0:
             break
-        step = x - (value - target) / slope
+        step = x - (_horner(coeffs, x) * x - target) / slope
         if not 0.0 < step < x:
             break
     return x
 
 
 def _zone(
-    coeffs: Iterable[float], weights: Iterable[float], target: float, r: float
+    coeffs: Iterable[float], slopes: Iterable[float], target: float, r: float
 ) -> tuple[float, float]:
     """Ends a, b near r: Horner reads p(x) > target below a and p(x) <= target above b.
 
@@ -163,31 +139,33 @@ def _zone(
     on all of (0, a], and Horner reads every x there as above target;
     likewise below -2E(b) at b, for every x >= b as not above.  5u W, with
     W as Horner computes it, covers 2E, the rounding of W and of the check,
-    and underflow, for every q below 2^48.  a and b lie a few bound-widths
-    either side of the estimate r, and an end outside the bisection's
-    bracket needs no check.  When a check fails, or a NaN fails a
-    comparison, the zone is all of (0, 1).
+    and underflow, for every q below 2^48.  p, p' and W all come from
+    _horner; W from the |i*c_i|, which equal i*|c_i| exactly.  a and b lie
+    a few bound-widths either side of the estimate r, and an end outside
+    the bisection's bracket needs no check.  When a check fails, or a NaN
+    fails a comparison, the zone is all of (0, 1).
     """
-    slope, weight = _slope_weight(coeffs, weights, r)
+    slope = _horner(slopes, r)
     if slope < 0.0:
+        weight = _horner(map(abs, slopes), r) * r
         radius = 16 * _UNIT * weight / -slope + 4 * math.ulp(r)
         a, b = r - radius, r + radius
-        value_a, value_b, weight_b = _end_values(coeffs, weights, a, b)
         # W rises with x, so W(r) bounds W(a)
-        if (a <= _BRACKET[0] or value_a - target > 5 * _UNIT * weight) and (
-            b >= _BRACKET[1] or value_b - target < -5 * _UNIT * weight_b
+        if (a <= _BRACKET[0] or _horner(coeffs, a) * a - target > 5 * _UNIT * weight) and (
+            b >= _BRACKET[1]
+            or _horner(coeffs, b) * b - target < -5 * _UNIT * (_horner(map(abs, slopes), b) * b)
         ):
             return a, b
     return 0.0, 1.0
 
 
 def _solve(
-    coeffs: Iterable[float], weights: Iterable[float], target: float, estimate: float
+    coeffs: Iterable[float], slopes: Iterable[float], target: float, start: float
 ) -> float:
-    """_bisect on _horner(coeffs, x) > target over _BRACKET, evaluating only in the zone."""
-    return _bisect(
-        lambda x: _horner(coeffs, x) > target, *_BRACKET, *_zone(coeffs, weights, target, estimate)
-    )
+    """_bisect on p(x) > target over _BRACKET, evaluating only in the zone of Newton from start."""
+    estimate = _newton_root(coeffs, slopes, start, target)
+    zone = _zone(coeffs, slopes, target, estimate)
+    return _bisect(lambda x: _horner(coeffs, x) * x > target, *_BRACKET, *zone)
 
 
 def capacity_root_fixed(q: int, rho: float) -> float:
@@ -195,7 +173,7 @@ def capacity_root_fixed(q: int, rho: float) -> float:
 
     The coefficients change sign once, so the polynomial crosses zero exactly
     once on (0, 1): positive near 0, negative at 1.  They are computed once,
-    with their weights i*|c_i|, for every evaluation of the bisection and of
+    with their slopes i*c_i, for every evaluation of the bisection and of
     the Newton steps.  Newton's method starts from 1 - rho, where the sum to
     infinity vanishes; the finite sum drops only negative terms, so 1 - rho
     lies left of the root.  The estimate only narrows where bisection
@@ -208,15 +186,12 @@ def capacity_root_fixed(q: int, rho: float) -> float:
     if not 2.0 / (q + 1) < rho < 1.0:
         raise DomainError("rho must lie strictly between 2/(q+1) and 1")
     coeffs = [1.0 - rho * i for i in range(q, 0, -1)]
-    weights = [i * abs(c) for i, c in zip(range(q, 0, -1), coeffs)]
-    x = _solve(coeffs, weights, 0.0, _newton_root(coeffs, 1.0 - rho))
+    slopes = [i * c for i, c in zip(range(q, 0, -1), coeffs)]
+    x = _solve(coeffs, slopes, 0.0, 1.0 - rho)
     # one Newton step to polish the last bit
-    acc = slope = 0.0
-    for i, c in zip(range(q, 0, -1), coeffs):
-        slope = slope * x + i * c
-        acc = acc * x + c
+    slope = _horner(slopes, x)
     if slope:
-        step = x - acc * x / slope
+        step = x - _horner(coeffs, x) * x / slope
         if 0.0 < step < 1.0:
             x = step
     return x
@@ -249,24 +224,20 @@ def capacity_root_flexible(q: int) -> float:
     -(sum_i x^i) stops exceeding -1: with every coefficient -1, Horner
     computes, by symmetric rounding, the exact negation of its sum with
     every coefficient 1.  The constant term 1 and the coefficients -1
-    change sign once, so the zone proof holds, and the weights i*|c_i| are
-    the integers i.  Newton starts from 1/2, left of the root since
+    change sign once, so the zone proof holds, and the slopes i*c_i are
+    the integers -i.  Newton starts from 1/2, left of the root since
     sum_{i=1}^{q} 2^-i < 1.  The alphabet bound is the fixed-length root's:
-    a solve holds q coefficients and passes over them about 10 times.
+    a solve holds q coefficients and passes over them about 14 times.
     """
     require_int(q)
     if not 1 <= q <= _MAX_ROOT_ALPHABET:
         raise DomainError(f"flexible root requires alphabet size in 1..{_MAX_ROOT_ALPHABET}")
-    if q == 1:
-        return 1.0
-    coeffs = [-1.0] * q
-    return _solve(coeffs, range(q, 0, -1), -1.0, _newton_root(coeffs, 0.5, -1.0))
+    return 1.0 if q == 1 else _solve([-1.0] * q, range(-q, 0), -1.0, 0.5)
 
 
 def cap_flexible(q: int) -> float:
     """Capacity in bits per cycle when oligo lengths are unconstrained."""
-    # 0.0 - log2(x) is -log2(x) for every x < 1, and 0.0, not -0.0, at x = 1
-    return 0.0 - math.log2(capacity_root_flexible(q))
+    return _flexible_point(q)[0]
 
 
 def rho_peak(q: int) -> float:
@@ -282,7 +253,8 @@ def rho_peak(q: int) -> float:
 def _flexible_point(q: int) -> tuple[float, float]:
     """(cap_flexible(q), rho_peak(q)) from one solve of the flexible root."""
     x = capacity_root_flexible(q)
-    return 0.0 - math.log2(x), 1.0 / _horner(range(q, 0, -1), x)
+    # 0.0 - log2(x) is -log2(x) for every x < 1, and 0.0, not -0.0, at x = 1
+    return 0.0 - math.log2(x), 1.0 / (_horner(range(q, 0, -1), x) * x)
 
 
 def _log2_int(n: int) -> float:

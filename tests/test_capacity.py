@@ -1,5 +1,6 @@
 """Capacity formulas: frozen roots, branch continuity, and entropy bounds."""
 
+import hashlib
 import math
 import random
 
@@ -92,7 +93,7 @@ def test_bisect_matches_two_hundred_halvings():
             coeffs = [1.0 - rho * i for i in range(q, 0, -1)]
 
             def below(x):
-                return _horner(coeffs, x) > 0.0
+                return _horner(coeffs, x) * x > 0.0
 
             assert _bisect(below, *_BRACKET) == two_hundred_halvings(below, *_BRACKET)
 
@@ -287,7 +288,7 @@ def plain_root(q, rho):
     return x
 
 
-def test_root_bit_identical_to_plain_bisection_on_a_dense_grid():
+def dense_grid():
     # 41 rho per alphabet across (2/(q+1), 1), and 13 each creeping onto the
     # edge 2/(q+1), where the root nears 1, and onto 1, where it leaves the
     # bracket below
@@ -299,10 +300,34 @@ def test_root_bit_identical_to_plain_bisection_on_a_dense_grid():
             rhos += [edge * (1.0 + 10.0**-k) for k in range(1, 14)]
             rhos += [1.0 - 10.0**-k for k in range(1, 14)]
         points += [(q, rho) for rho in rhos if edge < rho < 1.0]
+    return points
+
+
+def test_root_bit_identical_to_plain_bisection_on_a_dense_grid():
+    points = dense_grid()
     for q, rho in points[::50]:
         assert plain_root(q, rho) == per_step_root(q, rho), (q, rho)
     for q, rho in points:
         assert capacity_root_fixed(q, rho) == plain_root(q, rho), (q, rho)
+
+
+def float_digest(values):
+    return hashlib.sha256(" ".join(value.hex() for value in values).encode()).hexdigest()
+
+
+def test_capacity_floats_match_their_frozen_digest():
+    # SHA-256 of the float.hex of every output: a change in the last bit of
+    # any root, cap or peak changes it
+    fixed = [f(*point) for point in dense_grid() for f in (capacity_root_fixed, cap_fixed_length)]
+    assert float_digest(fixed) == "5a7b36aff09c58089537cd3d5893bd5790c313810e81dc2edd5c7f4739d73a92"
+    flexible = [
+        f(q)
+        for q in list(range(1, 65)) + [1024, 4096]
+        for f in (capacity_root_flexible, cap_flexible, rho_peak)
+    ]
+    assert float_digest(flexible) == (
+        "4753b09815bd440b238c89226731bdebf8e8c909a2ec7f66c82567736dcc25bc"
+    )
 
 
 @pytest.mark.parametrize(
@@ -321,9 +346,7 @@ def test_root_bit_identical_when_the_newton_estimate_is_wrong(monkeypatch, wrong
     # the sign checks around the estimate must catch a zone that misses the
     # root and fall back to evaluating at every halving
     newton_root = capacity._newton_root
-    monkeypatch.setattr(
-        capacity, "_newton_root", lambda coeffs, x: wrong(newton_root(coeffs, x))
-    )
+    monkeypatch.setattr(capacity, "_newton_root", lambda *args: wrong(newton_root(*args)))
     grid = _rho_grid(0.05, 0.95, 0.05)
     for q in (2, 3, 4, 8, 16, 64):
         for rho in grid + [2.0 / (q + 1) * (1.0 + 1e-12), 1.0 - 1e-12]:
@@ -331,21 +354,30 @@ def test_root_bit_identical_when_the_newton_estimate_is_wrong(monkeypatch, wrong
                 assert capacity_root_fixed(q, rho) == per_step_root(q, rho), (q, rho)
 
 
+def bisection_calls(monkeypatch, points):
+    """Per capacity_root_fixed(q, rho), the calls of the predicate it hands _bisect."""
+    bisect, calls = capacity._bisect, []
+
+    def counted(below, *bracket):
+        def counted_below(x):
+            calls[-1] += 1
+            return below(x)
+
+        return bisect(counted_below, *bracket)
+
+    monkeypatch.setattr(capacity, "_bisect", counted)
+    for q, rho in points:
+        calls.append(0)
+        capacity_root_fixed(q, rho)
+    return calls
+
+
 def test_root_solve_evaluates_horner_only_near_the_root(monkeypatch):
     # bisection over the whole bracket would evaluate about 60 times a solve
-    calls = 0
-
-    def counted(coeffs, x):
-        nonlocal calls
-        calls += 1
-        return _horner(coeffs, x)
-
-    monkeypatch.setattr(capacity, "_horner", counted)
     grid = _rho_grid(0.05, 0.95, 0.05)  # the sweep command's default grid
     points = [(q, rho) for q in range(2, 65) for rho in grid if 2.0 / (q + 1) < rho < 1.0]
-    for q, rho in points:
-        capacity_root_fixed(q, rho)
-    assert calls / len(points) < 20
+    calls = bisection_calls(monkeypatch, points)
+    assert sum(calls) / len(points) < 20
 
 
 def test_root_bit_identical_to_plain_bisection_at_large_alphabets():
@@ -372,9 +404,7 @@ def test_root_bit_identical_when_the_newton_estimate_is_wrong_at_large_alphabets
 ):
     # at q 4096 an estimate of 2.0 overflows the Horner sums to inf and NaN
     newton_root = capacity._newton_root
-    monkeypatch.setattr(
-        capacity, "_newton_root", lambda coeffs, x: wrong(newton_root(coeffs, x))
-    )
+    monkeypatch.setattr(capacity, "_newton_root", lambda *args: wrong(newton_root(*args)))
     for q in (1024, 4096):
         for rho in (0.3, 0.7, 2.0 / (q + 1) * (1.0 + 1e-12), 1.0 - 1e-12):
             assert capacity_root_fixed(q, rho) == plain_root(q, rho), (q, rho)
@@ -382,19 +412,10 @@ def test_root_bit_identical_when_the_newton_estimate_is_wrong_at_large_alphabets
 
 def test_root_solve_evaluates_horner_at_most_ten_times(monkeypatch):
     # the zone is sized by the termwise bound, which does not grow with q
-    calls = []
-
-    def counted(coeffs, x):
-        calls[-1] += 1
-        return _horner(coeffs, x)
-
-    monkeypatch.setattr(capacity, "_horner", counted)
     grid = _rho_grid(0.05, 0.95, 0.05)  # the sweep command's default grid
     points = [(q, rho) for q in range(2, 65) for rho in grid if 2.0 / (q + 1) < rho < 1.0]
     points += [(q, rho) for q in (1024, 4096, 65536) for rho in (0.3, 0.5, 0.7)]
-    for q, rho in points:
-        calls.append(0)
-        capacity_root_fixed(q, rho)
+    calls = bisection_calls(monkeypatch, points)
     assert max(calls) <= 10, max(zip(calls, points))
 
 
