@@ -199,9 +199,7 @@ def capacity_root_fixed(q: int, rho: float) -> float:
 
 def cap_fixed_length(q: int, rho: float) -> float:
     """Capacity in bits per cycle at length ratio rho."""
-    require_int(q)
-    if q < 1:
-        raise DomainError("alphabet size must be at least 1")
+    require_int(q, low=1)
     require_number(rho, "rho")
     if not 0.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [0, 1]")
@@ -272,9 +270,7 @@ def empirical_cap(q: int, cycles: int, rho: float, cache: CountCache | None = No
     Converges to cap_fixed_length from below as cycles grows.
     """
     require_int(q)
-    require_int(cycles, "cycle count")
-    if cycles < 1:
-        raise DomainError("cycle count must be at least 1")
+    require_int(cycles, "cycle count", low=1)
     require_number(rho, "rho")
     if not 0.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [0, 1]")

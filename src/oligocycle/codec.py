@@ -58,7 +58,7 @@ from .bits import (
 )
 from .capacity import cap_fixed_length
 from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
-from .errors import CorruptDataError, DomainError, require_int, require_number
+from .errors import CorruptDataError, DomainError, require_instance, require_int, require_number
 from .sequence import (
     Oligo, SupersequenceSpec, _oligos, parse_oligos, render_oligos
 )
@@ -110,6 +110,7 @@ class EncodedBatch(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "EncodedBatch":
+        require_instance(text, (str, bytes, bytearray), "batch JSON", CorruptDataError)
         try:
             doc = json.loads(text)
         except ValueError as exc:
@@ -144,7 +145,7 @@ class EncodedBatch(NamedTuple):
         if not isinstance(raw_oligos, list) or not set(map(type, raw_oligos)) <= {str}:
             raise CorruptDataError("field 'oligos' must be a list of strings")
         try:
-            spec = SupersequenceSpec(tuple((s, c) for s, c in raw_spec))
+            spec = SupersequenceSpec(raw_spec)
             oligos = tuple(parse_oligos(raw_oligos, spec.max_alphabet))
         except DomainError as exc:
             raise CorruptDataError(str(exc)) from exc
@@ -795,6 +796,7 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
     require_int(q)
     if q < 2:
         raise DomainError("rate table requires alphabet size >= 2")
+    require_instance(rhos, (list, tuple), "rho grid")
     rows = []
     base_rho = 2.0 / (q + 1)
     rows.append(RateRow("base", base_rho, base_rho * math.log2(q), cap_fixed_length(q, base_rho)))
@@ -893,6 +895,7 @@ def encode_payload(
 
 def decode_payload(batch: EncodedBatch) -> str:
     """Recover the bit payload from an EncodedBatch; shape checks run before any counting."""
+    require_instance(batch, EncodedBatch, "batch")
     if not isinstance(batch.scheme, str) or batch.scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {batch.scheme!r}")
     try:
@@ -900,8 +903,7 @@ def decode_payload(batch: EncodedBatch) -> str:
         require_int(batch.q)
         require_int(batch.payload_bits, "payload bit count")
         _require_rho(batch.rho)
-        if not isinstance(batch.spec, SupersequenceSpec):
-            raise CorruptDataError(f"spec {batch.spec!r} is not a SupersequenceSpec")
+        require_instance(batch.spec, SupersequenceSpec, "spec")
         oligos = batch.oligos
         # one set of types checks every oligo
         if not isinstance(oligos, (tuple, list)) or not all(

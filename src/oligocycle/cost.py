@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .capacity import _bisect, binary_entropy, cap_fixed_length
-from .errors import DomainError, require_int, require_number
+from .errors import DomainError, require_instance, require_int, require_number
 from .sequence import _Record
 
 
@@ -37,9 +37,7 @@ class CostParams(_Record):
             raise DomainError("unit costs must be non-negative and finite")
         if not 0 <= payload_bits < math.inf:
             raise DomainError("payload size must be non-negative and finite")
-        require_int(cycles, "cycle count")
-        if cycles < 1:
-            raise DomainError("cycle count must be at least 1")
+        require_int(cycles, "cycle count", low=1)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "payload_bits", payload_bits)
@@ -51,6 +49,7 @@ def cost_at_capacity(params: CostParams, q: int, rho: float) -> float:
 
     Raises DomainError when finite prices give a cost past float range.
     """
+    require_instance(params, CostParams, "params")
     cap = cap_fixed_length(q, rho)
     if cap <= 0.0:
         raise DomainError("rho must give positive capacity")
@@ -67,9 +66,7 @@ def rho_star(q: int) -> float:
     code; beyond rho_star it exceeds the 1/log2(q) achieved by trivial
     coding, so no minimizer lives to the right of it.
     """
-    require_int(q)
-    if q < 2:
-        raise DomainError("alphabet size must be at least 2")
+    require_int(q, low=2)
     target = 1.0 / math.log2(q)
     return _bisect(lambda rho: rho / binary_entropy(rho) < target, 1e-15, 1.0 - 1e-15)
 
@@ -81,9 +78,7 @@ def minimize_over_rho(params: CostParams, q: int) -> tuple[float, float]:
     concave cap(q, .), which never rises with rho, so the smallest rho of
     the interval is optimal: returns (2/(q+1), its cost).
     """
-    require_int(q)
-    if q < 2:
-        raise DomainError("alphabet size must be at least 2")
+    require_int(q, low=2)
     rho = 2.0 / (q + 1)
     return rho, cost_at_capacity(params, q, rho)
 
@@ -95,8 +90,6 @@ def minimize_over_alphabet(params: CostParams, max_q: int) -> tuple[int, float, 
     binds and the search reduces to minimize_over_rho at q = max_q.  Returns
     (q, rho, cost).
     """
-    require_int(max_q, "alphabet bound")
-    if max_q < 2:
-        raise DomainError("alphabet bound must be at least 2")
+    require_int(max_q, "alphabet bound", low=2)
     rho, value = minimize_over_rho(params, max_q)
     return max_q, rho, value

@@ -35,7 +35,7 @@ from operator import sub
 from threading import Lock
 from typing import Sequence
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_instance, require_int
 from .sequence import Oligo, alternating_prefix
 
 # Largest suffix table built, in stored integers.  It is checked first: the
@@ -106,10 +106,6 @@ def subsequence_count(q: int, cycles: int, length: int, cache: CountCache | None
     because the perfbench suite still passes one positionally.
     """
     _require_sizes(q, cycles, length)
-    if q < 1:
-        raise DomainError("alphabet size must be at least 1")
-    if not 0 <= length <= cycles:
-        raise DomainError("length must lie in 0..cycles")
     total = 0
     for j in range(min(length, (cycles - length) // q) + 1):
         term = comb(length, j) * comb(cycles - j * q, length)
@@ -122,8 +118,6 @@ def brute_force_count(q: int, cycles: int, length: int) -> int:
     _require_sizes(q, cycles, length)
     if cycles > 20:
         raise DomainError("brute force enumeration is capped at 20 cycles")
-    if not 0 <= length <= cycles:
-        raise DomainError("length must lie in 0..cycles")
     stream = alternating_prefix(q, cycles)
     seen: set[tuple[int, ...]] = set()
     for mask in range(1 << cycles):
@@ -134,10 +128,14 @@ def brute_force_count(q: int, cycles: int, length: int) -> int:
 
 
 def _require_sizes(q: object, cycles: object, length: object) -> None:
-    """Raise DomainError unless the alphabet size, cycle count and length are ints."""
-    require_int(q)
+    """Raise DomainError unless the geometry is one that counting takes: the
+    alphabet size, cycle count and length ints, q at least 1 and the length
+    in 0..cycles.  Every counting entry point checks its geometry here."""
+    require_int(q, low=1)
     require_int(cycles, "cycle count")
     require_int(length, "length")
+    if not 0 <= length <= cycles:
+        raise DomainError("length must lie in 0..cycles")
 
 
 def _row_sizes(q: int, cycles: int, length: int) -> list[int]:
@@ -159,10 +157,6 @@ def indexable_count(q: int, cycles: int, length: int) -> int:
     most an eighth plus 6 spare slots.
     """
     _require_sizes(q, cycles, length)
-    if q < 1:
-        raise DomainError("alphabet size must be at least 1")
-    if not 0 <= length <= cycles:
-        raise DomainError("length must lie in 0..cycles")
     if (
         length >= _MAX_TABLE_ENTRIES
         or sum(sizes := _row_sizes(q, cycles, length)) > _MAX_TABLE_ENTRIES
@@ -292,6 +286,7 @@ def subsequence_rank(q: int, cycles: int, oligo: Oligo) -> int:
     """
     require_int(q)
     require_int(cycles, "cycle count")
+    require_instance(oligo, Oligo, "oligo")
     if oligo.q > q:
         raise DomainError("oligo alphabet exceeds the stream alphabet")
     return rank_symbols(q, cycles, oligo.symbols)

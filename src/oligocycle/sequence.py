@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Iterable, Sequence
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_instance, require_int
 
 
 class _Record:
@@ -55,9 +55,7 @@ class Oligo(_Record):
 
     def __init__(self, symbols: Iterable[int], q: int) -> None:
         symbols = tuple(symbols)
-        require_int(q)
-        if q < 1:
-            raise DomainError("alphabet size must be at least 1")
+        require_int(q, low=1)
         if not _in_alphabet(symbols, q):
             bad = next(s for s in symbols if type(s) is not int or not 1 <= s <= q)
             if type(bad) is not int:
@@ -224,10 +222,8 @@ class SupersequenceSpec(_Record):
                 "segments must be an iterable of (alphabet size, cycle count) pairs"
             ) from exc
         for q, cycles in segments:
-            require_int(q, "segment alphabet size")
+            require_int(q, "segment alphabet size", low=1)
             require_int(cycles, "segment cycle count")
-            if q < 1:
-                raise DomainError("segment alphabet size must be at least 1")
             if cycles < 0:
                 raise DomainError("segment cycle count must be non-negative")
         object.__setattr__(self, "segments", segments)
@@ -243,9 +239,7 @@ class SupersequenceSpec(_Record):
 
 def alternating_prefix(q: int, cycles: int) -> tuple[int, ...]:
     """First *cycles* symbols of the alternating offer stream over 1..q."""
-    require_int(q)
-    if q < 1:
-        raise DomainError("alphabet size must be at least 1")
+    require_int(q, low=1)
     require_int(cycles, "cycle count")
     if cycles < 0:
         raise DomainError("cycle count must be non-negative")
@@ -259,6 +253,8 @@ def min_cycles_under(spec: SupersequenceSpec, oligo: Oligo) -> int | None:
     Greedy leftmost matching is optimal for subsequence embedding, so each
     symbol jumps straight to its next offer without materializing the stream.
     """
+    require_instance(spec, SupersequenceSpec, "spec")
+    require_instance(oligo, Oligo, "oligo")
     segments = iter(spec.segments)
     consumed = pos = q = cycles = 0  # before the first segment
     for sym in oligo.symbols:

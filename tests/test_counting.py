@@ -98,6 +98,13 @@ def test_domain_errors():
         counting.indexable_count(0, 6, 3)
     with pytest.raises(DomainError, match=r"^length must lie in 0\.\.cycles$"):
         counting.indexable_count(4, 6, 7)
+    # every entry point checks its geometry in one place
+    with pytest.raises(DomainError, match="^alphabet size must be at least 1$"):
+        brute_force_count(0, 6, 3)
+    with pytest.raises(DomainError, match="^alphabet size must be at least 1$"):
+        subsequence_unrank(0, 8, 4, 0)
+    with pytest.raises(DomainError, match=r"^length must lie in 0\.\.cycles$"):
+        subsequence_unrank(4, 8, 9, 0)
 
 
 def test_brute_force_agrees_on_small_cases():
