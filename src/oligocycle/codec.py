@@ -49,7 +49,7 @@ from contextlib import suppress
 from functools import lru_cache, partial
 from itertools import accumulate, chain, repeat
 from math import comb
-from operator import and_, lt, rshift, xor
+from operator import lt
 from typing import Callable, NamedTuple, Sequence
 
 from .bits import (
@@ -60,7 +60,7 @@ from .capacity import cap_fixed_length
 from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
 from .errors import CorruptDataError, DomainError, require_instance, require_int, require_number
 from .sequence import (
-    Oligo, SupersequenceSpec, _oligos, parse_oligos, render_oligos
+    Oligo, SupersequenceSpec, _field_int, _oligos, parse_oligos, render_oligos
 )
 
 
@@ -699,44 +699,55 @@ def _balanced_values(f: int, size: int, flat: bytes, half: int) -> list[int] | N
     decode_block's, which then names it.
 
     The blocks' positions lie end to end, a byte each: one translate checks
-    their range and one field subtraction their ascent, and the words come
-    as sums of one-hot bytes, a column of the blocks at a time."""
+    their range and one field subtraction their ascent.  Each word's data
+    bits and its Gray code come as sums of one-hot bytes, a column of the
+    blocks at a time: the data left-aligned in span-byte fields, the Gray
+    code, g <= 8 bits, in one byte.  Byte tables on that Gray-code plane
+    refuse a flip count past f and give each byte of the mask of the first
+    k data bits, and one XOR and one shift of the whole integer leave every
+    value in its field."""
     if flat.translate(None, bytes(range(1, size + 1))):
         return None
     count = len(flat) // half
-    # with each symbol in a 16-bit field and the symbol before shifted under
-    # it, 256 + b - a - 1 lies in 1..510 and reaches 256 just when b > a; a
-    # block's first field meets the block before, so only the others count
-    wide = bytearray(2 * len(flat))
-    wide[1::2] = flat
-    ones = int.from_bytes(b"\0\1" * len(flat), "big")
-    x = int.from_bytes(wide, "big")
-    rises = (x + (ones << 8) - (x >> 16) - ones) >> 8 & ones
-    inner = int.from_bytes((b"\0\0" + b"\0\1" * (half - 1)) * count, "big")
+    # with each symbol in a field of w bytes, one byte up to size 128, and
+    # the symbol before shifted under it, 2**(8w-1) + b - a - 1 lies in the
+    # field and reaches its top bit just when b > a; a block's first field
+    # meets the block before, so only the others count
+    w = 1 if size <= 128 else 2
+    top = 8 * w - 1
+    x = _field_int(flat, w)
+    ones = _field_int(b"\1" * len(flat), w)
+    rises = (x + (ones << top) - (x >> 8 * w) - ones) >> top & ones
+    inner = _field_int((b"\0" + b"\1" * (half - 1)) * count, w)
     if rises & inner != inner:
         return None
-    # the words, left-aligned in span bytes: byte i holds positions 8i+1..8i+8,
-    # which column j, ascending within 1..size, holds only from j = 8i+half-size
+    # positions 1..f are the data bits, f+1..f+g the Gray code; column j,
+    # ascending within 1..size, holds positions j+1..size-half+j+1 only
     columns = [flat[j::half] for j in range(half)]
-    span = _span(size)
-    out = bytearray(span * count)
-    for i in range(-(-size // 8)):
-        table = (bytes(8 * i + 1) + bytes((128, 64, 32, 16, 8, 4, 2, 1)) + bytes(256))[:256]
-        byte = sum(
-            int.from_bytes(column.translate(table), "big")
-            for column in columns[max(0, 8 * i + half - size) : 8 * i + 8]
-        )
-        out[i::span] = byte.to_bytes(count, "big")
-    words = _read_fields(out, span)
-    # each Gray code gives its flip count k, and k the mask of the first k data bits
     g = (f - 1).bit_length()
-    low = 8 * span - size + 1  # the Gray code's lowest bit
-    table = [(1 << f) - (1 << (f - k)) if k <= f else None for k in map(gray_decode, range(1 << g))]
-    codes = map(and_, map(rshift, words, repeat(low)), repeat((1 << g) - 1))
-    masks = list(map(table.__getitem__, codes))
-    if None in masks:  # a flip count past f
+
+    def plane(first: int, bits: int) -> bytes:
+        # positions first+1..first+bits as the bits of one byte per word, top first
+        table = (bytes(first + 1) + bytes(128 >> b for b in range(bits)) + bytes(256))[:256]
+        used = columns[max(0, first + half - size) : first + bits]
+        return sum(int.from_bytes(c.translate(table), "big") for c in used).to_bytes(count, "big")
+
+    span = _span(f)
+    data = bytearray(span * count)
+    for i in range(-(-f // 8)):
+        data[i::span] = plane(8 * i, min(8, f - 8 * i))
+    codes = plane(f, g)  # each Gray code's top bit in bit 7
+    # each Gray code's flip count k, and the mask of the first k data bits;
+    # a code past f has none
+    flips = [gray_decode(code >> 8 - g) for code in range(256)]
+    if codes.translate(None, bytes(c for c, k in enumerate(flips) if k <= f)):
         return None
-    return list(map(xor, map(rshift, words, repeat(low + g)), masks))
+    rows = [((1 << f) - (1 << (f - min(k, f)))).to_bytes(span, "big") for k in flips]
+    masks = bytearray(span * count)
+    for i, table in enumerate(zip(*rows)):
+        masks[i::span] = codes.translate(bytes(table))
+    words = (int.from_bytes(data, "big") >> 8 * span - f) ^ int.from_bytes(masks, "big")
+    return _read_fields(words.to_bytes(span * count, "big"), span)
 
 
 # --- window scheme: one alphabet subset per revolution ---

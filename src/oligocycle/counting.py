@@ -284,11 +284,13 @@ def subsequence_rank(q: int, cycles: int, oligo: Oligo) -> int:
 
     Raises DomainError when the oligo does not embed in the offer prefix.
     """
-    require_int(q)
+    require_int(q, low=1)
     require_int(cycles, "cycle count")
     require_instance(oligo, Oligo, "oligo")
     if oligo.q > q:
         raise DomainError("oligo alphabet exceeds the stream alphabet")
+    if len(oligo) > cycles:  # a cycle offers at most one symbol
+        raise DomainError("oligo is not a subsequence of the offer prefix")
     return rank_symbols(q, cycles, oligo.symbols)
 
 

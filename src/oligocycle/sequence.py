@@ -11,6 +11,7 @@ into programs whose alphabet changes between segments.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import DomainError, require_instance, require_int
@@ -99,11 +100,13 @@ def _oligos(rows: Iterable[tuple[int, ...]], q: int, used: Collection[int]) -> l
 # once and parses each distinct text once.  Where a batch allows, it does the
 # rest in a few C-level bytes operations over the whole batch: render writes
 # the symbols of every distinct row up to 255 as fixed digit fields of one
-# bytearray, and parse reads canonical text over 1..q, q <= 9 ("d,d,...,d",
-# one length for every text), by slicing one bytes of all of it.  Any other
-# batch takes the per-symbol path: render joins str() of each distinct symbol,
-# and parse converts each distinct token once with int() and checks the
-# symbols it read once, together.
+# bytearray, and parse reads canonical text over 1..q, q <= 255 (symbols in
+# ASCII digits with no leading zero, single commas, any digit counts and row
+# lengths), from one bytes of all of it: by slicing when every symbol has
+# one digit and every text one length, else by byte planes and shifts of
+# one integer.  Any other batch takes the per-symbol path: render joins
+# str() of each distinct symbol, and parse converts each distinct token once
+# with int() and checks the symbols it read once, together.
 
 _SEPARATORS = b"\n" + b"," * 255  # a field's last byte: a 0 sentinel ends its row
 # each byte's ASCII digit at a place value, or a 0 filler left of its first digit
@@ -111,7 +114,10 @@ _DIGIT_PLANES = {
     place: bytes(48 + v // place % 10 if v >= place else 0 for v in range(256))
     for place in (1, 10, 100)
 }
-_DIGIT_VALUES = bytes.maketrans(b"123456789", bytes(range(1, 10)))
+# a token byte's digit value, or 0 for a separator
+_TOKEN_CODES = bytes.maketrans(b"0123456789,\n", bytes(range(10)) + b"\0\0")
+# 255 for a digit, 0 for a separator, 1 for any other byte
+_DIGIT_MASKS = bytes(255 if 48 <= b <= 57 else 0 if b in b",\n" else 1 for b in range(256))
 
 
 def render_oligos(oligos: Iterable[Oligo]) -> list[str]:
@@ -173,25 +179,108 @@ def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
 
 
 def _canonical_rows(texts: list[str], q: int) -> list[tuple[int, ...]] | None:
-    """The symbol rows of *texts* when every text is 'd,d,...,d' of one
-    length, in ASCII digits 1..q with q <= 9; None for any other batch.
+    """The symbol rows of *texts* when every text is canonical over 1..q,
+    q <= 255: symbols in ASCII digits with no leading zero, joined by single
+    commas, any number of them in a text and any digit count up to q's.
+    None for any other batch, which the per-token path then reads.
 
-    Joined by newlines, such texts alternate a digit with a separator, a
-    comma within a text and a newline between two; a newline inside a text
-    would break that pattern, so every text has the first one's length."""
-    if type(q) is not int or not 1 <= q <= 9 or not texts:
+    Joined by newlines, the texts are one bytes of tokens and separators.
+    When every token has one digit and every text one length, it alternates
+    a digit with a separator, a comma within a text and a newline between
+    two, and the digits are every other byte; a newline inside a text would
+    break that pattern, so every text has the first one's length.  Any
+    other batch is read by _token_values and cut into rows by each text's
+    comma count."""
+    if type(q) is not int or not 1 <= q <= 255:
         return None
+    if not texts:
+        return []
     joined = "\n".join(texts)
-    size = (len(texts[0]) + 1) // 2  # symbols per text
-    if not joined.isascii() or len(joined) != 2 * size * len(texts) - 1:
+    if not joined.isascii():
         return None
     data = joined.encode("ascii")
-    if data[1::2] != (b"," * (size - 1) + b"\n") * (len(texts) - 1) + b"," * (size - 1):
+    size = (len(texts[0]) + 1) // 2  # symbols per text, if one digit each
+    if len(data) == 2 * size * len(texts) - 1 and data[1::2] == (
+        b"," * (size - 1) + b"\n"
+    ) * (len(texts) - 1) + b"," * (size - 1):
+        digits = data[::2]
+        if digits.translate(None, b"123456789"[:q]):
+            return None
+        return list(zip(*[iter(digits.translate(_TOKEN_CODES))] * size))
+    if data.count(b"\n") != len(texts) - 1:  # a newline inside a text
         return None
-    digits = data[::2]
-    if digits.translate(None, b"123456789"[:q]):
+    values = _token_values(data, q)
+    if values is None:
         return None
-    return list(zip(*[iter(digits.translate(_DIGIT_VALUES))] * size))
+    ends = list(accumulate(text.count(",") + 1 for text in texts))
+    return [tuple(values[start:end]) for start, end in zip([0, *ends], ends)]
+
+
+def _token_values(data: bytes, q: int) -> bytes | None:
+    """The symbol of each token of *data*, one byte each in order, where the
+    tokens are runs of ASCII digits split by commas and newlines; None
+    unless every token is a symbol in 1..q, 1 <= q <= 255, written with no
+    leading zero.
+
+    Two integers hold a field of w bytes per byte of data: its digit value,
+    and a mask that is all ones on a digit.  Fields are 16-bit when q has
+    three digits, whose values reach 999, and one byte otherwise.  Shifts
+    of the mask refuse a separator at either end, two in a row and a run of
+    more digits than q has; a search refuses a 0 that starts a token.  Each
+    token's value then forms at its last digit: the digit, plus 10 times
+    the digit before it, plus 100 times the one before that, which the
+    mask zeroes after a separator (a separator's own value is 0).  The
+    mask of each next byte clears every field but the last digits', and
+    deleting the 0 bytes between them leaves one per token."""
+    planes = data.translate(_DIGIT_MASKS)
+    if b"\1" in planes:  # a byte that is neither a digit nor a separator
+        return None
+    digits = len(str(q))
+    width = 1 if digits < 3 else 2
+    bits = 8 * width
+    masks = _field_int(planes, width, planes)
+    runs = masks
+    for k in range(1, digits + 1):
+        runs &= masks >> k * bits
+    if (
+        planes[:1] != b"\xff"
+        or planes[-1:] != b"\xff"
+        or (masks | masks >> bits).bit_count() != bits * len(data)  # two separators in a row
+        or runs
+        or data.startswith(b"0")
+        or b",0" in data
+        or b"\n" in data and b"\n0" in data  # a one-byte search is fast
+    ):
+        return None
+    codes = _field_int(data.translate(_TOKEN_CODES), width)
+    values = codes
+    if digits > 1:
+        values += 10 * (codes >> bits)
+    if digits > 2:
+        values += 100 * (codes >> 2 * bits & masks >> bits)
+    values &= ~(masks << bits)  # a last digit is followed by a separator, or ends the data
+    out = values.to_bytes(width * len(data), "big")
+    if width == 2:
+        if out[::2].count(0) != len(data):  # a value past 255
+            return None
+        out = out[1::2]
+    out = out.translate(None, b"\0")
+    if out.translate(None, bytes(range(1, q + 1))):
+        return None
+    return out
+
+
+def _field_int(low: bytes, width: int, high: bytes | None = None) -> int:
+    """The integer of width-byte fields, width 1 or 2, that hold the bytes
+    of *low*: with width 2, each behind the byte of *high* at its index, or
+    behind a 0 byte."""
+    if width == 1:
+        return int.from_bytes(low, "big")
+    fields = bytearray(2 * len(low))
+    fields[1::2] = low
+    if high is not None:
+        fields[::2] = high
+    return int.from_bytes(fields, "big")
 
 
 class _Memo(dict):

@@ -88,7 +88,7 @@ def test_single_bad_int_outcomes_match_their_frozen_digest():
     ]
     assert len(outcomes) == 261
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
-    assert digest == "c1f6d199589660740a50c6e3e0791d225ce6ce91761cc690b67f3562370ae22b"
+    assert digest == "c94fa9a9c2af7b0301e4052dfdf5d047de8de1747da60233fd861d4a7da733e4"
 
 
 SPEC = SupersequenceSpec(((4, 10),))

@@ -15,7 +15,9 @@ import random
 
 import pytest
 
-from oligocycle import CorruptDataError, EncodedBatch, Oligo, codec, decode_payload, encode_payload
+from oligocycle import (
+    CorruptDataError, EncodedBatch, Oligo, codec, decode_payload, encode_payload, sequence
+)
 from oligocycle.bits import bits_from_bytes
 from test_codec_golden import DIGESTS, PAYLOADS, SETUPS
 
@@ -30,7 +32,8 @@ CASES = [
     ("multisize", dict(q=5, rho=0.8, oligo_length=12), True),  # s = 1: a constant run
     ("multisize", dict(q=300, rho=0.01556, oligo_length=64), False),  # s + 1 = 128
     # every q in 4..16 with a flip layout (12 and 13 have none), and a large q
-    *(("balanced", dict(q=q), True) for q in (4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 243)),
+    # each side of size 128, where the batch decoder's ascent fields widen to 16 bits
+    *(("balanced", dict(q=q), True) for q in (4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 125, 243)),
 ]
 IDS = [f"{scheme}-" + "-".join(map(str, options.values())) for scheme, options, _ in CASES]
 
@@ -194,3 +197,31 @@ def test_batch_encoders_encode_the_golden_batches_alone(monkeypatch, setup):
         scheme, options = SETUPS[bound]
         with pytest.raises(AssertionError, match="per-block encoder ran"):
             encode_payload(scheme, bits_from_bytes(PAYLOADS["one"]), **options)
+
+
+@pytest.mark.parametrize("setup", sorted(SETUPS))
+def test_golden_batches_parse_and_balanced_decodes_on_the_byte_paths_alone(monkeypatch, setup):
+    # every golden batch, whose largest alphabet is at most 255, parses with
+    # the per-token parser raising, and balanced decodes with its per-block
+    # reference raising: a silent fallback fails here, not only the benchmark
+    scheme, options = SETUPS[setup]
+    texts = {
+        name: encode_payload(scheme, bits_from_bytes(data), **options).to_json()
+        for name, data in PAYLOADS.items()
+    }
+
+    def refuse(*_):
+        raise AssertionError("a per-token or per-block step ran")
+
+    monkeypatch.setattr(sequence, "_Memo", refuse)
+    monkeypatch.setattr(codec, "unbalance_word", refuse)  # balanced decode_block's reference
+    for name, data in PAYLOADS.items():
+        batch = EncodedBatch.from_json(texts[name])
+        assert batch.spec.max_alphabet <= 255
+        if scheme == "balanced":
+            assert decode_payload(batch) == bits_from_bytes(data)
+    # a text the canonical reader refuses takes the per-token path, and meets the patch
+    spaced = texts["one"].replace('"oligos": [\n    "', '"oligos": [\n    " ', 1)
+    assert spaced != texts["one"]
+    with pytest.raises(AssertionError, match="per-token or per-block step ran"):
+        EncodedBatch.from_json(spaced)

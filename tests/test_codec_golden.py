@@ -155,3 +155,65 @@ def test_golden_decode_outcomes(setup):
     rng = random.Random(f"outcomes-{setup}")
     outcomes = "\n".join(outcome(corrupted(batch, rng)) for _ in range(30))
     assert hashlib.sha256(outcomes.encode()).hexdigest() == OUTCOME_DIGESTS[setup]
+
+
+def text_edited(text, rng):
+    """The batch JSON with one seeded character-level edit inside its oligo
+    strings: a digit or comma inserted or deleted, a 0, space or + added, or
+    two neighbouring digits swapped."""
+    start = text.index('"oligos": [')
+    # digits, and commas that separate symbols rather than JSON items
+    spots = [
+        i for i in range(start, len(text))
+        if text[i].isdigit() or (text[i] == "," and text[i + 1] != "\n")
+    ]
+    i = rng.choice(spots)
+    edit = rng.choice(["digit", "comma", "delete", "0", " ", "+", "swap"])
+    if edit == "digit":
+        return text[:i] + str(rng.randrange(10)) + text[i:]
+    if edit == "comma":
+        return text[:i] + "," + text[i:]
+    if edit == "delete":
+        return text[:i] + text[i + 1 :]
+    if edit == "swap":
+        j = next((j for j in (i + 1, i - 1) if text[j].isdigit() and text[j] != text[i]), i)
+        a, b = sorted((i, j))
+        return text[:a] + text[b] + text[a + 1 : b] + text[a] + text[b + 1 :] if a != b else text
+    return text[:i] + edit + text[i:]
+
+
+def text_outcome(text) -> str:
+    try:
+        bits = decode_payload(EncodedBatch.from_json(text))
+    except CorruptDataError as exc:
+        return f"error: {exc}"
+    return hashlib.sha256(bits.encode()).hexdigest()
+
+
+# SHA-256 of the outcomes of 30 seeded character-level edits of each setup's
+# 2 KiB batch JSON, one per line, through from_json and decode_payload: these
+# reach the text parser, which OUTCOME_DIGESTS' in-process corruptions skip
+TEXT_OUTCOME_DIGESTS = {
+    "balanced-q16": "85a2bf9b05fb6bdbd53c6e3d6d9b63c25885989e9a1bef03fc42d3070d270ce4",
+    "balanced-q8": "68ed83394aafe2ce00d3f529b660e82f3767ca93c079133bd1ae3ddc34691c20",
+    "base-q127-b7": "4ad025e162154e7154f9788b69860e7c9882acd8f82ffe239749c36ceec63b82",
+    "base-q128-b7": "13d4488c28078e7a2e9d53e45e3756c8e9317a7e2a7d6e3cade52a2150b7a19a",
+    "base-q4-b32": "a1dd689bab4236b4a1fa532f3f7a89f7981273998efe012df324cdbf799e5d39",
+    "base-q5-b7": "ec59f221c0c14c80ae89ccc75254b77684a0a33364da62e652f943831c58e61f",
+    "lookup-q4-d16": "f7f922d38fef1bdcf4dd0b127bd1d192be88bd729255e9f1956e2f81605a2a6c",
+    "lookup-q4-d2": "ea784a281efc577438258f54fb26ab2eab1cdf26045f2af5b521b04ab5a1727a",
+    "multisize-q128-s127": "d170c3f2a2bb982178bd019bc1d9b6160fce0bc76965710d29e06a53f8381329",
+    "multisize-q4-80": "0ba40fddebc4c0b8df43a579cbeac042fc16a69f8a0ad4c24968837d927a063b",
+    "multisize-q5-45": "5e867d470ca97cfef1bb191235684b14bea1154c141c43c1996b7789983abaf4",
+    "window-q2": "563238fa1b1d93211e87dd6b2473d0dae82eb704eac4d613dfd27923b8169913",
+    "window-q6": "c37e05080e25196e6a93917f3f3d53764fc946b954e784ba705826cde147d308",
+}
+
+
+@pytest.mark.parametrize("setup", sorted(SETUPS))
+def test_golden_text_edit_outcomes(setup):
+    scheme, kwargs = SETUPS[setup]
+    text = encode_payload(scheme, bits_from_bytes(PAYLOADS["2k"]), **kwargs).to_json()
+    rng = random.Random(f"text-edits-{setup}")
+    outcomes = "\n".join(text_outcome(text_edited(text, rng)) for _ in range(30))
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == TEXT_OUTCOME_DIGESTS[setup]

@@ -287,6 +287,19 @@ def test_rank_rejects_non_subsequences():
         subsequence_rank(4, 8, Oligo((1,), 5))
 
 
+def test_rank_refuses_a_bad_geometry_with_its_own_message():
+    # q below 1 is refused as subsequence_count refuses it, not as an alphabet
+    # mismatch; an oligo longer than the cycles, or any oligo at negative
+    # cycles, is no subsequence of the prefix, whatever length check rank_symbols has
+    for q in (0, -1):
+        with pytest.raises(DomainError, match="^alphabet size must be at least 1$"):
+            subsequence_rank(q, 8, Oligo((1, 2), 2))
+    for cycles, oligo in ((1, Oligo((1, 2), 2)), (0, Oligo((1,), 4)), (-1, Oligo((), 4))):
+        with pytest.raises(DomainError, match="^oligo is not a subsequence of the offer prefix$"):
+            subsequence_rank(4, cycles, oligo)
+    assert subsequence_rank(4, 0, Oligo((), 4)) == 0
+
+
 def test_unrank_bounds():
     total = subsequence_count(3, 6, 3)
     with pytest.raises(DomainError):

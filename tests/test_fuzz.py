@@ -12,7 +12,9 @@ The raw text of a batch file is fuzzed too: truncated, with bytes flipped
 or inserted, with a value wrapped in deep nesting, with invalid UTF-8, or
 with one digit of one oligo of a batch over at most 9 symbols respelled
 (so the parser leaves its canonical-text path), and decoded through the
-CLI, which must exit 0, 2 or 3.
+CLI, which must exit 0, 2 or 3.  Short texts over the characters of
+canonical oligo text and its near misses parse exactly as the parser's
+per-token path reads them, result or error.
 The examples are fixed so the gate is deterministic.
 """
 
@@ -30,6 +32,7 @@ from oligocycle import (
 )
 from oligocycle.bits import bits_from_bytes
 from oligocycle.cli import main
+from test_sequence import ALPHABETS, TEXT_CHARACTERS, parse_outcome, per_token
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -223,3 +226,13 @@ def test_mutated_batch_text_exits_0_2_or_3_through_the_cli(case):
         assert code in (0, 2, 3)
         if new == data:
             assert code == 0 and bits_from_bytes(out.read_bytes()) == payload
+
+
+@settings(FIXED, max_examples=300)
+@given(
+    st.lists(st.text(TEXT_CHARACTERS, max_size=12), max_size=5),
+    st.sampled_from(ALPHABETS),
+)
+def test_parse_matches_the_per_token_path_on_any_text(texts, q):
+    # texts over the characters of canonical text and its near misses
+    assert parse_outcome(texts, q) == per_token(texts, q)

@@ -20,6 +20,7 @@ from oligocycle import (
     encode_payload,
     min_cycles_under,
 )
+from oligocycle import sequence
 from oligocycle.sequence import parse_oligos, render_oligos
 from oracles import materialize, offer_gap, synthesis_cycles
 
@@ -294,6 +295,81 @@ def test_batch_parser_matches_per_oligo_oracle_on_canonical_batches(q):
 def test_batch_parser_keeps_texts_apart_that_join_like_a_canonical_batch():
     for texts in (["1,2\n3,4"], ["1", "2\n3"], ["1,2", "3,4\n", "1,2"], ["1,2\n", "3"], ["\n1"]):
         assert outcome(parse_oligos, texts, 4) == outcome(parse_one_by_one, texts, 4)
+
+
+def per_token(texts, q):
+    """parse_oligos' outcome with its canonical reader switched off, so that
+    every batch takes the per-token path: the oligos, or the error's class
+    and message."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequence, "_canonical_rows", lambda texts, q: None)
+        return parse_outcome(texts, q)
+
+
+def parse_outcome(texts, q):
+    try:
+        return parse_oligos(texts, q)
+    except Exception as exc:  # the class is part of the outcome
+        return type(exc), str(exc)
+
+
+ALPHABETS = (1, 9, 10, 16, 99, 100, 127, 255, 256)
+# what a canonical batch has, and what none may have: ASCII digits, commas
+# and newlines, and a sign, whitespace and digits that int() reads but are not ASCII
+TEXT_CHARACTERS = "0123456789,\n+ \t\u0663\uff11"
+
+
+def hostile_tokens(q, rng):
+    """Tokens the canonical reader refuses, each beside a symbol of 1..q."""
+    symbol = str(rng.randint(1, q))
+    return [
+        "", "0", "00", str(q + 1), str(q + 100), "0" + symbol, "00" + symbol, "+" + symbol,
+        " " + symbol, symbol + " ", "\t" + symbol, "-" + symbol, "1\t1", "2\x0b3", "1234", "9999",
+        symbol + "\n" + symbol, "\u0663", "\uff11" + symbol,
+    ]
+
+
+def grid_batch(q, rng):
+    """A seeded batch over 1..q: texts of mixed digit counts and lengths,
+    the symbols 1, q and the edges of each digit count among them, and now
+    and then a hostile token, a hostile text or a trailing comma."""
+    edges = [s for s in (1, 9, 10, 99, 100, q) if s <= q]
+    one_digit = rng.random() < 0.3  # a batch the fixed-width reader may take
+    length = rng.randrange(1, 6)
+    texts = []
+    for _ in range(rng.randrange(1, 7)):
+        if not one_digit:
+            length = rng.randrange(1, 7)
+        top = min(q, 9) if one_digit else q
+        tokens = [
+            str(rng.choice(edges) if rng.random() < 0.3 and not one_digit else rng.randint(1, top))
+            for _ in range(length)
+        ]
+        if rng.random() < 0.2:
+            tokens[rng.randrange(length)] = rng.choice(hostile_tokens(q, rng))
+        text = ",".join(tokens)
+        if rng.random() < 0.05:
+            text = rng.choice(
+                ["", " ", text + ",", "," + text, text + "\n", "\n" + text, text + ",,1"]
+            )
+        texts.append(text)
+    return texts + [rng.choice(texts) for _ in range(rng.randrange(3))]
+
+
+@pytest.mark.parametrize("q", ALPHABETS)
+def test_parse_matches_the_per_token_path_on_a_hostile_grid(q):
+    rng = random.Random(f"parse-grid-{q}")
+    parsed = refused = canonical = 0
+    for _ in range(300):
+        texts = grid_batch(q, rng)
+        expected = per_token(texts, q)
+        assert parse_outcome(texts, q) == expected, texts
+        parsed += isinstance(expected, list)
+        refused += isinstance(expected, tuple)
+        canonical += sequence._canonical_rows(list(dict.fromkeys(texts)), q) is not None
+    # each outcome, and at q <= 255 the canonical reader, ran often
+    assert parsed > 50 and refused > 50
+    assert canonical > 50 if q <= 255 else not canonical
 
 
 def test_records_are_immutable_and_compare_by_fields():
