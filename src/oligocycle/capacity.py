@@ -256,7 +256,8 @@ def _flexible_point(q: int) -> tuple[float, float]:
 
 
 def _log2_int(n: int) -> float:
-    # math.log2 overflows converting ints above ~2**1024
+    # math.log2 takes any int but rounds differently in the last bit for a few
+    # percent of large ones; the top 53 bits keep empirical_cap's floats as they are
     bits = n.bit_length()
     if bits <= 53:
         return math.log2(n)

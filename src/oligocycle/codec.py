@@ -46,7 +46,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from contextlib import suppress
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, chain, repeat
 from math import comb
 from operator import lt
@@ -74,6 +74,10 @@ _MAX_ALPHABET = 256
 # Most symbols in one base block or multisize oligo: a block's value is one
 # integer of that many digits, and converting it is quadratic in its length.
 _MAX_BLOCK_SYMBOLS = 2048
+# Most bits in one block: base or multisize at q = 2**20 and 2048 symbols
+# needs 40 960, while a few KB of base JSON at q = 10**300 would declare
+# 2 million, seconds of work to decode and write out.
+_MAX_BLOCK_BITS = 1 << 16
 
 
 # --- batch container ---
@@ -198,11 +202,21 @@ class _BlockCode(NamedTuple):
 
     @property
     def width(self) -> int:
-        """Bits per block: the largest w with 2**w codewords, at least 1."""
+        """Bits per block: the largest w with 2**w codewords, 1.._MAX_BLOCK_BITS."""
         width = self.codewords().bit_length() - 1
         if width < 1:
             raise DomainError("a block holds fewer than two codewords; no bits fit")
+        if width > _MAX_BLOCK_BITS:
+            raise DomainError(f"a block holds more than {_MAX_BLOCK_BITS} bits")
         return width
+
+
+def _power(q: int, n: int) -> int:
+    """q**n, the count of n base-q digits; refused as width refuses it when
+    q's bit length alone shows it past 2**_MAX_BLOCK_BITS, before it is computed."""
+    if (q.bit_length() - 1) * n > _MAX_BLOCK_BITS:
+        raise DomainError(f"a block holds more than {_MAX_BLOCK_BITS} bits")
+    return q**n
 
 
 def _fields(payload: str, width: int) -> list[int]:
@@ -447,7 +461,7 @@ def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
         rho=2.0 / (q + 1),
         lengths=range(size + 1, size + 2),
         program=lambda n: ((q, budget if n else 0),),
-        codewords=lambda: q**size,
+        codewords=lambda: _power(q, size),
         encode_block=lambda value: _steer(q, _gaps(q, value, size)),
         decode_block=partial(_base_value, q),
         encode_blocks=lambda values: _base_blocks(q, values, size),
@@ -525,7 +539,7 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
     run = int(fraction * length + 1e-9)
     tail = length - run
     coded = run if s >= 2 else 0
-    low_values = s ** max(coded - 1, 0)
+    low_values = _power(s, max(coded - 1, 0))
     program = ((s, (s + 1) * run // 2),) * (run > 0) + ((s + 1, (s + 2) * tail // 2),) * (tail > 0)
 
     def encode_block(value: int) -> tuple[int, ...]:
@@ -572,7 +586,7 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
         rho=rho,
         lengths=range(length, length + 1),
         program=lambda n: program,
-        codewords=lambda: low_values * (s + 1) ** max(tail - 1, 0),
+        codewords=lambda: low_values * _power(s + 1, max(tail - 1, 0)),
         encode_block=encode_block,
         decode_block=decode_block,
         encode_blocks=encode_blocks,
@@ -582,7 +596,6 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
 
 # --- balanced scheme: weight-balanced blocks over an ascending alphabet ---
 
-@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not find 4's entry
 def balanced_params(q: int) -> tuple[int, int]:
     """(data bits, block alphabet) for the balanced scheme at alphabet q.
 

@@ -12,7 +12,7 @@ into programs whose alphabet changes between segments.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import DomainError, require_instance, require_int
 
@@ -81,8 +81,8 @@ def _oligos(rows: Iterable[tuple[int, ...]], q: int, used: Collection[int]) -> l
     the alphabet check just when every symbol of the rows does: the set of
     their symbols, say, or those of them outside 1..q.  One check of *used*
     stands for the check of every row.  Only when it fails is each row built
-    by Oligo, so the error names the first bad row."""
-    if type(q) is not int or q < 1 or not _in_alphabet(used, q):
+    by Oligo, so the error names the first bad row.  q is an int, at least 1."""
+    if not _in_alphabet(used, q):
         return [Oligo(row, q) for row in rows]
     new, put = object.__new__, object.__setattr__
     oligos = []
@@ -104,9 +104,9 @@ def _oligos(rows: Iterable[tuple[int, ...]], q: int, used: Collection[int]) -> l
 # ASCII digits with no leading zero, single commas, any digit counts and row
 # lengths), from one bytes of all of it: by slicing when every symbol has
 # one digit and every text one length, else by byte planes and shifts of
-# one integer.  Any other batch takes the per-symbol path: render joins
-# str() of each distinct symbol, and parse converts each distinct token once
-# with int() and checks the symbols it read once, together.
+# one integer.  Any other batch takes the plain per-text path: render joins
+# str() of the symbols of each distinct row, and parse reads each distinct
+# text on its own, int() of each token, and builds its Oligo, in batch order.
 
 _SEPARATORS = b"\n" + b"," * 255  # a field's last byte: a 0 sentinel ends its row
 # each byte's ASCII digit at a place value, or a 0 filler left of its first digit
@@ -127,8 +127,7 @@ def render_oligos(oligos: Iterable[Oligo]) -> list[str]:
     try:
         texts = _render_bytes(distinct)
     except ValueError:  # a symbol above 255
-        names = {s: str(s) for s in set().union(*distinct)}
-        texts = [",".join(map(names.__getitem__, row)) for row in distinct]
+        texts = [",".join(map(str, row)) for row in distinct]
     text = dict(zip(distinct, texts))
     return list(map(text.__getitem__, rows))
 
@@ -161,28 +160,29 @@ def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
     symbol before one outside 1..q, so the DomainError raised is the one a
     loop over the texts meets first."""
     distinct = list(dict.fromkeys(texts))
-    canonical = _canonical_rows(distinct, q)
-    if canonical is not None:
-        oligos = dict(zip(distinct, _oligos(canonical, q, range(1, q + 1))))
-        return list(map(oligos.__getitem__, texts))
-    symbols = _Memo(int)  # int() takes surrounding spaces, a sign and leading zeros
-    rows = {}
-    for text in distinct:
+    rows = _canonical_rows(distinct, q)
+    # the canonical reader checked every symbol: none lies outside 1..q
+    oligo = dict(zip(distinct, _parse_each(distinct, q) if rows is None else _oligos(rows, q, ())))
+    return list(map(oligo.__getitem__, texts))
+
+
+def _parse_each(texts: Iterable[str], q: int) -> Iterator[Oligo]:
+    """The oligo of each text in turn: int() reads each token, taking
+    surrounding spaces, a sign and leading zeros."""
+    for text in texts:
         stripped = text.strip()
         try:
-            rows[text] = tuple(map(symbols.__getitem__, stripped.split(","))) if stripped else ()
+            symbols = tuple(map(int, stripped.split(","))) if stripped else ()
         except ValueError as exc:
-            _oligos(rows.values(), q, symbols.values())  # an earlier bad symbol wins
             raise DomainError(f"malformed oligo text {stripped!r}") from exc
-    oligos = dict(zip(rows, _oligos(rows.values(), q, symbols.values())))
-    return list(map(oligos.__getitem__, texts))
+        yield Oligo(symbols, q)
 
 
 def _canonical_rows(texts: list[str], q: int) -> list[tuple[int, ...]] | None:
     """The symbol rows of *texts* when every text is canonical over 1..q,
     q <= 255: symbols in ASCII digits with no leading zero, joined by single
     commas, any number of them in a text and any digit count up to q's.
-    None for any other batch, which the per-token path then reads.
+    None for any other batch, which the per-text path then reads.
 
     Joined by newlines, the texts are one bytes of tokens and separators.
     When every token has one digit and every text one length, it alternates
@@ -281,21 +281,6 @@ def _field_int(low: bytes, width: int, high: bytes | None = None) -> int:
     if high is not None:
         fields[::2] = high
     return int.from_bytes(fields, "big")
-
-
-class _Memo(dict):
-    """fn(key) for each key looked up, computed on its first lookup; a
-    lookup that hits runs no Python code, even through map()."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 class SupersequenceSpec(_Record):

@@ -499,6 +499,25 @@ def test_encode_base_oversized_block_exits_2(capsys, tmp_path):
     assert "1..2048" in err
 
 
+def test_decode_base_block_past_the_bit_bound_exits_3_fast(capsys, tmp_path):
+    # 2048 digits of q = 10**300 behind a steering symbol, the symbols 1, 2, 3
+    # over and over so that the steering check passes: a few KB of JSON whose
+    # block would hold about 2 million bits, seconds of work to decode
+    q = 10**300
+    doc = {
+        "scheme": "base", "q": q, "rho": 0.0, "payload_bits": 8,
+        "spec": [[q, (q + 1) * 2049 // 2]], "oligos": [",".join(["1", "2", "3"] * 683)],
+    }
+    batch_path, out_path = tmp_path / "batch.json", tmp_path / "x.bin"
+    batch_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "decode", "--in", str(batch_path), "--out", str(out_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "more than 65536 bits" in err
+    assert not out_path.exists()
+
+
 def test_decode_window_large_alphabet_exits_3_fast(capsys, tmp_path):
     # one ascending subset of 4000 of 8000 symbols: a valid block whose rank
     # sums 4000 binomials of 8000

@@ -226,6 +226,20 @@ def test_block_and_alphabet_limits():
             encode_payload(scheme, bits, **{**kwargs, **too_large})
 
 
+def test_block_bit_bound():
+    # base at q = 2**20 over 2048 symbols, 40 960 bits a block, fits the
+    # 2**16-bit bound; at q = 10**300 a block would hold about 2 million bits
+    bits = random_bits(random.Random(20), 4096)
+    batch = encode_payload("base", bits, q=2**20, block_symbols=2048)
+    assert decode_payload(EncodedBatch.from_json(batch.to_json())) == bits
+    for scheme, options in (
+        ("base", dict(block_symbols=2048)),
+        ("multisize", dict(rho=2e-300, oligo_length=2048)),
+    ):
+        with pytest.raises(DomainError, match="more than 65536 bits"):
+            encode_payload(scheme, "1", q=10**300, **options)
+
+
 # --- lookup scheme ---
 
 

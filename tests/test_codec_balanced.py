@@ -52,6 +52,14 @@ def test_params_rejects_small_alphabets():
             balanced_params(q)
 
 
+def test_params_refuses_a_float_and_a_bool_right_after_the_int():
+    assert balanced_params(4) == (2, 4)
+    for q in (4.0, True):
+        with pytest.raises(DomainError, match="is not an int"):
+            balanced_params(q)
+    assert balanced_params(4) == (2, 4)
+
+
 def test_params_rejects_unbalanceable_word_sizes():
     # q=12 and q=13 land on 8 data bits, where words like 11110000 admit no
     # flip count: the redundancy cannot come back to the target weight

@@ -202,7 +202,7 @@ def test_batch_encoders_encode_the_golden_batches_alone(monkeypatch, setup):
 @pytest.mark.parametrize("setup", sorted(SETUPS))
 def test_golden_batches_parse_and_balanced_decodes_on_the_byte_paths_alone(monkeypatch, setup):
     # every golden batch, whose largest alphabet is at most 255, parses with
-    # the per-token parser raising, and balanced decodes with its per-block
+    # the per-text parser raising, and balanced decodes with its per-block
     # reference raising: a silent fallback fails here, not only the benchmark
     scheme, options = SETUPS[setup]
     texts = {
@@ -211,17 +211,17 @@ def test_golden_batches_parse_and_balanced_decodes_on_the_byte_paths_alone(monke
     }
 
     def refuse(*_):
-        raise AssertionError("a per-token or per-block step ran")
+        raise AssertionError("a per-text or per-block step ran")
 
-    monkeypatch.setattr(sequence, "_Memo", refuse)
+    monkeypatch.setattr(sequence, "_parse_each", refuse)
     monkeypatch.setattr(codec, "unbalance_word", refuse)  # balanced decode_block's reference
     for name, data in PAYLOADS.items():
         batch = EncodedBatch.from_json(texts[name])
         assert batch.spec.max_alphabet <= 255
         if scheme == "balanced":
             assert decode_payload(batch) == bits_from_bytes(data)
-    # a text the canonical reader refuses takes the per-token path, and meets the patch
+    # a text the canonical reader refuses takes the per-text path, and meets the patch
     spaced = texts["one"].replace('"oligos": [\n    "', '"oligos": [\n    " ', 1)
     assert spaced != texts["one"]
-    with pytest.raises(AssertionError, match="per-token or per-block step ran"):
+    with pytest.raises(AssertionError, match="per-text or per-block step ran"):
         EncodedBatch.from_json(spaced)

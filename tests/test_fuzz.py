@@ -10,11 +10,12 @@ its program.  A mutated oligo can be another valid codeword, so a
 changed batch may decode to another payload: only a digest could tell.
 The raw text of a batch file is fuzzed too: truncated, with bytes flipped
 or inserted, with a value wrapped in deep nesting, with invalid UTF-8, or
-with one digit of one oligo of a batch over at most 9 symbols respelled
-(so the parser leaves its canonical-text path), and decoded through the
-CLI, which must exit 0, 2 or 3.  Short texts over the characters of
-canonical oligo text and its near misses parse exactly as the parser's
-per-token path reads them, result or error.
+with one token of one oligo respelled (split in two, merged with the next,
+behind a 0 or a space, in full-width digits, as q+1 or with a digit
+dropped, over one-, two- and three-digit symbols alike), and decoded
+through the CLI, which must exit 0, 2 or 3.  Short texts over the
+characters of canonical oligo text and its near misses parse exactly as
+the parser's per-text path reads them, result or error.
 The examples are fixed so the gate is deterministic.
 """
 
@@ -166,27 +167,40 @@ def test_mutated_batches_exit_0_2_or_3_through_the_cli(case):
 # truncated lead, a surrogate, an overlong slash, a five-byte form
 INVALID_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf8\x88\x80\x80\x80"]
 
+FULL_WIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+
 
 @st.composite
 def mutated_texts(draw):
     """(payload, original batch file bytes, mutated bytes)."""
     kind = draw(st.sampled_from(["truncate", "flip", "insert", "nest", "utf8", "oligo"]))
-    setups = [s for s in SETUPS if s[1]["q"] <= 9] if kind == "oligo" else SETUPS
-    scheme, kwargs = draw(st.sampled_from(setups))
+    # hypothesis favours a list's first items: an oligo edit favours the
+    # multi-digit setups, which SETUPS lists last
+    scheme, kwargs = draw(st.sampled_from(SETUPS[::-1] if kind == "oligo" else SETUPS))
     payload = bits_from_bytes(draw(st.binary(min_size=1, max_size=4)))
     text = encode_payload(scheme, payload, **kwargs).to_json()
     data = text.encode("utf-8")
     at = draw(st.integers(0, len(data)))
-    if kind == "oligo":  # one digit becomes a comma, a space, a full-width digit or q+1
+    if kind == "oligo":  # one token of one oligo respelled
         doc = json.loads(text)
         i = draw(st.sampled_from([i for i, o in enumerate(doc["oligos"]) if o] or [None]))
         if i is None:  # every oligo is empty: nothing to respell
             return payload, data, data
-        oligo = doc["oligos"][i]
-        j = 2 * draw(st.integers(0, len(oligo) // 2))
-        digit = oligo[j]
-        spelling = draw(st.sampled_from([",", " ", chr(0xFF10 + int(digit)), str(doc["q"] + 1)]))
-        doc["oligos"][i] = oligo[:j] + spelling + oligo[j + 1 :]
+        tokens = doc["oligos"][i].split(",")
+        j = draw(st.integers(0, len(tokens) - 1))
+        token = tokens[j]
+        cut = draw(st.integers(1, len(token)))  # a one-digit token splits off an empty one
+        span, spelled = draw(st.sampled_from([
+            (1, [token[:cut], token[cut:]]),  # split
+            (2, ["".join(tokens[j : j + 2])]),  # merged with the next, if any
+            (1, ["0" + token]),
+            (1, [" " + token]),
+            (1, [token.translate(FULL_WIDTH)]),
+            (1, [str(doc["q"] + 1)]),
+            (1, [token[: cut - 1] + token[cut:]]),  # a digit dropped
+        ]))
+        tokens[j : j + span] = spelled
+        doc["oligos"][i] = ",".join(tokens)
         new = json.dumps(doc, indent=2, ensure_ascii=False).encode("utf-8")
     elif kind == "truncate":
         new = data[:at]

@@ -254,7 +254,7 @@ def canonical_batch(rng, q, size, count):
 
 def near_canonical(text, q, rng):
     """Single edits of one canonical text, most of which leave the batch
-    non-canonical, so the parser must fall back to its per-token path."""
+    non-canonical, so the parser must fall back to its per-text path."""
     at = 2 * rng.randrange((len(text) + 1) // 2)  # a digit's position
     return [
         text[:at] + " " + text[at:],
@@ -299,7 +299,7 @@ def test_batch_parser_keeps_texts_apart_that_join_like_a_canonical_batch():
 
 def per_token(texts, q):
     """parse_oligos' outcome with its canonical reader switched off, so that
-    every batch takes the per-token path: the oligos, or the error's class
+    every batch takes the per-text path: the oligos, or the error's class
     and message."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sequence, "_canonical_rows", lambda texts, q: None)
