@@ -57,6 +57,15 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def _trivial_edge(q: int) -> float:
+    """The trivial-coding edge 2/(q+1), at and below which every string
+    embeds; DomainError for an alphabet past float range."""
+    try:
+        return 2.0 / (q + 1)
+    except OverflowError:
+        raise DomainError("alphabet size lies past float range") from None
+
+
 def _bisect(
     below: Callable[[float], bool], lo: float, hi: float, a: float = -math.inf, b: float = math.inf
 ) -> float:
@@ -183,7 +192,7 @@ def capacity_root_fixed(q: int, rho: float) -> float:
     if not 2 <= q <= _MAX_ROOT_ALPHABET:
         raise DomainError(f"fixed-length root requires alphabet size in 2..{_MAX_ROOT_ALPHABET}")
     require_number(rho, "rho")
-    if not 2.0 / (q + 1) < rho < 1.0:
+    if not _trivial_edge(q) < rho < 1.0:
         raise DomainError("rho must lie strictly between 2/(q+1) and 1")
     coeffs = [1.0 - rho * i for i in range(q, 0, -1)]
     slopes = [i * c for i, c in zip(range(q, 0, -1), coeffs)]
@@ -203,7 +212,7 @@ def cap_fixed_length(q: int, rho: float) -> float:
     require_number(rho, "rho")
     if not 0.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [0, 1]")
-    if rho <= 2.0 / (q + 1):
+    if rho <= _trivial_edge(q):
         return 0.0 + rho * math.log2(q)  # 0.0 + turns -0.0, from rho = -0.0, into 0.0
     if rho == 1.0:
         return 0.0
@@ -258,10 +267,7 @@ def _flexible_point(q: int) -> tuple[float, float]:
 def _log2_int(n: int) -> float:
     # math.log2 takes any int but rounds differently in the last bit for a few
     # percent of large ones; the top 53 bits keep empirical_cap's floats as they are
-    bits = n.bit_length()
-    if bits <= 53:
-        return math.log2(n)
-    shift = bits - 53
+    shift = max(n.bit_length() - 53, 0)
     return math.log2(n >> shift) + shift
 
 
@@ -278,6 +284,9 @@ def empirical_cap(q: int, cycles: int, rho: float, cache: CountCache | None = No
     # counting is imported here, so commands that never count never load it
     from .counting import subsequence_count
 
-    length = int(rho * cycles + 1e-9)
+    try:
+        length = int(rho * cycles + 1e-9)
+    except OverflowError:
+        raise DomainError("cycle count lies past float range") from None
     count = subsequence_count(q, cycles, length, cache)
     return _log2_int(count) / cycles

@@ -13,7 +13,9 @@ import json
 import math
 import sys
 
-from .capacity import _flexible_point, binary_entropy, cap_fixed_length, empirical_cap
+from .capacity import (
+    _flexible_point, _trivial_edge, binary_entropy, cap_fixed_length, empirical_cap
+)
 from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
 from .errors import CorruptDataError, DomainError
 from .sequence import render_oligos
@@ -192,7 +194,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
     elif curve == "rho-star":
         columns = ["q", "rho_lower", "rho_star"]
-        rows = [(q, 2.0 / (q + 1), rho_star(q)) for q in qs]
+        rows = [(q, _trivial_edge(q), rho_star(q)) for q in qs]
     elif curve == "cost-vs-rho":
         params = CostParams(args.alpha, args.beta, args.bits, args.cycles)
         columns = ["q", "rho", "cost"]
@@ -229,7 +231,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
         "q": q,
         "rho_opt": rho,
         "cost_opt": value,
-        "rho_lower": 2.0 / (q + 1),
+        "rho_lower": _trivial_edge(q),
         "rho_star": rho_star(q),
     }
     print(json.dumps(doc))

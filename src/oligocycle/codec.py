@@ -56,7 +56,7 @@ from .bits import (
     balance_word, balanced_data_bits, flip_layout_complete, gray_decode, gray_encode,
     unbalance_word, validate_bits,
 )
-from .capacity import cap_fixed_length
+from .capacity import _trivial_edge, cap_fixed_length
 from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
 from .errors import CorruptDataError, DomainError, require_instance, require_int, require_number
 from .sequence import (
@@ -458,7 +458,7 @@ def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:
         raise DomainError(f"block must carry 1..{_MAX_BLOCK_SYMBOLS} symbols")
     budget = (q + 1) * (size + 1) // 2
     return _BlockCode(
-        rho=2.0 / (q + 1),
+        rho=_trivial_edge(q),
         lengths=range(size + 1, size + 2),
         program=lambda n: ((q, budget if n else 0),),
         codewords=lambda: _power(q, size),
@@ -478,7 +478,10 @@ def _lookup(q: int, *, rho: float | None, depth: int | None, **_) -> _BlockCode:
     if q < 1 or depth < 1:
         raise DomainError("alphabet size and depth must be at least 1")
     cycles = depth * q
-    length = rho * cycles
+    try:
+        length = rho * cycles
+    except OverflowError:
+        raise DomainError("lookup window lies past float range") from None
     if not 0 <= length <= cycles or abs(length - round(length)) > 1e-9:
         raise DomainError("rho does not give an integral oligo length at this depth")
     length = round(length)
@@ -509,7 +512,7 @@ def optimal_alpha(q: int, rho: float) -> tuple[int, float]:
     if q < 2:
         raise DomainError("multisize scheme requires alphabet size >= 2")
     _require_rho(rho)
-    low = 2.0 / (q + 1)
+    low = _trivial_edge(q)
     if not low - 1e-12 <= rho <= 1.0 + 1e-12:  # written so that NaN fails too
         raise DomainError(f"rho must lie in [{low:.6g}, 1]")
     rho = min(max(rho, low), 1.0)
@@ -523,13 +526,13 @@ def optimal_alpha(q: int, rho: float) -> tuple[int, float]:
 def multisize_rate(q: int, rho: float) -> float:
     """Asymptotic bits per cycle of the multisize scheme at ratio rho."""
     s, _ = optimal_alpha(q, rho)
-    rho = min(max(rho, 2.0 / (q + 1)), 1.0)
+    rho = min(max(rho, _trivial_edge(q)), 1.0)
     return (rho * (s + 2) - 2.0) * math.log2(s) + (2.0 - rho * (s + 1)) * math.log2(s + 1)
 
 
 def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _BlockCode:
-    # A base-coded run over sub-alphabet s holds the low digits and a
-    # base-coded tail over s+1 the high ones.  When s is 1 the run is all 1s.
+    # A run base-coded over sub-alphabet s holds the low digits and a tail
+    # over s+1 the high ones, at every s: over s = 1 the run is all 1s.
     if rho is None:
         raise DomainError("multisize encoding requires rho")
     length = 48 if oligo_length is None else oligo_length
@@ -538,18 +541,17 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
     s, fraction = optimal_alpha(q, rho)
     run = int(fraction * length + 1e-9)
     tail = length - run
-    coded = run if s >= 2 else 0
-    low_values = _power(s, max(coded - 1, 0))
+    low_values = _power(s, max(run - 1, 0))
     program = ((s, (s + 1) * run // 2),) * (run > 0) + ((s + 1, (s + 2) * tail // 2),) * (tail > 0)
 
     def encode_block(value: int) -> tuple[int, ...]:
         high, low = divmod(value, low_values)
-        head = _steer(s, _gaps(s, low, run - 1)) if coded else (1,) * run
+        head = _steer(s, _gaps(s, low, run - 1)) if run else ()
         return head + (_steer(s + 1, _gaps(s + 1, high, tail - 1)) if tail else ())
 
     def encode_blocks(values: list[int]) -> bytes | None:
         highs, lows = zip(*map(divmod, values, repeat(low_values))) if values else ((), ())
-        heads = _base_blocks(s, lows, run - 1) if coded else b"\1" * (run * len(values))
+        heads = _base_blocks(s, lows, run - 1) if run else b""
         tails = _base_blocks(s + 1, highs, tail - 1) if tail else b""
         if heads is None or tails is None:
             return None
@@ -560,10 +562,10 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
 
     def decode_block(symbols: Sequence[int]) -> int:
         head, rest = symbols[:run], symbols[run:]
-        if not coded and head.count(1) != run:
+        if s == 1 and head.count(1) != run:
             raise CorruptDataError("constant run segment must be all 1s")
         high = _base_value(s + 1, rest) if tail else 0
-        return high * low_values + (_base_value(s, head) if coded else 0)
+        return high * low_values + (_base_value(s, head) if run else 0)
 
     def decode_blocks(flat: bytes, size: int) -> list[int] | None:
         count = len(flat) // size
@@ -573,10 +575,7 @@ def _multisize(q: int, *, rho: float | None, oligo_length: int | None, **_) -> _
         for j in range(tail):
             tails[j::tail] = flat[run + j :: size]
         zeros = [0] * count
-        if coded:
-            lows = _steered_batch(s, heads, run)
-        else:
-            lows = None if heads.translate(None, b"\1") else zeros
+        lows = _steered_batch(s, heads, run) if run else zeros
         highs = _steered_batch(s + 1, tails, tail) if tail else zeros
         if lows is None or highs is None:
             return None
@@ -822,7 +821,7 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
         raise DomainError("rate table requires alphabet size >= 2")
     require_instance(rhos, (list, tuple), "rho grid")
     rows = []
-    base_rho = 2.0 / (q + 1)
+    base_rho = _trivial_edge(q)
     rows.append(RateRow("base", base_rho, base_rho * math.log2(q), cap_fixed_length(q, base_rho)))
     if q <= _MAX_ALPHABET:  # the window encoder refuses larger alphabets
         rows.append(RateRow("window", 0.5, (q - 1) / q, cap_fixed_length(q, 0.5)))
@@ -848,7 +847,7 @@ def rate_table(q: int, rhos: Sequence[float]) -> list[RateRow]:
             if width >= 1:
                 rows.append(RateRow("lookup", rho, width / (depth * q), cap))
                 break
-        if rho >= 2.0 / (q + 1) - 1e-12:
+        if rho >= base_rho - 1e-12:
             rows.append(RateRow("multisize", rho, multisize_rate(q, rho), cap))
     rows.sort(key=lambda r: (r.rho, r.scheme))
     return rows

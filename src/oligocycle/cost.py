@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .capacity import _bisect, binary_entropy, cap_fixed_length
+from .capacity import _bisect, _trivial_edge, binary_entropy, cap_fixed_length
 from .errors import DomainError, require_instance, require_int, require_number
 from .sequence import _Record
 
@@ -47,13 +47,17 @@ class CostParams(_Record):
 def cost_at_capacity(params: CostParams, q: int, rho: float) -> float:
     """Total cost of encoding the workload at capacity with ratio rho.
 
-    Raises DomainError when finite prices give a cost past float range.
+    Raises DomainError when finite prices, or an int field past float
+    range, give a cost past float range.
     """
     require_instance(params, CostParams, "params")
     cap = cap_fixed_length(q, rho)
     if cap <= 0.0:
         raise DomainError("rho must give positive capacity")
-    cost = params.alpha * params.cycles + params.beta * params.payload_bits * (rho / cap)
+    try:
+        cost = params.alpha * params.cycles + params.beta * params.payload_bits * (rho / cap)
+    except OverflowError:  # an int field past float range
+        cost = math.inf
     if not math.isfinite(cost):
         raise DomainError("cost overflows a float")
     return cost
@@ -79,7 +83,7 @@ def minimize_over_rho(params: CostParams, q: int) -> tuple[float, float]:
     the interval is optimal: returns (2/(q+1), its cost).
     """
     require_int(q, low=2)
-    rho = 2.0 / (q + 1)
+    rho = _trivial_edge(q)
     return rho, cost_at_capacity(params, q, rho)
 
 

@@ -27,6 +27,8 @@ from oligocycle import (
     min_cycles_under,
     minimize_over_alphabet,
     minimize_over_rho,
+    multisize_rate,
+    optimal_alpha,
     rate_table,
     rho_star,
     subsequence_count,
@@ -133,3 +135,32 @@ def test_a_record_argument_of_the_wrong_type_is_refused_by_name(call, error, mes
 def test_from_json_still_reads_bytes_and_rate_table_a_tuple():
     assert EncodedBatch.from_json(BATCH.to_json().encode()) == BATCH
     assert rate_table(4, (0.5,)) == rate_table(4, [0.5])
+
+
+# An int past float range, which a float product or quotient cannot take
+HUGE = 10**400
+PAST_FLOAT_RANGE = {
+    "encode base q": lambda: encode_payload("base", "0101", q=HUGE, block_symbols=4),
+    "encode multisize q": lambda: encode_payload("multisize", "0101", q=HUGE, rho=0.5),
+    "encode lookup q": lambda: encode_payload("lookup", "0101", q=HUGE, rho=0.5, depth=2),
+    "encode lookup depth": lambda: encode_payload("lookup", "0101", q=4, rho=0.5, depth=HUGE),
+    "optimal_alpha q": lambda: optimal_alpha(HUGE, 0.5),
+    "multisize_rate q": lambda: multisize_rate(HUGE, 0.5),
+    "rate_table q": lambda: rate_table(HUGE, [0.5]),
+    "cap_fixed_length q": lambda: cap_fixed_length(HUGE, 0.5),
+    "minimize_over_rho q": lambda: minimize_over_rho(PARAMS, HUGE),
+    "minimize_over_alphabet max_q": lambda: minimize_over_alphabet(PARAMS, HUGE),
+    "cost_at_capacity q": lambda: cost_at_capacity(PARAMS, HUGE, 0.5),
+    "cost_at_capacity cycles": lambda: cost_at_capacity(CostParams(1.0, 1.0, 1000.0, HUGE), 4, 0.5),
+    "minimize_over_rho cycles": lambda: minimize_over_rho(CostParams(1.0, 1.0, 1000.0, HUGE), 4),
+    "cost_at_capacity payload": lambda: cost_at_capacity(CostParams(1, 1, HUGE, 10), 4, 0.5),
+    "minimize_over_rho payload": lambda: minimize_over_rho(CostParams(1, 1, HUGE, 10), 4),
+    "empirical_cap cycles": lambda: empirical_cap(4, HUGE, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", PAST_FLOAT_RANGE.values(), ids=PAST_FLOAT_RANGE)
+def test_an_int_past_float_range_raises_domain_error(call):
+    with pytest.raises(Exception) as caught:
+        call()
+    assert type(caught.value) is DomainError

@@ -138,11 +138,24 @@ def test_empty_and_steering_only_blocks_match_the_per_block_decoder():
         assert batched(4, blocks) == one_by_one(4, blocks)
 
 
+def test_one_symbol_blocks_are_runs_of_1s_in_batch_as_per_block():
+    # multisize's run at s = 1: every value is 0, every block all 1s
+    for n in (0, 1, 23, 47):
+        blocks = steered(1, n, [0] * 5)
+        assert blocks == [(1,) * (n + 1)] * 5
+        assert codec._base_blocks(1, [0] * 5, n) == flat(blocks)
+        assert codec._steered_batch(1, flat(blocks), n + 1) == [0] * 5
+        # one symbol 2, steering slot or digit, leaves the block to the per-block decoder
+        for i in range(n + 1):
+            bad = blocks[:2] + [blocks[2][:i] + (2,) + blocks[2][i + 1 :]] + blocks[3:]
+            assert codec._steered_batch(1, flat(bad), n + 1) is None
+
+
 @pytest.mark.parametrize(
     "q, rho, length",
     [
         (5, 0.45, 48),  # two base-coded parts, s = 3 and 4
-        (5, 0.8, 12),  # s = 1: the run is uncoded 1s
+        (5, 0.8, 12),  # s = 1: the run is base-coded over one symbol, all 1s
         (5, 0.5, 12),  # fraction 1: no tail
         (200, 0.012, 40),  # s = 165: both parts past the batch alphabet bound
     ],

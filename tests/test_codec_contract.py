@@ -29,7 +29,10 @@ CASES = [
     ("base", dict(q=200, block_symbols=5), False),
     ("base", dict(q=300, block_symbols=4), False),  # symbols above 255 have no flat buffer
     ("multisize", dict(q=5, rho=0.45), True),
-    ("multisize", dict(q=5, rho=0.8, oligo_length=12), True),  # s = 1: a constant run
+    ("multisize", dict(q=5, rho=0.8, oligo_length=12), True),  # s = 1: a run of 1s
+    # s = 1 with a one-symbol run, which carries no digit, and a tail over 2
+    ("multisize", dict(q=5, rho=0.8, oligo_length=3), True),
+    ("multisize", dict(q=4, rho=0.4, oligo_length=6), True),  # s = 3 at the edge: an empty run
     ("multisize", dict(q=300, rho=0.01556, oligo_length=64), False),  # s + 1 = 128
     # every q in 4..16 with a flip layout (12 and 13 have none), and a large q
     # each side of size 128, where the batch decoder's ascent fields widen to 16 bits

@@ -52,7 +52,7 @@ def test_every_accepted_base_block_embeds(q, size):
 @pytest.mark.parametrize("rho", [0.45, 0.8])
 def test_every_accepted_multisize_block_embeds(q, rho):
     s, _ = codec.optimal_alpha(q, rho)
-    assert s == (1 if rho == 0.8 else 3)  # a constant head of 1s, or a base-coded one
+    assert s == (1 if rho == 0.8 else 3)  # a base-coded head over 1 symbol (all 1s) or 3
     headed = 0
     for length in range(1, 7):
         code = codec.SCHEMES["multisize"](q, rho=rho, oligo_length=length)

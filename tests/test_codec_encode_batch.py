@@ -101,7 +101,7 @@ def test_a_block_of_no_digits_is_its_steering_symbol():
     "q, rho, length",
     [
         (5, 0.45, 48),  # two base-coded parts, s = 3 and 4
-        (5, 0.8, 12),  # s = 1: the run is uncoded 1s
+        (5, 0.8, 12),  # s = 1: the run is base-coded over one symbol, all 1s
         (5, 0.5, 12),  # fraction 1: no tail
         (6, 0.5, 2),  # fraction 1 at s = 3: a head of a steering symbol and one digit
         (200, 0.012, 40),  # s = 165: both parts past the batch alphabet bound

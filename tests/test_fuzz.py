@@ -45,7 +45,7 @@ SETUPS = [
     ("balanced", dict(q=8)),
     ("window", dict(q=6)),
     ("base", dict(q=130, block_symbols=5)),  # past the batch decoder's alphabet bound
-    ("multisize", dict(q=5, rho=0.8, oligo_length=12)),  # s = 1: an uncoded run of 1s
+    ("multisize", dict(q=5, rho=0.8, oligo_length=12)),  # s = 1: a base-coded run of 1s
     ("balanced", dict(q=16)),  # two-digit symbols through the batch decoder
 ]
 SECONDS_PER_CASE = 2.0
