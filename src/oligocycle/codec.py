@@ -291,6 +291,17 @@ def _field_array(span: int) -> array:
     return array(next(code for code in "BHILQ" if array(code).itemsize == span))
 
 
+def _refield(data: bytes, span: int, new: int) -> bytes:
+    """data's big-endian span-byte fields as new-byte ones, each keeping its
+    low min(span, new) bytes, moved by one strided slice per byte."""
+    if new == span:
+        return data
+    out = bytearray(new * (len(data) // span))
+    for j in range(1, min(span, new) + 1):
+        out[new - j :: new] = data[span - j :: span]
+    return out
+
+
 # --- base scheme: one steering symbol per oligo ---
 #
 # A block's n base-q digits, most significant first and each plus one, are
@@ -298,9 +309,53 @@ def _field_array(span: int) -> array:
 # steering symbol less one; a flipped block sends each gap g as q+1-g.
 # _gaps, _steer and _base_value code one block at a time and are the
 # reference: a block is _steer(q, _gaps(q, value, n)).  _base_blocks and its
-# inverse _steered_batch code a batch at once up to q = 127, on byte fields
-# of one big integer, and build their masks inside the call, so decoding
-# builds no encoder's.
+# inverse _steered_batch code a batch at once up to q = 127, each step one
+# C-level operation over the whole batch, much as bus-invert coding steers
+# a bus word.  Both hold each block's digits in the low n bytes of a field
+# of span = 2**r >= n bytes, one byte each.  _flips totals every field's
+# digits by doubling and picks the flipped blocks with one translate;
+# _flip_mask widens those into a mask of 0xff bytes, and XORed with it, each
+# byte reads as a digit d from one end of a 256-byte table or as q-1-d from
+# the other.  Strided slices move the digit columns between the fields and
+# the blocks of n + 1 symbols.
+
+_TOP_BITS = bytes(b >> 7 for b in range(256))
+
+
+def _flips(q: int, digits: int, n: int, span: int, count: int) -> bytes:
+    """A byte per span-byte field of digits, count fields whose low n bytes
+    hold base-q digits and the rest 0: 1 where the digits total more than
+    (q-1)n/2, the blocks that steering flips, else 0.
+
+    Each digit sits in the low byte of a w-byte slot, w the fewest bytes with
+    (q-1)n < 2**(8w-1), and each field's top slot gains 2**(8w-1) - 1 -
+    (q-1)n//2.  Adding the slots 1, 2, 4, ... places above, r times, leaves
+    in each slot the sum of the span slots from it up, so each field's
+    lowest slot holds its total plus that bias, whose top bit is set just
+    when the total passes (q-1)n//2.  Span slots in a row meet at most n
+    digits and one bias, below 2**(8w), so no slot carries into the next."""
+    w = ((q - 1) * n).bit_length() // 8 + 1
+    if w > 1:
+        slots = bytearray(w * span * count)
+        slots[w - 1 :: w] = digits.to_bytes(span * count, "big")
+        digits = int.from_bytes(slots, "big")
+    bias = ((1 << 8 * w - 1) - 1 - (q - 1) * n // 2).to_bytes(w, "big")
+    total = digits + int.from_bytes((bias + bytes(w * span - w)) * count, "big")
+    step = 1
+    while step < span:
+        total += total >> 8 * w * step
+        step *= 2
+    return total.to_bytes(w * span * count, "big")[w * span - w :: w * span].translate(_TOP_BITS)
+
+
+def _flip_mask(flips: bytes, n: int, span: int) -> int:
+    """0xff in each of the low n bytes of the span-byte fields whose byte
+    in flips is 1, and 0 elsewhere: a 1 in each such field's lowest byte,
+    times 2**(8n) - 1."""
+    marks = bytearray(span * len(flips))
+    marks[span - 1 :: span] = flips
+    ones = int.from_bytes(marks, "big")
+    return (ones << 8 * n) - ones
 
 
 def _base_blocks(q: int, values: Sequence[int], n: int) -> bytes | None:
@@ -318,10 +373,12 @@ def _base_blocks(q: int, values: Sequence[int], n: int) -> bytes | None:
     # x * m < q**w * 2**t + q**(2w) <= 2 q**(4w) + q**(2w) < 2**(28w + 2)
     # fits the pair's 32w bits for q < 128.  The quotient lies below bit 8w
     # of the pair, the next pair's product shifts in from bit 32w - t >= 11w.
+    count = len(values)
     span = 1 << (n - 1).bit_length()
-    size = span * len(values)
-    value = int.from_bytes(_write_fields(values, span), "big")
-    field = int.from_bytes((b"\0" * span + b"\xff" * span) * -(-len(values) // 2), "big")
+    size = span * count
+    fit = _span((q**n - 1).bit_length())  # bytes that hold a value below q**n
+    value = int.from_bytes(_refield(_write_fields(values, fit), fit, span), "big")
+    field = int.from_bytes((b"\0" * span + b"\xff" * span) * -(-count // 2), "big")
     width = span
     while width > 1:
         w = width // 2
@@ -334,27 +391,30 @@ def _base_blocks(q: int, values: Sequence[int], n: int) -> bytes | None:
         value += quotients * ((1 << 8 * w) - unit)  # x + h * that is h above x - h * q**w
         field = low | low << 8 * width
         width = w
-    rows = re.findall(b".{%d}(.{%d})" % (span - n, n), value.to_bytes(size, "big"), re.S)
     # Steering.  As the decoder checks, a block flips when its digits total
-    # more than (q-1)n/2; its gaps are then q-d, else d+1, both mod q.
-    flips = bytes(map(((q - 1) * n // 2).__lt__, map(sum, rows)))
-    digits = bytes(range(q))
-    tables = [
-        bytes.maketrans(digits, digits[1:] + b"\0"),
-        bytes.maketrans(digits, digits[:1] + digits[:0:-1]),
-    ]
-    gaps = map(bytes.translate, rows, map(tables.__getitem__, flips))
-    slots = map([b"\0", b"\1"].__getitem__, flips)
+    # more than (q-1)n/2, and each of its digits d then goes out as q-1-d:
+    # its bytes are XORed with 0xff, and 255-d lies 256-q above q-1-d.  So
+    # one table, the same at both ends, writes each gap, the digit plus one
+    # mod q.
+    flips = _flips(q, value, n, span, count)
+    gaps = bytes(range(1, q)) + b"\0"
+    table = gaps + bytes(256 - 2 * q) + gaps
+    gaps = (value ^ _flip_mask(flips, n, span)).to_bytes(size, "big").translate(table)
+    # each block: its steering slot s0, then its gaps
+    size = n + 1
+    blocks = bytearray(size * count)
+    blocks[::size] = flips
+    for j in range(n):
+        blocks[1 + j :: size] = gaps[span - n + j :: span]
     # Symbols.  Behind its steering slot each row's running sums mod q come
     # by doubling: add the field 2**k places before under a per-row mask,
     # then take q off where the sum, biased by 128 - q, reaches bit 7.  Each
     # field stays below 2q - 1 + 128 - q < 256, so none carries into the next.
-    size = n + 1
-    length = size * len(values)
+    length = size * count
     ones = int.from_bytes(b"\1" * length, "big")
     bias = ones * (128 - q)
-    total = int.from_bytes(b"".join(map(bytes.__add__, slots, gaps)), "big")
-    keep = int.from_bytes((b"\0" + b"\xff" * n) * len(values), "big")
+    total = int.from_bytes(blocks, "big")
+    keep = int.from_bytes((b"\0" + b"\xff" * n) * count, "big")
     step = 1
     while step < size:
         total += (total >> 8 * step & keep) + bias
@@ -404,7 +464,7 @@ def _base_value(q: int, symbols: Sequence[int]) -> int:
     return value
 
 
-_STEERING = bytes.maketrans(b"\0\1", b"\1\2")  # flip False -> steering symbol 1, True -> 2
+_FLIPPED = bytes.maketrans(b"\1\2", b"\0\1")  # steering symbol 1 -> flip False, 2 -> True
 
 
 def _steered_batch(q: int, flat: bytes, size: int) -> list[int] | None:
@@ -413,7 +473,7 @@ def _steered_batch(q: int, flat: bytes, size: int) -> list[int] | None:
     None past q = 127, on no blocks or empty ones, and where some block
     fails a check of _base_value's."""
     # One byte field per symbol, so each step below is one C-level operation
-    # over the batch.
+    # over the batch, or one per symbol column.
     if q >= 128 or not flat or flat.translate(None, bytes(range(1, q + 1))):
         return None
     steer = flat[::size]
@@ -427,27 +487,33 @@ def _steered_batch(q: int, flat: bytes, size: int) -> list[int] | None:
     b = int.from_bytes(flat, "big")
     rise = b + bias - (b >> 8) - ones
     rise += (ones ^ rise >> 7 & ones) * q - bias
-    # each block's digits without its steering slot; a flipped block's gaps
-    # went out as q+1-g, so each of its digits is q-1 less that field
+    rise = rise.to_bytes(len(flat), "big")
+    # each block's rises, without its steering slot, in the low n bytes of
+    # a field of span = 2**r >= n bytes.  A flipped block's gaps went out as
+    # q+1-g, so it rises by q-1-d for each digit d; XORed with 0xff that
+    # lies at d + 256-q, so one table, the same at both ends, reads each digit
     n = size - 1
-    rows = re.findall(b".(.{%d})" % n, rise.to_bytes(len(flat), "big"), re.S)
-    flipped = bytes.maketrans(bytes(range(q)), bytes(range(q - 1, -1, -1)))
-    rows = list(map(bytes.translate, rows, map([None, None, flipped].__getitem__, steer)))
-    # the encoder flips exactly when the digits total more than (q-1)n/2
-    limit = (q - 1) * n // 2
-    if steer != bytes(map(limit.__lt__, map(sum, rows))).translate(_STEERING):
-        return None
-    # each block left-padded with zero digits to 2**r fields, then pairs of
-    # fields merge by Horner, high * q**(fields it spans) + low, r times
     span = 1 << (n - 1).bit_length()
-    pad = b"\0" * (span - n)
-    value = int.from_bytes(pad + pad.join(rows), "big")
-    total, width, unit = span * len(rows), 1, q
+    count = len(steer)
+    fields = bytearray(span * count)
+    for j in range(n):
+        fields[span - n + j :: span] = rise[1 + j :: size]
+    flipped = steer.translate(_FLIPPED)
+    table = bytes(range(q)) + bytes(256 - 2 * q) + bytes(range(q))
+    marked = int.from_bytes(fields, "big") ^ _flip_mask(flipped, n, span)
+    value = int.from_bytes(marked.to_bytes(span * count, "big").translate(table), "big")
+    # the encoder flips exactly when the digits total more than (q-1)n/2
+    if _flips(q, value, n, span, count) != flipped:
+        return None
+    # pairs of fields merge by Horner, high * q**(fields it spans) + low, r
+    # times; then each field keeps the bytes that hold a value below q**n
+    total, width, unit = span * count, 1, q
     while width < span:
         mask = int.from_bytes((b"\0" * width + b"\xff" * width) * (total // (2 * width)), "big")
         value = (value >> 8 * width & mask) * unit + (value & mask)
         width, unit = 2 * width, unit * unit
-    return _read_fields(value.to_bytes(total, "big"), span)
+    fit = _span((q**n - 1).bit_length())
+    return _read_fields(_refield(value.to_bytes(total, "big"), span, fit), fit)
 
 
 def _base(q: int, *, block_symbols: int | None, **_) -> _BlockCode:

@@ -17,10 +17,13 @@ cost of alpha*C + beta*N/log2(q).
 from __future__ import annotations
 
 import math
+import sys
 
 from .capacity import _bisect, _trivial_edge, binary_entropy, cap_fixed_length
 from .errors import DomainError, require_instance, require_int, require_number
 from .sequence import _Record
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class CostParams(_Record):
@@ -32,12 +35,15 @@ class CostParams(_Record):
         require_number(alpha, "cycle cost")
         require_number(beta, "base cost")
         require_number(payload_bits, "payload size")
-        # written so that NaN fails too
-        if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+        # written so that NaN fails too, and an int past float range, which
+        # would give a cost or refuse one by the type of the other factor
+        if not (0 <= alpha <= _FLOAT_MAX and 0 <= beta <= _FLOAT_MAX):
             raise DomainError("unit costs must be non-negative and finite")
-        if not 0 <= payload_bits < math.inf:
+        if not 0 <= payload_bits <= _FLOAT_MAX:
             raise DomainError("payload size must be non-negative and finite")
         require_int(cycles, "cycle count", low=1)
+        if cycles > _FLOAT_MAX:
+            raise DomainError("cycle count lies past float range")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "payload_bits", payload_bits)
@@ -47,8 +53,8 @@ class CostParams(_Record):
 def cost_at_capacity(params: CostParams, q: int, rho: float) -> float:
     """Total cost of encoding the workload at capacity with ratio rho.
 
-    Raises DomainError when finite prices, or an int field past float
-    range, give a cost past float range.
+    Raises DomainError when the cost lies past float range, as a product
+    of finite prices can.
     """
     require_instance(params, CostParams, "params")
     cap = cap_fixed_length(q, rho)
@@ -56,7 +62,7 @@ def cost_at_capacity(params: CostParams, q: int, rho: float) -> float:
         raise DomainError("rho must give positive capacity")
     try:
         cost = params.alpha * params.cycles + params.beta * params.payload_bits * (rho / cap)
-    except OverflowError:  # an int field past float range
+    except OverflowError:  # a product of int fields past float range
         cost = math.inf
     if not math.isfinite(cost):
         raise DomainError("cost overflows a float")

@@ -11,7 +11,8 @@ into programs whose alphabet changes between segments.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from collections import deque
+from itertools import accumulate, repeat
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import DomainError, require_instance, require_int
@@ -76,21 +77,19 @@ def _in_alphabet(symbols: Collection[int], q: int) -> bool:
     return not symbols or 1 <= min(symbols) <= max(symbols) <= q
 
 
-def _oligos(rows: Iterable[tuple[int, ...]], q: int, used: Collection[int]) -> list[Oligo]:
+def _oligos(rows: Collection[tuple[int, ...]], q: int, used: Collection[int]) -> list[Oligo]:
     """[Oligo(row, q) for row in rows] for tuple rows, where *used* passes
     the alphabet check just when every symbol of the rows does: the set of
     their symbols, say, or those of them outside 1..q.  One check of *used*
-    stands for the check of every row.  Only when it fails is each row built
-    by Oligo, so the error names the first bad row.  q is an int, at least 1."""
+    stands for the check of every row, and the records are built by C-level
+    maps: object.__new__, then each slot's descriptor stores the row itself
+    and q.  Only when the check fails is each row built by Oligo, so the
+    error names the first bad row.  q is an int, at least 1."""
     if not _in_alphabet(used, q):
         return [Oligo(row, q) for row in rows]
-    new, put = object.__new__, object.__setattr__
-    oligos = []
-    for row in rows:
-        oligo = new(Oligo)
-        put(oligo, "symbols", row)
-        put(oligo, "q", q)
-        oligos.append(oligo)
+    oligos = list(map(object.__new__, repeat(Oligo, len(rows))))
+    deque(map(Oligo.symbols.__set__, oligos, rows), 0)
+    deque(map(Oligo.q.__set__, oligos, repeat(q)), 0)
     return oligos
 
 

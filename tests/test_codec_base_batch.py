@@ -16,6 +16,7 @@ import pytest
 
 from oligocycle import CorruptDataError, EncodedBatch, codec, decode_payload, encode_payload
 from oligocycle.bits import bits_from_bytes
+from oracles import STEERING_EDGES, value_with_digit_sum
 
 
 def flat(blocks):
@@ -80,9 +81,30 @@ def test_batch_equals_per_block_on_seeded_blocks_up_to_the_symbol_bound():
         values = [rng.randrange(q**n) for _ in range(count)] + [0, q**n - 1]
         blocks = steered(q, n, values)
         assert codec._steered_batch(q, flat(blocks), n + 1) == values, (q, n)
-    # the largest block at the largest batch alphabet
-    values = [rng.randrange(127**2048) for _ in range(3)]
-    assert codec._steered_batch(127, flat(steered(127, 2048, values)), 2049) == values
+    # the largest block at the largest batch alphabet, one with every digit
+    # at its top, 126, so each field and the steering sum reach their bounds
+    values = [rng.randrange(127**2048) for _ in range(3)] + [127**2048 - 1]
+    blocks = steered(127, 2048, values)
+    assert one_by_one(127, blocks) == values
+    assert codec._steered_batch(127, flat(blocks), 2049) == values
+
+
+def test_blocks_at_and_just_past_the_steering_midpoint_match_per_block():
+    # a block flips when its digits total more than (q-1)n//2: one block at
+    # that total and one past it, at sizes where a block's digit total
+    # outgrows one byte, or a byte less its top bit, and then two; with the
+    # other steering symbol, the batch gives up just where the block raises
+    rng = random.Random(1906)
+    for q, n in STEERING_EDGES:
+        limit = (q - 1) * n // 2
+        values = [value_with_digit_sum(rng, q, n, total) for total in (limit, limit + 1)]
+        blocks = steered(q, n, values)
+        assert [block[0] for block in blocks] == [1, 2]
+        assert codec._steered_batch(q, flat(blocks), n + 1) == values, (q, n)
+        for i in range(2):
+            swapped = list(blocks)
+            swapped[i] = (3 - blocks[i][0],) + blocks[i][1:]
+            assert batched(q, swapped) == one_by_one(q, swapped), (q, n, i)
 
 
 def corrupt(rng, q, block):

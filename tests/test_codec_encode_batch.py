@@ -15,6 +15,7 @@ import pytest
 
 from oligocycle import codec, encode_payload
 from oligocycle.bits import bits_from_bytes
+from oracles import STEERING_EDGES, value_with_digit_sum
 
 
 def per_block(code, values):
@@ -76,6 +77,19 @@ def test_all_top_digits_at_the_largest_batch_alphabet():
         batch, expected = base_case(127, n, values)
         assert batch == expected, n
         assert batch[: n + 1] == bytes(i % 127 + 1 for i in range(1, n + 2))
+
+
+def test_blocks_at_and_just_past_the_steering_midpoint_match_per_block():
+    # a block flips when its digits total more than (q-1)n//2: two blocks at
+    # that total and two one past it, at sizes where a block's digit total
+    # outgrows one byte, or a byte less its top bit, and then two
+    rng = random.Random(2005)
+    for q, n in STEERING_EDGES:
+        limit = (q - 1) * n // 2
+        values = [value_with_digit_sum(rng, q, n, total) for total in (limit, limit, limit + 1, limit + 1)]
+        batch, expected = base_case(q, n, values)
+        assert batch == expected, (q, n)
+        assert batch[:: n + 1] == b"\1\1\2\2"
 
 
 def test_batch_alphabet_bound_falls_back_to_the_per_block_encoder(monkeypatch):

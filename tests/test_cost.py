@@ -185,3 +185,24 @@ def test_cost_searches_refuse_an_alphabet_of_one():
         rho_star(1)
     with pytest.raises(DomainError, match="^alphabet size must be at least 2$"):
         minimize_over_rho(PARAMS, 1)
+
+
+@pytest.mark.parametrize("alpha", [0, 0.0], ids=["int", "float"])
+def test_params_refuse_an_int_field_past_float_range_whatever_the_other_factor(alpha):
+    # with cycles = 10**400, alpha 0 gave a finite cost and alpha 0.0 raised
+    huge = 10**400
+    with pytest.raises(DomainError, match="^cycle count lies past float range$"):
+        CostParams(alpha, 1.0, 1000.0, huge)
+    with pytest.raises(DomainError, match="^payload size must be non-negative and finite$"):
+        CostParams(alpha, 1.0, huge, 10)
+    with pytest.raises(DomainError, match="^unit costs must be non-negative and finite$"):
+        CostParams(alpha, huge, 1000.0, 10)
+    with pytest.raises(DomainError, match="^unit costs must be non-negative and finite$"):
+        CostParams(huge, alpha, 1000.0, 10)
+    # the largest int a float holds is still a field, and either spelling prices it alike
+    top = int(1.7976931348623157e308)
+    assert cost_at_capacity(CostParams(alpha, 1.0, 1000.0, top), 4, 0.5) == cost_at_capacity(
+        CostParams(0, 1.0, 1000.0, top), 4, 0.5
+    )
+    with pytest.raises(DomainError, match="^cycle count lies past float range$"):
+        CostParams(alpha, 1.0, 1000.0, top + 1)

@@ -401,6 +401,39 @@ def test_records_are_immutable_and_compare_by_fields():
     assert repr(Oligo((1, 2), 4)) == "Oligo(symbols=(1, 2), q=4)"
 
 
+def test_batch_built_oligos_are_oligos_in_all_but_construction():
+    rows = [(1, 2, 3), (4,), (), (2, 2), (1, 2, 3)]
+    built = sequence._oligos(rows, 4, {1, 2, 3, 4})
+    assert len(built) == len(rows)
+    for oligo, row in zip(built, rows):
+        reference = Oligo(row, 4)
+        assert type(oligo) is Oligo and oligo.symbols is row and oligo.q == 4
+        assert oligo == reference and hash(oligo) == hash(reference)
+        assert repr(oligo) == repr(reference) and len(oligo) == len(row)
+        assert pickle.dumps(oligo) == pickle.dumps(reference)
+        assert pickle.loads(pickle.dumps(oligo)) == reference
+        with pytest.raises(AttributeError):
+            oligo.q = 5
+    assert built[0] is not built[4]
+    assert sequence._oligos([], 4, ()) == []
+    assert sequence._oligos({(1,): 0}.keys(), 1, (1,)) == [Oligo((1,), 1)]
+
+
+@pytest.mark.parametrize(
+    "rows, used, message",
+    [
+        ([(1, 2), (5, 1), (0,)], {5, 0}, "symbol 5 outside alphabet 1..4"),
+        ([(1, 2), (0,), (5, 1)], {5, 0}, "symbol 0 outside alphabet 1..4"),
+        ([(1,), (2, True)], (True,), "symbol True is not an int"),
+    ],
+)
+def test_batch_built_oligos_name_the_first_bad_row(rows, used, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        sequence._oligos(rows, 4, used)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        [Oligo(row, 4) for row in rows]
+
+
 @pytest.mark.parametrize("bad, text", ((6.0, "6.0"), (True, "True"), ("6", "'6'"), (None, "None")))
 def test_alternating_prefix_refuses_a_cycle_count_that_is_not_an_int(bad, text):
     # 6.0 raised TypeError, and True gave (1,)
