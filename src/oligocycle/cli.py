@@ -18,7 +18,7 @@ from .capacity import (
 )
 from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
 from .errors import CorruptDataError, DomainError
-from .sequence import render_oligos
+from .sequence import _render_joined
 
 # the comma-separated text of a q = 4 oligo as A/C/G/T letters
 _DNA = str.maketrans("1234", "ACGT", ",")
@@ -142,8 +142,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     )
     _write_text(args.out, batch.to_json() + "\n")
     if args.oligos_out:
-        lines = render_oligos(batch.oligos)
-        listing = "\n".join(lines) + ("\n" if lines else "")
+        listing = _render_joined(batch.oligos, "\n") + "\n" if batch.oligos else ""
         _write_text(args.oligos_out, listing.translate(_DNA) if args.dna else listing)
     summary = {
         "scheme": batch.scheme,

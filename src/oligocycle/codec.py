@@ -24,12 +24,16 @@ checks embedding.  Balanced joins its blocks end to end in one oligo, the
 others put one in each.  A payload is one integer inside the codec; '0'/'1'
 strings appear only in the public functions.  Batches round-trip through a
 small JSON document.  Every coding step is a pure function of its block, so
-within one call each distinct block is encoded, rendered and parsed once.
+within one call each distinct block is encoded and parsed once, and
+rendered once unless the batch carries a buffer (below).
 Base-coded blocks (base, and both parts of multisize, up to q = 127) and
 balanced blocks encode and decode a batch at a time, on byte fields of one
 big integer, to and from one flat buffer of blocks end to end, a byte per
 symbol: an encoder's holds each distinct value's block, a decoder's every
-block.  Where a scheme has no batch coder, where it returns None, and on
+block.  A batch keeps the buffer of every block in batch order beside its
+oligos, as does one read from canonical text of rows of one length, none
+repeated: to_json renders it, and decode hands it to the batch decoder.
+Where a scheme has no batch coder, where it returns None, and on
 decode for a symbol above 255, the generic codec maps the per-block coder
 over the distinct values or blocks by the rule _BlockCode states; only this
 path dedupes on decode.  A payload splits into blocks of up to 64 bits, and
@@ -60,7 +64,7 @@ from .capacity import _trivial_edge, cap_fixed_length
 from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
 from .errors import CorruptDataError, DomainError, require_instance, require_int, require_number
 from .sequence import (
-    Oligo, SupersequenceSpec, _field_int, _oligos, parse_oligos, render_oligos
+    Oligo, SupersequenceSpec, _field_int, _FlatOligos, _oligos, _parse_batch, _render_joined
 )
 
 
@@ -97,7 +101,7 @@ class EncodedBatch(NamedTuple):
         """The batch as json.dumps(doc, indent=2) writes it.
 
         With an indent, json encodes in pure Python, one step per item, so
-        the oligo list, nearly all of the text, is written by one join: a
+        the oligo list, nearly all of the text, is written as one string: a
         rendered oligo holds only ASCII digits and commas, which JSON
         writes as they are.
         """
@@ -108,9 +112,11 @@ class EncodedBatch(NamedTuple):
             "payload_bits": self.payload_bits,
             "spec": [[q, cycles] for q, cycles in self.spec.segments],
         }
-        texts = render_oligos(self.oligos)
-        oligos = '[\n    "' + '",\n    "'.join(texts) + '"\n  ]' if texts else "[]"
-        return f'{json.dumps(head, indent=2)[:-2]},\n  "oligos": {oligos}\n}}'
+        doc = json.dumps(head, indent=2)[:-2]
+        if not self.oligos:
+            return doc + ',\n  "oligos": []\n}'
+        sep = '",\n    "'
+        return f'{doc},\n  "oligos": [\n    "{_render_joined(self.oligos, sep)}"\n  ]\n}}'
 
     @classmethod
     def from_json(cls, text: str) -> "EncodedBatch":
@@ -150,7 +156,7 @@ class EncodedBatch(NamedTuple):
             raise CorruptDataError("field 'oligos' must be a list of strings")
         try:
             spec = SupersequenceSpec(raw_spec)
-            oligos = tuple(parse_oligos(raw_oligos, spec.max_alphabet))
+            oligos = _parse_batch(raw_oligos, spec.max_alphabet)
         except DomainError as exc:
             raise CorruptDataError(str(exc)) from exc
         return cls(scheme, q, float(rho), bits, spec, oligos)
@@ -488,6 +494,7 @@ def _steered_batch(q: int, flat: bytes, size: int) -> list[int] | None:
     rise = b + bias - (b >> 8) - ones
     rise += (ones ^ rise >> 7 & ones) * q - bias
     rise = rise.to_bytes(len(flat), "big")
+    del ones, bias, b  # each whole-batch buffer goes once the next holds its data
     # each block's rises, without its steering slot, in the low n bytes of
     # a field of span = 2**r >= n bytes.  A flipped block's gaps went out as
     # q+1-g, so it rises by q-1-d for each digit d; XORed with 0xff that
@@ -501,7 +508,9 @@ def _steered_batch(q: int, flat: bytes, size: int) -> list[int] | None:
     flipped = steer.translate(_FLIPPED)
     table = bytes(range(q)) + bytes(256 - 2 * q) + bytes(range(q))
     marked = int.from_bytes(fields, "big") ^ _flip_mask(flipped, n, span)
+    del rise, fields
     value = int.from_bytes(marked.to_bytes(span * count, "big").translate(table), "big")
+    del marked
     # the encoder flips exactly when the digits total more than (q-1)n/2
     if _flips(q, value, n, span, count) != flipped:
         return None
@@ -970,15 +979,17 @@ def encode_payload(
         # the symbols outside 1..alphabet: none, or ones that fail _oligos' check
         used = flat.translate(None, bytes(range(1, alphabet + 1)))
         size = code.lengths[0]
-        cut = re.findall(b".{%d}" % size, flat, re.S) if code.joined else zip(*[iter(flat)] * size)
-        blocks = dict(zip(distinct, cut))
+        blocks = {} if code.joined else dict(zip(distinct, zip(*[iter(flat)] * size)))
+        if len(distinct) < len(values):  # the batch's buffer: each value's block in turn
+            cut = dict(zip(distinct, re.findall(b".{%d}" % size, flat, re.S)))
+            flat = b"".join(map(cut.__getitem__, values))
     if code.joined:
-        parts = map(blocks.__getitem__, values)
-        rows = [tuple(b"".join(parts) if flat else chain.from_iterable(parts))] if values else []
-        oligos = tuple(_oligos(rows, alphabet, used))
+        parts = chain.from_iterable(map(blocks.__getitem__, values)) if flat is None else flat
+        oligos = _oligos([tuple(parts)] if values else [], alphabet, used)
     else:  # equal blocks share one Oligo
         made = dict(zip(blocks, _oligos(blocks.values(), alphabet, used)))
-        oligos = tuple(map(made.__getitem__, values))
+        oligos = list(map(made.__getitem__, values))
+    oligos = _FlatOligos(oligos, flat) if flat else tuple(oligos)
     return EncodedBatch(scheme, q, code.rho, len(payload), spec, oligos)
 
 
@@ -1017,8 +1028,11 @@ def decode_payload(batch: EncodedBatch) -> str:
             oligo_length=length,
             block_symbols=length - 1,
         )
-        rows = [o.symbols for o in oligos]
-        size, count = length, len(rows)
+        # a batch of rows of one length may carry their symbols end to end,
+        # which a batch decoder reads as they are
+        flat = oligos.flat if type(oligos) is _FlatOligos and code.decode_blocks else None
+        rows = None if flat else [o.symbols for o in oligos]
+        size, count = length, len(oligos)
         if code.joined:
             size = code.lengths[0]
             if count > 1 or length % size:
@@ -1029,7 +1043,8 @@ def decode_payload(batch: EncodedBatch) -> str:
         # a batch decoder reads every block; lookup and window, which have
         # none, check and decode each distinct oligo once
         distinct = None if code.decode_blocks or code.joined else list(dict.fromkeys(rows))
-        if not code.joined and not set(map(len, distinct or rows)).issubset(code.lengths):
+        lengths = {length} if flat else set(map(len, distinct or rows))
+        if not code.joined and not lengths.issubset(code.lengths):
             raise CorruptDataError("oligo length does not match the program")
         width = code.width
         if count != -(-batch.payload_bits // width):
@@ -1038,14 +1053,13 @@ def decode_payload(batch: EncodedBatch) -> str:
         # base block's cycles at its segment's, balanced and window blocks
         # ascend within one revolution, and rank refuses a lookup block past its window
         values = None
-        if code.decode_blocks:
-            try:
+        if code.decode_blocks and flat is None:
+            with suppress(ValueError):  # a symbol above 255
                 flat = b"".join(map(bytes, rows))
-            except ValueError:  # a symbol above 255
-                pass
-            else:
-                values = code.decode_blocks(flat, size)
+        if flat is not None:
+            values = code.decode_blocks(flat, size)
         if values is None:  # the batch decoder has run, if there is one
+            rows = rows or [o.symbols for o in oligos]
             blocks = list(zip(*[iter(rows[0])] * size)) if code.joined else rows
             distinct = distinct or list(dict.fromkeys(blocks))
             values = list(map(code.decode_block, distinct))

@@ -106,6 +106,12 @@ def _oligos(rows: Collection[tuple[int, ...]], q: int, used: Collection[int]) ->
 # one integer.  Any other batch takes the plain per-text path: render joins
 # str() of the symbols of each distinct row, and parse reads each distinct
 # text on its own, int() of each token, and builds its Oligo, in batch order.
+#
+# A batch of rows of one length, whose symbols a batch coder or the
+# canonical reader has just laid end to end in one bytes, keeps that buffer
+# beside its oligos in a _FlatOligos.  Render writes the digit fields of
+# such a batch from the buffer itself, with no per-row step, and the batch
+# decoders read it as it is.
 
 _SEPARATORS = b"\n" + b"," * 255  # a field's last byte: a 0 sentinel ends its row
 # each byte's ASCII digit at a place value, or a 0 filler left of its first digit
@@ -117,6 +123,22 @@ _DIGIT_PLANES = {
 _TOKEN_CODES = bytes.maketrans(b"0123456789,\n", bytes(range(10)) + b"\0\0")
 # 255 for a digit, 0 for a separator, 1 for any other byte
 _DIGIT_MASKS = bytes(255 if 48 <= b <= 57 else 0 if b in b",\n" else 1 for b in range(256))
+
+
+class _FlatOligos(tuple):
+    """A tuple of oligos, at least one and all of one length of at least
+    one symbol, that carries flat: the symbols of every oligo end to end in
+    batch order, a byte each.  flat is a function of the oligos alone, and
+    the tuple compares, hashes, prints and pickles as the plain tuple of
+    its oligos; any new tuple of them, a slice say, carries no buffer."""
+
+    def __new__(cls, oligos: Iterable[Oligo], flat: bytes) -> "_FlatOligos":
+        self = super().__new__(cls, oligos)
+        self.flat = flat
+        return self
+
+    def __reduce__(self) -> tuple:
+        return tuple, (tuple(self),)
 
 
 def render_oligos(oligos: Iterable[Oligo]) -> list[str]:
@@ -131,15 +153,37 @@ def render_oligos(oligos: Iterable[Oligo]) -> list[str]:
     return list(map(text.__getitem__, rows))
 
 
+def _render_joined(oligos: Iterable[Oligo], sep: str) -> str:
+    """sep.join(render_oligos(oligos)); a _FlatOligos is written from its
+    buffer, each symbol's field ending in a comma, the last of a row's in a
+    newline, and the last of all in a 0 filler."""
+    if type(oligos) is not _FlatOligos:
+        return sep.join(render_oligos(oligos))
+    flat = oligos.flat
+    size = len(flat) // len(oligos)
+    seps = bytearray(b"," * len(flat))
+    seps[size - 1 :: size] = b"\n" * len(oligos)
+    seps[-1] = 0
+    return _digit_fields(flat, seps).decode("ascii").replace("\n", sep)
+
+
 def _render_bytes(rows: list[tuple[int, ...]]) -> list[str]:
     """[",".join(map(str, row)) for row in rows], for symbols in 1..255.
 
-    Each symbol, and the 0 that ends each row, becomes a field of d digit
-    bytes and one separator, where d is the digit count of the largest
-    symbol; a digit left of a symbol's first, and every digit of a 0, is a
-    0 filler byte, deleted at the end, as is the comma before each row's
-    newline.  bytes() raises ValueError past 255."""
+    The rows are joined end to end, each ended by a 0 whose field, empty
+    of digits, ends in a newline; the comma before each newline is then
+    deleted.  bytes() raises ValueError past 255."""
     flat = b"\0".join(map(bytes, rows)) + b"\0"
+    text = _digit_fields(flat, flat.translate(_SEPARATORS)).replace(b",\n", b"\n")
+    return text.decode("ascii").split("\n")[:-1]
+
+
+def _digit_fields(flat: bytes, seps: bytes) -> bytes:
+    """Each byte of flat in ASCII digits, then its byte of seps.
+
+    Each byte becomes a field of d digit bytes and one separator, where d
+    is the digit count of the largest byte; a digit left of a byte's first,
+    every digit of a 0 and a 0 separator are 0 fillers, deleted at the end."""
     digits = 1 + bool(flat.translate(None, bytes(range(10)))) + bool(
         flat.translate(None, bytes(range(100)))
     )
@@ -147,9 +191,8 @@ def _render_bytes(rows: list[tuple[int, ...]]) -> list[str]:
     out = bytearray(len(flat) * step)
     for k in range(digits):
         out[k::step] = flat.translate(_DIGIT_PLANES[10 ** (digits - 1 - k)])
-    out[digits::step] = flat.translate(_SEPARATORS)
-    text = out.translate(None, b"\0").replace(b",\n", b"\n").decode("ascii")
-    return text.split("\n")[:-1]
+    out[digits::step] = seps
+    return out.translate(None, b"\0")
 
 
 def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
@@ -158,11 +201,20 @@ def parse_oligos(texts: Sequence[str], q: int) -> list[Oligo]:
     each symbol.  Texts are checked in batch order, each for a malformed
     symbol before one outside 1..q, so the DomainError raised is the one a
     loop over the texts meets first."""
+    return list(_parse_batch(texts, q))
+
+
+def _parse_batch(texts: Sequence[str], q: int) -> tuple[Oligo, ...]:
+    """parse_oligos(texts, q) as a tuple, a _FlatOligos of the canonical
+    reader's buffer when that reader read the texts, none repeats and all
+    have one length."""
     distinct = list(dict.fromkeys(texts))
-    rows = _canonical_rows(distinct, q)
+    read = _canonical_rows(distinct, q)
     # the canonical reader checked every symbol: none lies outside 1..q
-    oligo = dict(zip(distinct, _parse_each(distinct, q) if rows is None else _oligos(rows, q, ())))
-    return list(map(oligo.__getitem__, texts))
+    oligos = list(_parse_each(distinct, q)) if read is None else _oligos(read[0], q, ())
+    if len(distinct) < len(texts):  # a repeated text shares its first Oligo
+        return tuple(map(dict(zip(distinct, oligos)).__getitem__, texts))
+    return _FlatOligos(oligos, read[1]) if read and read[2] else tuple(oligos)
 
 
 def _parse_each(texts: Iterable[str], q: int) -> Iterator[Oligo]:
@@ -177,11 +229,15 @@ def _parse_each(texts: Iterable[str], q: int) -> Iterator[Oligo]:
         yield Oligo(symbols, q)
 
 
-def _canonical_rows(texts: list[str], q: int) -> list[tuple[int, ...]] | None:
-    """The symbol rows of *texts* when every text is canonical over 1..q,
-    q <= 255: symbols in ASCII digits with no leading zero, joined by single
-    commas, any number of them in a text and any digit count up to q's.
-    None for any other batch, which the per-text path then reads.
+def _canonical_rows(
+    texts: list[str], q: int
+) -> tuple[list[tuple[int, ...]], bytes, int] | None:
+    """(rows, flat, size) for *texts* when every text is canonical over
+    1..q, q <= 255: symbols in ASCII digits with no leading zero, joined by
+    single commas, any number of them in a text and any digit count up to
+    q's.  rows holds each text's symbols, flat all of them end to end, a
+    byte each, and size is the one row length, or 0 when rows differ in
+    length.  None for any other batch, which the per-text path then reads.
 
     Joined by newlines, the texts are one bytes of tokens and separators.
     When every token has one digit and every text one length, it alternates
@@ -193,7 +249,7 @@ def _canonical_rows(texts: list[str], q: int) -> list[tuple[int, ...]] | None:
     if type(q) is not int or not 1 <= q <= 255:
         return None
     if not texts:
-        return []
+        return [], b"", 0
     joined = "\n".join(texts)
     if not joined.isascii():
         return None
@@ -205,14 +261,17 @@ def _canonical_rows(texts: list[str], q: int) -> list[tuple[int, ...]] | None:
         digits = data[::2]
         if digits.translate(None, b"123456789"[:q]):
             return None
-        return list(zip(*[iter(digits.translate(_TOKEN_CODES))] * size))
+        flat = digits.translate(_TOKEN_CODES)
+        return list(zip(*[iter(flat)] * size)), flat, size
     if data.count(b"\n") != len(texts) - 1:  # a newline inside a text
         return None
-    values = _token_values(data, q)
-    if values is None:
+    flat = _token_values(data, q)
+    if flat is None:
         return None
-    ends = list(accumulate(text.count(",") + 1 for text in texts))
-    return [tuple(values[start:end]) for start, end in zip([0, *ends], ends)]
+    sizes = [text.count(",") + 1 for text in texts]
+    ends = list(accumulate(sizes))
+    rows = [tuple(flat[start:end]) for start, end in zip([0, *ends], ends)]
+    return rows, flat, sizes[0] if sizes.count(sizes[0]) == len(sizes) else 0
 
 
 def _token_values(data: bytes, q: int) -> bytes | None:
@@ -251,6 +310,7 @@ def _token_values(data: bytes, q: int) -> bytes | None:
         or b"\n" in data and b"\n0" in data  # a one-byte search is fast
     ):
         return None
+    del planes  # each whole-text buffer goes once the next holds its data
     codes = _field_int(data.translate(_TOKEN_CODES), width)
     values = codes
     if digits > 1:

@@ -11,9 +11,11 @@ import pytest
 
 import oligocycle
 from oligocycle import (
-    EncodedBatch, cap_fixed_length, empirical_cap, rho_peak, rho_star, subsequence_count
+    EncodedBatch, cap_fixed_length, decode_payload, empirical_cap, rho_peak, rho_star,
+    subsequence_count,
 )
 from oligocycle import cli
+from oligocycle.bits import bits_from_bytes
 from oligocycle.cli import main
 
 
@@ -179,6 +181,40 @@ def test_oligo_listing_matches_per_oligo_text_and_dna_letters(capsys, tmp_path, 
     letters = "".join("".join(dna[s] for s in o.symbols) + "\n" for o in oligos)
     assert listings[False] == text.encode()
     assert listings[True] == letters.encode()
+
+
+@pytest.mark.parametrize("scheme_args", [
+    ("--scheme", "base", "--q", "4"),
+    ("--scheme", "lookup", "--q", "4", "--rho", "0.5", "--depth", "16"),
+    ("--scheme", "multisize", "--q", "4", "--rho", "0.8"),
+    ("--scheme", "balanced", "--q", "4"),
+    ("--scheme", "window", "--q", "4"),
+    ("--scheme", "multisize", "--q", "5", "--rho", "0.45", "--oligo-length", "12"),
+    ("--scheme", "balanced", "--q", "16"),  # two-digit symbols
+    ("--scheme", "base", "--q", "130", "--block-symbols", "5"),  # past one byte per symbol
+])
+@pytest.mark.parametrize("payload", [bytes(64), b"\x5a\xc3" * 40, bytes(range(256))])
+def test_oligo_listing_is_each_oligos_text_for_every_scheme(capsys, tmp_path, scheme_args, payload):
+    # the batch coders' schemes render the listing from their flat symbol buffer
+    source = tmp_path / "payload.bin"
+    source.write_bytes(payload)
+    q4 = scheme_args[3] == "4"
+    listings = {}
+    for dna in (False, True) if q4 else (False,):
+        listing = tmp_path / f"oligos-{dna}.txt"
+        code, _, _ = run_cli(
+            capsys, "encode", *scheme_args, "--in", str(source), "--out", str(tmp_path / "b.json"),
+            "--oligos-out", str(listing), *(["--dna"] if dna else []),
+        )
+        assert code == 0
+        listings[dna] = listing.read_bytes()
+    batch = EncodedBatch.from_json((tmp_path / "b.json").read_text())
+    assert decode_payload(batch) == bits_from_bytes(payload)
+    text = "".join(",".join(map(str, o.symbols)) + "\n" for o in batch.oligos)
+    assert listings[False] == text.encode()
+    if q4:
+        letters = "".join("".join("ACGT"[s - 1] for s in o.symbols) + "\n" for o in batch.oligos)
+        assert listings[True] == letters.encode()
 
 
 def test_encode_missing_scheme_parameters(capsys, tmp_path):

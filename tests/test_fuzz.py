@@ -13,7 +13,10 @@ or inserted, with a value wrapped in deep nesting, with invalid UTF-8, or
 with one token of one oligo respelled (split in two, merged with the next,
 behind a 0 or a space, in full-width digits, as q+1 or with a digit
 dropped, over one-, two- and three-digit symbols alike), and decoded
-through the CLI, which must exit 0, 2 or 3.  Short texts over the
+through the CLI, which must exit 0, 2 or 3.  Both corpora also go through
+from_json and decode_payload twice, as read and with the oligos moved into
+a plain tuple, which drops the reader's flat symbol buffer: the payload or
+refusal and the rewritten JSON must match.  Short texts over the
 characters of canonical oligo text and its near misses parse exactly as
 the parser's per-text path reads them, result or error.
 The examples are fixed so the gate is deterministic.
@@ -163,6 +166,33 @@ def test_mutated_batches_exit_0_2_or_3_through_the_cli(case):
             assert code == 0 and bits_from_bytes(out.read_bytes()) == payload
 
 
+def twin_outcomes(text):
+    """The outcomes of the batch text through from_json and decode_payload,
+    as read (with the reader's flat buffer, where it keeps one) and with the
+    oligos moved into a plain tuple: each the decoded payload, or the class
+    and message of what decode raised, and the batch's JSON."""
+    try:
+        batch = EncodedBatch.from_json(text)
+    except CorruptDataError as exc:
+        return str(exc)
+    outcomes = []
+    for each in (batch, batch._replace(oligos=tuple(batch.oligos))):
+        try:
+            bits = decode_payload(each)
+        except Exception as exc:  # the class is part of the outcome
+            bits = type(exc), str(exc)
+        outcomes.append((bits, each.to_json()))
+    return outcomes
+
+
+@settings(FIXED, max_examples=100)
+@given(mutated_batches())
+def test_mutated_batches_decode_as_their_plain_tuple_twins(case):
+    _, _, new = case
+    outcomes = twin_outcomes(json.dumps(new))
+    assert isinstance(outcomes, str) or outcomes[0] == outcomes[1]
+
+
 # byte strings that no UTF-8 decoder accepts: a stray continuation byte, a
 # truncated lead, a surrogate, an overlong slash, a five-byte form
 INVALID_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf8\x88\x80\x80\x80"]
@@ -240,6 +270,14 @@ def test_mutated_batch_text_exits_0_2_or_3_through_the_cli(case):
         assert code in (0, 2, 3)
         if new == data:
             assert code == 0 and bits_from_bytes(out.read_bytes()) == payload
+
+
+@settings(FIXED, max_examples=100)
+@given(mutated_texts())
+def test_mutated_batch_text_decodes_as_its_plain_tuple_twin(case):
+    _, _, new = case
+    outcomes = twin_outcomes(new)
+    assert isinstance(outcomes, str) or outcomes[0] == outcomes[1]
 
 
 @settings(FIXED, max_examples=300)
