@@ -16,9 +16,7 @@ import sys
 from .capacity import (
     _flexible_point, _trivial_edge, binary_entropy, cap_fixed_length, empirical_cap
 )
-from .cost import CostParams, cost_at_capacity, minimize_over_alphabet, minimize_over_rho, rho_star
 from .errors import CorruptDataError, DomainError
-from .sequence import _render_joined
 
 # the comma-separated text of a q = 4 oligo as A/C/G/T letters
 _DNA = str.maketrans("1234", "ACGT", ",")
@@ -123,6 +121,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     from .bits import bits_from_bytes
     from .codec import encode_payload
+    from .sequence import _render_joined
 
     # checked before anything is written
     if args.dna and not args.oligos_out:
@@ -192,9 +191,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             (q, row.rho, row.scheme, row.rate, row.cap) for q in qs for row in rate_table(q, grid)
         ]
     elif curve == "rho-star":
+        from .cost import rho_star
+
         columns = ["q", "rho_lower", "rho_star"]
         rows = [(q, _trivial_edge(q), rho_star(q)) for q in qs]
     elif curve == "cost-vs-rho":
+        from .cost import CostParams, cost_at_capacity
+
         params = CostParams(args.alpha, args.beta, args.bits, args.cycles)
         columns = ["q", "rho", "cost"]
         rows = [
@@ -220,6 +223,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
+    from .cost import CostParams, minimize_over_alphabet, minimize_over_rho, rho_star
+
     params = CostParams(args.alpha, args.beta, args.bits, args.cycles)
     if args.max_q is not None:
         q, rho, value = minimize_over_alphabet(params, args.max_q)

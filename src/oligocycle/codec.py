@@ -29,16 +29,18 @@ rendered once unless the batch carries a buffer (below).
 Base-coded blocks (base, and both parts of multisize, up to q = 127) and
 balanced blocks encode and decode a batch at a time, on byte fields of one
 big integer, to and from one flat buffer of blocks end to end, a byte per
-symbol: an encoder's holds each distinct value's block, a decoder's every
-block.  A batch keeps the buffer of every block in batch order beside its
-oligos, as does one read from canonical text of rows of one length, none
-repeated: to_json renders it, and decode hands it to the batch decoder.
-Where a scheme has no batch coder, where it returns None, and on
-decode for a symbol above 255, the generic codec maps the per-block coder
-over the distinct values or blocks by the rule _BlockCode states; only this
-path dedupes on decode.  A payload splits into blocks of up to 64 bits, and
-decoded values join back into one, by strided byte transposes between its
-bits and 1-, 2-, 4- or 8-byte fields of one integer.
+symbol; lookup blocks up to q = 255 do so by counting's rank and unrank
+loops.  An encoder's buffer holds each distinct value's block.  A batch
+keeps the buffer of every block in batch order beside its oligos, as does
+one read from canonical text of rows of one length, none repeated: to_json
+renders it, and decode hands it to the batch decoder, which reads every
+block; for a batch without one, decode joins the distinct rows.  Where a
+scheme has no batch coder, where it returns None, and on decode for a
+symbol above 255, the generic codec maps the per-block coder over the
+distinct values or blocks by the rule _BlockCode states.  A payload splits
+into blocks of up to 64 bits, and decoded values join back into one, by
+strided byte transposes between its bits and 1-, 2-, 4- or 8-byte fields of
+one integer.
 """
 
 from __future__ import annotations
@@ -61,7 +63,9 @@ from .bits import (
     unbalance_word, validate_bits,
 )
 from .capacity import _trivial_edge, cap_fixed_length
-from .counting import indexable_count, indexed_count, rank_symbols, unrank_symbols
+from .counting import (
+    indexable_count, indexed_count, rank_blocks, rank_symbols, unrank_blocks, unrank_symbols
+)
 from .errors import CorruptDataError, DomainError, require_instance, require_int, require_number
 from .sequence import (
     Oligo, SupersequenceSpec, _field_int, _FlatOligos, _oligos, _parse_batch, _render_joined
@@ -568,7 +572,37 @@ def _lookup(q: int, *, rho: float | None, depth: int | None, **_) -> _BlockCode:
         codewords=partial(indexed_count, q, cycles, length),
         encode_block=partial(unrank_symbols, q, cycles, length),
         decode_block=partial(rank_symbols, q, cycles),
+        encode_blocks=partial(_lookup_blocks, q, cycles, length),
+        decode_blocks=partial(_lookup_values, q, cycles),
     )
+
+
+def _lookup_blocks(q: int, cycles: int, length: int, values: Sequence[int]) -> bytes | None:
+    """The blocks unrank_symbols gives values, end to end a byte per symbol;
+    None past q = 255 and where some value lies past the window's count."""
+    if q > 255:
+        return None
+    flat = bytearray()
+    try:
+        unrank_blocks(q, cycles, length, values, flat)
+    except DomainError:
+        return None
+    return bytes(flat)
+
+
+def _lookup_values(q: int, cycles: int, flat: bytes, size: int) -> list[int] | None:
+    """[rank_symbols(q, cycles, block) for each size-symbol block of flat],
+    each distinct block ranked once; None past q = 255 and where some block
+    has a symbol outside 1..q or is no subsequence of the window."""
+    if q > 255 or flat.translate(None, bytes(range(1, q + 1))):
+        return None
+    blocks = re.findall(b".{%d}" % size, flat, re.S)
+    distinct = list(dict.fromkeys(blocks))
+    try:
+        value = dict(zip(distinct, rank_blocks(q, cycles, size, distinct)))
+    except DomainError:
+        return None
+    return list(map(value.__getitem__, blocks))
 
 
 # --- multisize scheme: two adjacent sub-alphabet sizes ---
@@ -981,8 +1015,9 @@ def encode_payload(
         size = code.lengths[0]
         blocks = {} if code.joined else dict(zip(distinct, zip(*[iter(flat)] * size)))
         if len(distinct) < len(values):  # the batch's buffer: each value's block in turn
-            cut = dict(zip(distinct, re.findall(b".{%d}" % size, flat, re.S)))
-            flat = b"".join(map(cut.__getitem__, values))
+            # joined as str: bytes.join holds an 80-byte view of every part
+            cut = dict(zip(distinct, re.findall(".{%d}" % size, flat.decode("latin-1"), re.S)))
+            flat = "".join(map(cut.__getitem__, values)).encode("latin-1")
     if code.joined:
         parts = chain.from_iterable(map(blocks.__getitem__, values)) if flat is None else flat
         oligos = _oligos([tuple(parts)] if values else [], alphabet, used)
@@ -1040,9 +1075,9 @@ def decode_payload(batch: EncodedBatch) -> str:
             count = length // size
         if batch.spec.segments != code.program(count):
             raise CorruptDataError("program does not match the oligo shape and count")
-        # a batch decoder reads every block; lookup and window, which have
-        # none, check and decode each distinct oligo once
-        distinct = None if code.decode_blocks or code.joined else list(dict.fromkeys(rows))
+        # a batch decoder reads every block of the buffer a batch carries;
+        # any other batch is checked and decoded a distinct oligo at a time
+        distinct = None if flat or code.joined else list(dict.fromkeys(rows))
         lengths = {length} if flat else set(map(len, distinct or rows))
         if not code.joined and not lengths.issubset(code.lengths):
             raise CorruptDataError("oligo length does not match the program")
@@ -1055,9 +1090,10 @@ def decode_payload(batch: EncodedBatch) -> str:
         values = None
         if code.decode_blocks and flat is None:
             with suppress(ValueError):  # a symbol above 255
-                flat = b"".join(map(bytes, rows))
+                flat = b"".join(map(bytes, distinct or rows))
         if flat is not None:
             values = code.decode_blocks(flat, size)
+        blocks = rows
         if values is None:  # the batch decoder has run, if there is one
             rows = rows or [o.symbols for o in oligos]
             blocks = list(zip(*[iter(rows[0])] * size)) if code.joined else rows

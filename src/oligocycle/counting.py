@@ -22,7 +22,10 @@ runs of consecutive spares, so one suffix table per (q, C, L) holds running
 sums of N, row by row: a run's completions are one difference of two
 entries, and unrank finds each symbol with one bisection of a row.  The
 recurrence N(w, l) = sum_{a=1..q} N(w - a, l - 1) is itself a difference of
-two running sums of the row below, so each row costs one pass.
+two running sums of the row below, so each row costs one pass.  Each row
+starts with q zeros, its sums at -q..-1 cycles to spare, so neither that
+pass nor rank and unrank branch on a sum read below the row's start; one
+loop each ranks or unranks a batch of blocks.
 """
 
 from __future__ import annotations
@@ -33,10 +36,16 @@ from itertools import accumulate, chain, repeat
 from math import comb
 from operator import sub
 from threading import Lock
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, require_instance, require_int
-from .sequence import Oligo, alternating_prefix
+
+if TYPE_CHECKING:
+    from .sequence import Oligo
+
+# oligocycle.sequence, bound by the first call that takes or makes an Oligo,
+# so that a command that only counts loads none of it
+_sequence = None
 
 # Largest suffix table built, in stored integers.  It is checked first: the
 # byte bound below takes a closed-form count, which is cheap only once the
@@ -52,15 +61,28 @@ _MAX_CACHED_BYTES = 1 << 26
 Table = list[list[int]]
 
 
+def _sequence_module():
+    """oligocycle.sequence, imported on the first call: an import statement
+    in subsequence_rank or subsequence_unrank would take over a microsecond
+    of every call."""
+    global _sequence
+    if _sequence is None:
+        from . import sequence as _sequence
+    return _sequence
+
+
 def _int_bytes(bits: int) -> int:
     """At least the bytes of an integer of *bits* bits: 28 plus 4 per 30-bit digit."""
     return 28 + 4 * ((bits + 29) // 30)
 
 
-def _table_bytes(rows: Table) -> int:
-    """At least the bytes the table takes.  Each row ascends, so none of its
-    integers is larger than its last; the row's list adds its slots."""
-    return sum(sys.getsizeof(row) + len(row) * _int_bytes(row[-1].bit_length()) for row in rows)
+def _table_bytes(rows: Table, q: int) -> int:
+    """At least the bytes the table takes.  Each row's sums ascend behind q
+    shared zeros, so none of its integers is larger than its last; the
+    row's list adds its slots."""
+    return sum(
+        sys.getsizeof(row) + (len(row) - q) * _int_bytes(row[-1].bit_length()) for row in rows
+    )
 
 
 class CountCache:
@@ -89,10 +111,10 @@ class CountCache:
             if key in self._tables:
                 return self._tables[key]
             self._tables[key] = rows
-            self._bytes += _table_bytes(rows)
+            self._bytes += _table_bytes(rows, key[0])
             while self._bytes > _MAX_CACHED_BYTES and len(self._tables) > 1:
                 oldest = next(iter(self._tables))
-                self._bytes -= _table_bytes(self._tables.pop(oldest))
+                self._bytes -= _table_bytes(self._tables.pop(oldest), oldest[0])
         return rows
 
 
@@ -118,7 +140,7 @@ def brute_force_count(q: int, cycles: int, length: int) -> int:
     _require_sizes(q, cycles, length)
     if cycles > 20:
         raise DomainError("brute force enumeration is capped at 20 cycles")
-    stream = alternating_prefix(q, cycles)
+    stream = _sequence_module().alternating_prefix(q, cycles)
     seen: set[tuple[int, ...]] = set()
     for mask in range(1 << cycles):
         if mask.bit_count() != length:
@@ -154,7 +176,9 @@ def indexable_count(q: int, cycles: int, length: int) -> int:
     subsequence_count(q, cycles, length): appending gaps of 1 maps the
     shorter gap sequences one to one into the counted ones.  So no entry of
     a row of n sums exceeds n times it.  A row built by appending keeps at
-    most an eighth plus 6 spare slots.
+    most an eighth plus 6 spare slots.  Each row also holds q slots of one
+    shared zero, and a window of so many rows over so large an alphabet that
+    those slots alone could pass _MAX_CACHED_BYTES is refused too.
     """
     _require_sizes(q, cycles, length)
     if (
@@ -162,6 +186,8 @@ def indexable_count(q: int, cycles: int, length: int) -> int:
         or sum(sizes := _row_sizes(q, cycles, length)) > _MAX_TABLE_ENTRIES
     ):
         raise DomainError(f"a {cycles}-cycle window is too large to index")
+    if 8 * q * len(sizes) > _MAX_CACHED_BYTES:
+        raise DomainError(f"a {cycles}-cycle window's table is too large to keep")
     count = subsequence_count(q, cycles, length)
     bits = count.bit_length()
     empty = sys.getsizeof([])
@@ -175,14 +201,16 @@ def indexable_count(q: int, cycles: int, length: int) -> int:
 def suffix_table(q: int, cycles: int, length: int) -> Table:
     """The suffix table of the (q, cycles, length) geometry, built once per process.
 
-    Row l holds the running sums S_l(k) = N(l, l) + N(l + 1, l) + ... +
-    N(l + k, l) for k = 0, 1, ...: the gap sequences of length l with at
-    most 0, 1, ..., k cycles to spare, summed.  Rank and unrank never spare
-    more than cycles - length, and from l*(q - 1) on all q**l sequences fit,
-    so past that point S_l grows by q**l per spare cycle.  Each row stops at
-    the smaller of cycles - length and l*(q - 1) + q: the q + 1 sums below a
-    larger spare then slide down to the row's end, changed by one constant.
-    The last step of rows[length] is subsequence_count(q, cycles, length).
+    Row l holds q zeros, then the running sums S_l(k) = N(l, l) +
+    N(l + 1, l) + ... + N(l + k, l) for k = 0, 1, ...: the gap sequences of
+    length l with at most 0, 1, ..., k cycles to spare, summed.  So
+    row[q + k] is S_l(k) for every k from -q on, 0 below 0.  Rank and
+    unrank never spare more than cycles - length, and from l*(q - 1) on all
+    q**l sequences fit, so past that point S_l grows by q**l per spare
+    cycle.  Each row's sums stop at the smaller of cycles - length and
+    l*(q - 1) + q: the q + 1 sums below a larger spare then slide down to
+    the row's end, changed by one constant.  The last step of rows[length]
+    is subsequence_count(q, cycles, length).
 
     Raises DomainError where indexable_count refuses the window.
     """
@@ -191,13 +219,14 @@ def suffix_table(q: int, cycles: int, length: int) -> Table:
     if rows is None:
         indexable_count(q, cycles, length)
         sizes = _row_sizes(q, cycles, length)
-        row = list(range(1, sizes[0] + 1))  # S_0(k) = k + 1
+        row = [0] * q + list(range(1, sizes[0] + 1))  # S_0(k) = k + 1
         rows = [row]
         for n in sizes[1:]:
-            # past its end the previous row grows by its last step
-            prev = row + [row[-1] + (row[-1] - row[-2]) * j for j in range(1, n - len(row) + 1)]
-            # N(l + k, l) = S_{l-1}(k) - S_{l-1}(k - q), then its running sum
-            row = list(accumulate(map(sub, prev, chain(repeat(0, q), prev))))
+            # S_{l-1}(k) for k in 0..n-1: past its end the row grows by its last step
+            last, step = row[-1], row[-1] - row[-2]
+            sums = row[q:] + [last + step * j for j in range(1, n + q - len(row) + 1)]
+            # N(l + k, l) = S_{l-1}(k) - S_{l-1}(k - q), then its running sum behind q zeros
+            row = list(accumulate(chain(repeat(0, q), map(sub, sums, row))))
             rows.append(row)
         rows = _shared_cache._insert(key, rows)
     return rows
@@ -210,9 +239,9 @@ def indexed_count(q: int, cycles: int, length: int) -> int:
 
 
 def _total(rows: Table) -> int:
-    """The last step of the table's last row."""
+    """The last step of the table's last row; a row of one sum steps from a pad."""
     row = rows[-1]
-    return row[-1] - row[-2] if len(row) > 1 else row[0]
+    return row[-1] - row[-2]
 
 
 # After symbol prev, with `spare` cycles to spare, symbol s takes the gap
@@ -220,61 +249,87 @@ def _total(rows: Table) -> int:
 # prev+1..q leave spare down to spare - q + prev + 1, then 1..prev leave
 # spare - q + prev down to spare - q + 1.  So the completions of all the
 # symbols below s are at most two differences of running sums.  Rank and
-# unrank read the sums at spare, or at the row's end when spare lies past it.
+# unrank read the sums at spare, or at the row's end when spare lies past
+# it.  They count spare from the q zeros in front of each row's sums, so a
+# sum read below 0 cycles to spare is a 0, with no branch.  One loop each
+# codes a batch of blocks of one length, and the per-block functions hand
+# it a batch of one.
+
+
+def rank_blocks(q: int, cycles: int, length: int, blocks: Iterable[Sequence[int]]) -> list[int]:
+    """The rank of each block, length symbols in 1..q each; raises
+    DomainError at the first block that is not a subsequence of the prefix."""
+    rows = suffix_table(q, cycles, length)[-2::-1]  # every row but the last, last first
+    ranks = []
+    for symbols in blocks:
+        spare = cycles - length + q  # the cycles left beyond one per symbol still to place, plus q
+        prev = index = 0  # prev: the symbol last placed, 0 before the first
+        for row, sym in zip(rows, symbols):
+            top = spare if spare < len(row) else len(row) - 1  # where the sums are read
+            low = top - q  # what symbol prev leaves, less its gap of q
+            # S(low + prev), what symbol 1 leaves, less S(what sym leaves)
+            # counts the symbols 1..sym-1 when sym <= prev; past prev it is
+            # less the symbols sym..q, and all q together are S(top) - S(low)
+            if sym > prev:
+                gap = sym - prev - 1
+                index += row[top] - row[low] + row[low + prev] - row[top - gap]
+            else:
+                gap = sym - prev - 1 + q
+                index += row[low + prev] - row[top - gap]
+            spare -= gap
+            if spare < q:  # the gap took more cycles than were left
+                raise DomainError("oligo is not a subsequence of the offer prefix")
+            prev = sym
+        ranks.append(index)
+    return ranks
+
+
+def unrank_blocks(
+    q: int, cycles: int, length: int, indices: Iterable[int], out: list[int] | bytearray
+) -> None:
+    """Append to *out* the symbols of the oligo at each index in turn: one
+    bisection per symbol, over the sums that the symbols 1..prev leave or
+    over those of prev+1..q.  Raises DomainError at the first index outside
+    0..count-1."""
+    table = suffix_table(q, cycles, length)
+    total = _total(table)
+    rows = table[-2::-1]
+    append = out.append
+    for index in indices:
+        if not 0 <= index < total:
+            raise DomainError(f"index must lie in 0..{total - 1}")
+        spare = cycles - length + q
+        prev = 0
+        for row in rows:
+            top = spare if spare < len(row) else len(row) - 1  # where the sums are read
+            low = top - q
+            wrap = low + prev  # what symbol 1 leaves
+            below = row[wrap]
+            first = below - row[low]  # the completions of 1..prev
+            if index < first:  # s <= prev leaves wrap + 1 - s
+                target = below - index
+                left = bisect_left(row, target, low + 1, wrap + 1)
+                prev = wrap + 1 - left
+            else:  # s > prev leaves top + 1 - (s - prev)
+                target = row[top] - index + first
+                left = bisect_left(row, target, wrap + 1, top + 1)
+                prev += top + 1 - left
+            index = row[left] - target
+            spare -= top - left
+            append(prev)
 
 
 def rank_symbols(q: int, cycles: int, symbols: Sequence[int]) -> int:
     """subsequence_rank on a bare symbol sequence."""
     if symbols and not 1 <= min(symbols) <= max(symbols) <= q:
         raise DomainError(f"symbols must lie in 1..{q}")
-    length = len(symbols)
-    rows = suffix_table(q, cycles, length)
-    spare = cycles - length  # cycles left beyond one per symbol still to place
-    prev = index = 0  # prev: the symbol last placed, 0 before the first
-    for row, sym in zip(reversed(rows[:length]), symbols):
-        gap = (sym - prev - 1) % q
-        if gap > spare:
-            raise DomainError("oligo is not a subsequence of the offer prefix")
-        top = spare if spare < len(row) else len(row) - 1  # where the sums are read
-        wrap = top - q + prev  # what symbol 1 leaves; symbol q leaves wrap + 1
-        # S(wrap) - S(what sym leaves) counts the symbols 1..sym-1 when
-        # sym <= prev; past prev it is less the symbols sym..q, and all q
-        # symbols together are S(top) - S(top - q)
-        index += (row[wrap] if wrap >= 0 else 0) - row[top - gap]
-        if sym > prev:
-            index += row[top] - (row[top - q] if top >= q else 0)
-        spare -= gap
-        prev = sym
-    return index
+    return rank_blocks(q, cycles, len(symbols), (symbols,))[0]
 
 
 def unrank_symbols(q: int, cycles: int, length: int, index: int) -> tuple[int, ...]:
-    """subsequence_unrank as a bare symbol tuple: one bisection per symbol,
-    over the sums that the symbols 1..prev leave or over those of prev+1..q."""
-    rows = suffix_table(q, cycles, length)
-    total = _total(rows)
-    if not 0 <= index < total:
-        raise DomainError(f"index must lie in 0..{total - 1}")
-    spare = cycles - length
-    prev = 0
+    """subsequence_unrank as a bare symbol tuple."""
     out: list[int] = []
-    for row in reversed(rows[:length]):
-        top = spare if spare < len(row) else len(row) - 1  # where the sums are read
-        wrap = top - q + prev  # what symbol 1 leaves
-        below = row[wrap] if wrap >= 0 else 0
-        first = below - row[top - q] if top >= q else below  # completions of 1..prev
-        if index < first:  # s <= prev leaves wrap + 1 - s
-            target = below - index
-            left = bisect_left(row, target, top - q + 1 if top >= q else 0, wrap + 1)
-            sym = wrap + 1 - left
-        else:  # s > prev leaves top + 1 - (s - prev)
-            target = row[top] - index + first
-            left = bisect_left(row, target, wrap + 1 if wrap >= 0 else 0, top + 1)
-            sym = prev + top + 1 - left
-        index = row[left] - target
-        spare -= top - left
-        prev = sym
-        out.append(sym)
+    unrank_blocks(q, cycles, length, (index,), out)
     return tuple(out)
 
 
@@ -286,7 +341,7 @@ def subsequence_rank(q: int, cycles: int, oligo: Oligo) -> int:
     """
     require_int(q, low=1)
     require_int(cycles, "cycle count")
-    require_instance(oligo, Oligo, "oligo")
+    require_instance(oligo, _sequence_module().Oligo, "oligo")
     if oligo.q > q:
         raise DomainError("oligo alphabet exceeds the stream alphabet")
     if len(oligo) > cycles:  # a cycle offers at most one symbol
@@ -298,4 +353,6 @@ def subsequence_unrank(q: int, cycles: int, length: int, index: int) -> Oligo:
     """Inverse of subsequence_rank: the oligo at *index* in lexicographic order."""
     _require_sizes(q, cycles, length)
     require_int(index, "index")
-    return Oligo(unrank_symbols(q, cycles, length, index), q)
+    symbols: list[int] = []
+    unrank_blocks(q, cycles, length, (index,), symbols)
+    return _sequence_module().Oligo(symbols, q)

@@ -25,7 +25,7 @@ PAYLOADS = {
 # the setups whose batch coders write every block into one buffer
 CODED = {
     "base-q4-b32", "base-q5-b7", "base-q127-b7", "multisize-q5-45", "multisize-q4-80",
-    "balanced-q16", "balanced-q8",
+    "balanced-q16", "balanced-q8", "lookup-q4-d2", "lookup-q4-d16",
 }
 
 

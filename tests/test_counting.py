@@ -364,6 +364,15 @@ def test_cache_drops_its_oldest_tables_past_its_bound(fresh_cache):
     assert (4, 4, 2) not in cache._tables
 
 
+def test_a_window_of_many_rows_over_a_large_alphabet_is_refused_before_its_zeros(fresh_cache):
+    # 300001 rows of one sum each, behind 300000 zeros each: 720 GB of slots
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="too large to keep"):
+        suffix_table(300_000, 300_000, 300_000)
+    assert time.perf_counter() - start < 1.0
+    assert not fresh_cache._tables
+
+
 def test_a_q256_window_batch_of_every_block_size_stays_within_the_cache_bound(fresh_cache):
     # one ascending block of each size 1..128 asks for 128 window tables,
     # more than the cache holds at once
@@ -412,16 +421,19 @@ def test_suffix_table_total_matches_the_closed_form(fresh_cache):
 
 
 def test_suffix_table_rows_are_running_sums_of_counts(fresh_cache):
-    # row l's steps count the gap sequences of length l within l + k cycles
+    # row l holds q zeros, then sums whose steps count the gap sequences of
+    # length l within l + k cycles
     for q in range(1, 7):
         for cycles in range(17):
             for length in range(cycles + 1):
                 rows = suffix_table(q, cycles, length)
                 assert len(rows) == length + 1
                 for l, row in enumerate(rows):
-                    assert len(row) == min(cycles - length, l * (q - 1) + q) + 1
-                    steps = [b - a for a, b in zip([0] + row, row)]
-                    assert steps == [subsequence_count(q, l + k, l) for k in range(len(row))]
+                    assert row[:q] == [0] * q
+                    sums = row[q:]
+                    assert len(sums) == min(cycles - length, l * (q - 1) + q) + 1
+                    steps = [b - a for a, b in zip(row[q - 1 :], sums)]
+                    assert steps == [subsequence_count(q, l + k, l) for k in range(len(sums))]
 
 
 def test_cold_count_at_two_thousand_cycles_is_fast():

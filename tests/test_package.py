@@ -38,6 +38,18 @@ def test_cli_import_loads_neither_codec_nor_bits():
     assert not loaded & {"oligocycle.codec", "oligocycle.bits"}
 
 
+def test_cli_import_loads_neither_cost_nor_sequence():
+    # only the commands that use them import them, so the others compile neither
+    loaded = loaded_after("import oligocycle.cli")
+    assert not loaded & {"oligocycle.cost", "oligocycle.sequence"}
+
+
+def test_counting_import_loads_no_sequence():
+    loaded = loaded_after("import oligocycle.counting")
+    assert "oligocycle.counting" in loaded
+    assert "oligocycle.sequence" not in loaded
+
+
 def test_commands_that_never_count_load_no_counting():
     loaded = loaded_after("import oligocycle.cli, oligocycle.capacity, oligocycle.cost")
     assert {"oligocycle.cli", "oligocycle.capacity", "oligocycle.cost"} <= loaded
